@@ -1,4 +1,4 @@
-"""Shared CSV/JSON writing helpers.
+"""Shared CSV/JSON reading and writing helpers.
 
 Floats are written with 17 significant digits in CSV artifacts, which is
 enough to round-trip any IEEE double exactly.  JSON artifacts go through
@@ -31,6 +31,42 @@ def write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt(cell) for cell in row])
+
+
+def read_csv(path, expected_header, error):
+    """Read a CSV with a fixed header into ``(path, [(lineno, cells)])``.
+
+    Blank lines are skipped and cells stripped.  ``error`` is the exception
+    class raised for an unreadable or empty file, a wrong header or a row
+    with the wrong number of fields.
+    """
+    path = Path(path)
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot open {path}: {exc}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise error(f"{path}: empty file") from None
+        if tuple(h.strip() for h in header) != expected_header:
+            raise error(
+                f"{path}: expected header {','.join(expected_header)!r}, "
+                f"got {','.join(header)!r}"
+            )
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(expected_header):
+                raise error(
+                    f"{path}:{lineno}: expected {len(expected_header)} fields, "
+                    f"got {len(row)}"
+                )
+            rows.append((lineno, [cell.strip() for cell in row]))
+    return path, rows
 
 
 def json_ready(obj):

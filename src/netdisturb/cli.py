@@ -368,20 +368,20 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
     return config
 
 
-def _write_manifest(config, command: str, extra=None) -> None:
+def _write_manifest(
+    out: Path, command: str, config_path: Path, config_sha256: str, **fields
+) -> None:
+    """Write ``manifest.json``: command, config identity, versions, then ``fields``."""
     manifest = {
         "command": command,
-        "config_file": config.config_path.name,
-        "config_sha256": config.config_sha256,
+        "config_file": config_path.name,
+        "config_sha256": config_sha256,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "seed": config.seed,
-        "jobs": config.jobs,
+        **fields,
     }
-    if extra:
-        manifest.update(extra)
-    write_json(config.out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
 
 
 @dataclass(eq=False)
@@ -535,7 +535,10 @@ def cmd_fit(config: RunConfig) -> int:
             "candidates": candidate_ids(config),
         },
     )
-    _write_manifest(config, "fit")
+    _write_manifest(
+        config.out, "fit", config.config_path, config.config_sha256,
+        seed=config.seed, jobs=config.jobs,
+    )
     for failure in failures:
         print(
             f"fit failed for period {failure['period']} / {failure['structure']}: "
@@ -561,7 +564,10 @@ def cmd_select(config: RunConfig) -> int:
             smoothed_window=config.smooth_window,
         )
     write_report_json(config.out / "selection.json", report)
-    _write_manifest(config, "select", {"winner": report.winner})
+    _write_manifest(
+        config.out, "select", config.config_path, config.config_sha256,
+        seed=config.seed, jobs=config.jobs, winner=report.winner,
+    )
     print(f"winner: {report.winner}")
     for structure, delta in zip(report.structures, report.aggregated_delta):
         print(f"  {structure}: aggregated delta {delta:.3f}")
@@ -598,7 +604,10 @@ def cmd_scan(config: RunConfig) -> int:
     )
     write_scan_csv(config.out / "scan.csv", scan)
     write_scan_json(config.out / "scan.json", scan)
-    _write_manifest(config, "scan-cutoff", {"best_cutoff_km": scan.best_cutoff})
+    _write_manifest(
+        config.out, "scan-cutoff", config.config_path, config.config_sha256,
+        seed=config.seed, jobs=config.jobs, best_cutoff_km=scan.best_cutoff,
+    )
     print(f"best cutoff: {scan.best_cutoff:g} km (Moran's I = {scan.best_value:.6f})")
     return 0
 
@@ -648,8 +657,9 @@ def cmd_diagnose(config: RunConfig) -> int:
         curves.append(kde(values, node_id=node))
     write_kde_csv(config.out / "kde.csv", curves)
     _write_manifest(
-        config, "diagnose",
-        {"structure": structure.structure_id, "failures": failures},
+        config.out, "diagnose", config.config_path, config.config_sha256,
+        seed=config.seed, jobs=config.jobs,
+        structure=structure.structure_id, failures=failures,
     )
     print(
         f"diagnosed {len(tradecorr_items)} period(s) under {structure.structure_id}; "
@@ -701,17 +711,9 @@ def cmd_simulate(spec_path, out, seed=None) -> int:
     outdir = Path(out)
     write_sim_csvs(result, outdir)
     spec_path = Path(spec_path)
-    write_json(
-        outdir / "manifest.json",
-        {
-            "command": "simulate",
-            "config_file": spec_path.name,
-            "config_sha256": hashlib.sha256(spec_path.read_bytes()).hexdigest(),
-            "package_version": __version__,
-            "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__,
-            "seed": spec.seed,
-        },
+    _write_manifest(
+        outdir, "simulate", spec_path,
+        hashlib.sha256(spec_path.read_bytes()).hexdigest(), seed=spec.seed,
     )
     total = sum(s.n_flows for s in result.panel)
     print(f"simulated {len(result.panel)} period(s), {total} flows -> {outdir}")

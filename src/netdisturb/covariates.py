@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._serialize import fmt
+from ._serialize import fmt, read_csv
 from .errors import CovariateError
 from .panel import FlowIndex, NetworkSnapshot
 
@@ -350,36 +350,6 @@ def build_design(
     )
 
 
-def _read_csv(path, expected_header):
-    path = Path(path)
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise CovariateError(f"cannot open {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CovariateError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != expected_header:
-            raise CovariateError(
-                f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise CovariateError(
-                    f"{path}:{lineno}: expected {len(expected_header)} fields, "
-                    f"got {len(row)}"
-                )
-            rows.append((lineno, [cell.strip() for cell in row]))
-    return path, rows
-
-
 def _parse_value(path, lineno, text):
     if text == "" or text.upper() in ("NA", "NAN"):
         return math.nan
@@ -391,7 +361,7 @@ def _parse_value(path, lineno, text):
 
 def load_nodal_csv(path, name: str) -> NodalSeries:
     """Read a nodal series CSV with header ``node,period,value``."""
-    path, rows = _read_csv(path, NODAL_HEADER)
+    path, rows = read_csv(path, NODAL_HEADER, CovariateError)
     values = {}
     for lineno, (node, period, value) in rows:
         try:
@@ -409,7 +379,7 @@ def load_dyadic_csv(
     path, name: str, symmetric: bool, default: float | None = None
 ) -> DyadicSeries:
     """Read a dyadic series CSV with header ``node_a,node_b,period,value``."""
-    path, rows = _read_csv(path, DYADIC_HEADER)
+    path, rows = read_csv(path, DYADIC_HEADER, CovariateError)
     values = {}
     for lineno, (a, b, period, value) in rows:
         try:

@@ -4,12 +4,16 @@ Moran's I for a vector z under weights W (after centering z) is
 
     I = (m / S0) * (z' W z) / (z' z),    S0 = sum of all entries of W
 
-For cutoff selection, per-period distance-based weight matrices are stacked
+For cutoff selection, per-period distance weight matrices are stacked
 block-diagonally over the panel so pooled residuals never correlate across
 periods, and I is evaluated on a grid of cutoffs; the chosen cutoff is the
-first argmax.  The blocks are never materialized jointly: with pooled
-centered z, I decomposes into per-block quadratic forms z_t' W_t z_t and
-per-block S0 contributions, which is what the scan accumulates.
+first argmax.  Each period's block is the weight builder's AnchorRelation
+of ``distance_<direction>``: flows anchored at the receiver (import) or
+sender (export), related by d(anchor, partner) < cutoff over a distance
+table read once and re-thresholded at each grid point, with no reverse
+flow.  The blocks are never materialized jointly: with pooled centered z,
+I decomposes into per-block quadratic forms z_t' W_t z_t and per-block S0
+contributions, which is what the scan accumulates.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 
 from ._serialize import write_csv, write_json
 from .covariates import DyadicSeries
-from .errors import CovariateError, WeightError
 from .panel import FlowIndex
+from .weights import AnchorRelation
 
 DEFAULT_GRID_KM = np.arange(0.0, 20_000.0 + 100.0, 100.0)
 
@@ -59,41 +63,6 @@ class CutoffScan:
     best_cutoff: float
     best_value: float
     direction: str
-
-
-class _PeriodBlock:
-    """Distance geometry of one period, shared across all cutoffs."""
-
-    def __init__(self, index: FlowIndex, distances: DyadicSeries, direction: str):
-        codes = index.receivers if direction == "import" else index.senders
-        unique = sorted(set(codes))
-        pos = {code: k for k, code in enumerate(unique)}
-        inv = np.array([pos[code] for code in codes])
-        u = len(unique)
-        dist = np.zeros((u, u))
-        for a in range(u):
-            for b in range(a + 1, u):
-                try:
-                    d = distances.lookup(unique[a], unique[b], index.period)
-                except CovariateError as exc:
-                    raise WeightError(str(exc)) from None
-                dist[a, b] = dist[b, a] = d
-        self.inv = inv
-        self.dist = dist
-        # Flows anchored at the same node are never neighbours, whatever
-        # the cutoff; same-node pairs include the flow itself.
-        self.same = inv[:, None] == inv[None, :]
-
-    def quad_form(self, zc: np.ndarray, cutoff: float) -> tuple[float, float]:
-        """(z' W z, S0) for this block's row-normalized W at `cutoff`."""
-        close = self.dist < cutoff
-        adjacency = close[np.ix_(self.inv, self.inv)] & ~self.same
-        counts = adjacency.sum(axis=1)
-        nonzero = counts > 0
-        if not nonzero.any():
-            return 0.0, 0.0
-        wz = (adjacency @ zc)[nonzero] / counts[nonzero]
-        return float(zc[nonzero] @ wz), float(nonzero.sum())
 
 
 def scan_cutoffs(
@@ -137,7 +106,7 @@ def scan_cutoffs(
         raise ValueError("residuals and indices cover different periods")
 
     segments = []
-    blocks = []
+    relations = []
     for period in periods:
         z_t = np.asarray(residuals[period], dtype=float).ravel()
         index = indices[period]
@@ -146,10 +115,9 @@ def scan_cutoffs(
                 f"period {period}: residual length {z_t.size} != index n {index.n}"
             )
         segments.append(z_t)
-        blocks.append(_PeriodBlock(index, distances, direction))
+        relations.append(AnchorRelation(f"distance_{direction}", index, distances))
 
     z = np.concatenate(segments)
-    m = z.size
     zc = z - z.mean()
     denom = zc @ zc
     if denom == 0.0:
@@ -160,12 +128,15 @@ def scan_cutoffs(
     for g, cutoff in enumerate(grid):
         total_quad = 0.0
         total_s0 = 0.0
-        for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
-            quad, s0 = block.quad_form(zc[lo:hi], cutoff)
-            total_quad += quad
-            total_s0 += s0
+        for relation, lo, hi in zip(relations, bounds[:-1], bounds[1:]):
+            adjacency = relation.adjacency(cutoff)
+            counts = adjacency.sum(axis=1)
+            nonzero = counts > 0
+            wz = (adjacency @ zc[lo:hi])[nonzero] / counts[nonzero]
+            total_quad += float(zc[lo:hi][nonzero] @ wz)
+            total_s0 += float(nonzero.sum())
         if total_s0 > 0.0:
-            values[g] = m / total_s0 * total_quad / denom
+            values[g] = z.size / total_s0 * total_quad / denom
 
     defined = np.isfinite(values)
     if not defined.any():

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._serialize import fmt
+from ._serialize import fmt, read_csv
 from .errors import PanelError
 
 EDGE_HEADER = ("period", "sender", "receiver", "value")
@@ -176,36 +176,6 @@ def log_flow_vector(snapshot: NetworkSnapshot, index: FlowIndex) -> np.ndarray:
     return np.log([snapshot.value(s, r) for s, r in index.dyads])
 
 
-def _read_rows(path, expected_header):
-    path = Path(path)
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise PanelError(f"cannot open {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != expected_header:
-            raise PanelError(
-                f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise PanelError(
-                    f"{path}:{lineno}: expected {len(expected_header)} fields, "
-                    f"got {len(row)}"
-                )
-            rows.append((lineno, [cell.strip() for cell in row]))
-    return path, rows
-
-
 def _parse_int(path, lineno, field, text):
     try:
         return int(text)
@@ -222,7 +192,7 @@ def _parse_float(path, lineno, field, text):
 
 def load_roster(path) -> NodeRoster:
     """Read a roster CSV with header ``node,active_from,active_to``."""
-    path, rows = _read_rows(path, ROSTER_HEADER)
+    path, rows = read_csv(path, ROSTER_HEADER, PanelError)
     entries = []
     for lineno, (node, frm, to) in rows:
         entries.append(
@@ -254,7 +224,7 @@ def load_panel(edge_path, roster_path) -> list[NetworkSnapshot]:
         One snapshot per distinct period, sorted by period.
     """
     roster = load_roster(roster_path)
-    path, rows = _read_rows(edge_path, EDGE_HEADER)
+    path, rows = read_csv(edge_path, EDGE_HEADER, PanelError)
     by_period: dict[int, list[Flow]] = {}
     seen: set[tuple[int, str, str]] = set()
     for lineno, (period_t, sender, receiver, value_t) in rows:

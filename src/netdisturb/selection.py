@@ -7,8 +7,9 @@ For every period each candidate's AIC is rescaled by the period minimum
 
 interpretable as the probability that candidate i is the best of the set.
 Aggregated AICs (summed over periods) are rescaled the same way, with the
-overall winner attaining delta 0.  Periods where a candidate is missing or
-failed to converge are excluded from both views and reported.
+overall winner attaining delta 0.  Periods where a candidate is missing,
+failed to converge or has a degenerate fit (non-finite AIC, e.g. a perfect
+fit) are excluded from both views and reported.
 """
 
 from __future__ import annotations
@@ -70,15 +71,15 @@ def select(
     """Build a selection report from per-(period, structure) fits.
 
     A period enters the comparison only if every candidate structure has a
-    converged fit for it; dropped periods are listed in ``excluded`` with a
-    reason.  Ties for the aggregated minimum keep delta 0 for every tied
-    structure, and the winner is the first one in ``structures`` order.
+    converged fit with a finite AIC for it; dropped periods are listed in
+    ``excluded`` with a reason.  Ties for the aggregated minimum keep delta
+    0 for every tied structure, and the winner is the first one in
+    ``structures`` order.
 
     Raises
     ------
     ValueError
-        If the fit map is empty, no period is shared by all candidates, or
-        some AIC is non-finite.
+        If the fit map is empty or no period is shared by all candidates.
     """
     if not fits:
         raise ValueError("empty fit map")
@@ -101,9 +102,8 @@ def select(
                 reasons.append(f"non-converged fit for {structure}")
                 continue
             if not math.isfinite(result.aic):
-                raise ValueError(
-                    f"non-finite AIC for structure {structure!r} in period {period}"
-                )
+                reasons.append(f"degenerate fit for {structure}")
+                continue
             row[k] = result.aic
         if reasons:
             excluded.append((period, "; ".join(reasons)))

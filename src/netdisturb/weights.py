@@ -12,15 +12,23 @@ member predicate over another flow (p, q) is
     distance_import     q != j and d(j, q) < cutoff
     distance_export     p != i and d(i, p) < cutoff
 
-The flow itself is never its own neighbour (a nonzero diagonal would break
-the disturbance model), and no node is treated as allied with itself.
-Weights are uniform within a neighbourhood: W[a, b] = 1/|N(a)| for
-neighbours, 0 otherwise, so each row sums to 1, or to 0 when the
-neighbourhood is empty (such flows receive no spillover).
+Each structure is one :class:`AnchorRelation` over a period's flows: the
+roles that anchor a flow (its sender s, its receiver r, or both), a node
+relation C over the anchor nodes, and, for the attached kinds, the reverse
+flow (j, i).  C is the identity for the activity kinds, lookup(anchor,
+partner) != 0 for the alliance kinds and lookup(anchor, partner) < cutoff
+for the distance kinds; the last two are false on the diagonal, as no node
+is its own ally or close neighbour.  Flow b neighbours flow a when
+C[x(a), y(b)] holds for some roles x and y, or when b is a's reverse flow.
+A flow is never its own neighbour (a nonzero diagonal would break the
+disturbance model).  Weights are uniform within a neighbourhood:
+W[a, b] = 1/|N(a)| for neighbours, 0 otherwise, so each row sums to 1, or
+to 0 when the neighbourhood is empty (such flows receive no spillover).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +38,17 @@ from .covariates import DyadicSeries
 from .errors import CovariateError, WeightError
 from .panel import FlowIndex
 
-KINDS = (
-    "sender_attached",
-    "receiver_attached",
-    "full_activity",
-    "alliance_import",
-    "alliance_export",
-    "distance_import",
-    "distance_export",
-)
+# kind -> (anchor roles, node relation, adds the reverse flow)
+_LAYOUT = {
+    "sender_attached": ("s", "identity", True),
+    "receiver_attached": ("r", "identity", True),
+    "full_activity": ("sr", "identity", False),
+    "alliance_import": ("r", "alliance", False),
+    "alliance_export": ("s", "alliance", False),
+    "distance_import": ("r", "distance", False),
+    "distance_export": ("s", "distance", False),
+}
+KINDS = tuple(_LAYOUT)
 ALLIANCE_KINDS = frozenset({"alliance_import", "alliance_export"})
 DISTANCE_KINDS = frozenset({"distance_import", "distance_export"})
 
@@ -88,13 +98,53 @@ class WeightMatrix:
         return self.index.n
 
 
-def _lookup(dyadic, a, b, period, what):
-    if dyadic is None:
-        raise WeightError(f"{what} data required but no dyadic series given")
-    try:
-        return dyadic.lookup(a, b, period)
-    except CovariateError as exc:
-        raise WeightError(str(exc)) from None
+class AnchorRelation:
+    """One period's flows grouped by anchor node, related through the nodes.
+
+    ``anchors`` holds, per role, each flow's anchor as a position in the
+    period's sorted anchor nodes.  ``table`` is N x N over those nodes: the
+    identity, or the dyadic lookups at (anchor, partner) with a diagonal of
+    0 for alliances and infinity for distances, so no node relates to
+    itself.  The table is read once and thresholded per cutoff, so the
+    Moran scan reuses one relation along its grid.  ``reverse`` pairs each
+    flow with its reverse flow in the attached kinds and is empty otherwise.
+    Building it raises WeightError when dyadic data misses a needed pair.
+    """
+
+    def __init__(self, kind: str, index: FlowIndex, dyadic: DyadicSeries | None = None):
+        roles, relation, attached = _LAYOUT[kind]
+        ends = {"s": index.senders, "r": index.receivers}
+        nodes = sorted({node for role in roles for node in ends[role]})
+        pos = {node: k for k, node in enumerate(nodes)}
+        self.anchors = [np.array([pos[node] for node in ends[role]]) for role in roles]
+        if relation == "identity":
+            self.table = np.eye(len(nodes))
+        elif dyadic is None:
+            raise WeightError(f"{relation} data required but no dyadic series given")
+        else:
+            diagonal = np.inf if relation == "distance" else 0.0
+            self.table = np.full((len(nodes), len(nodes)), diagonal)
+            try:
+                for x, anchor in enumerate(nodes):
+                    for y, partner in enumerate(nodes):
+                        if x != y:
+                            self.table[x, y] = dyadic.lookup(anchor, partner, index.period)
+            except CovariateError as exc:
+                raise WeightError(str(exc)) from None
+        rows = [a for a, (i, j) in enumerate(index.dyads) if attached and (j, i) in index]
+        cols = [index.position(index.dyads[a][::-1]) for a in rows]
+        self.reverse = (np.array(rows, dtype=int), np.array(cols, dtype=int))
+
+    def adjacency(self, cutoff: float | None = None) -> np.ndarray:
+        """Boolean n x n flow adjacency; a ``cutoff`` thresholds distances."""
+        related = self.table != 0 if cutoff is None else self.table < cutoff
+        adjacency = functools.reduce(
+            np.logical_or,
+            (related[np.ix_(x, y)] for x in self.anchors for y in self.anchors),
+        )
+        adjacency[self.reverse] = True
+        np.fill_diagonal(adjacency, False)
+        return adjacency
 
 
 def neighborhood(
@@ -125,82 +175,12 @@ def neighborhood(
     WeightError
         When alliance or distance data is missing for a required pair.
     """
+    adjacency = AnchorRelation(spec.kind, index, dyadic).adjacency(spec.cutoff_km)
     dyads = index.dyads
-    period = index.period
-    by_sender: dict[str, set] = {}
-    by_receiver: dict[str, set] = {}
-    for dyad in dyads:
-        by_sender.setdefault(dyad[0], set()).add(dyad)
-        by_receiver.setdefault(dyad[1], set()).add(dyad)
-
-    out = {}
-    if spec.kind == "sender_attached":
-        for i, j in dyads:
-            nbrs = set(by_sender[i])
-            if (j, i) in index:
-                nbrs.add((j, i))
-            nbrs.discard((i, j))
-            out[(i, j)] = frozenset(nbrs)
-    elif spec.kind == "receiver_attached":
-        for i, j in dyads:
-            nbrs = set(by_receiver[j])
-            if (j, i) in index:
-                nbrs.add((j, i))
-            nbrs.discard((i, j))
-            out[(i, j)] = frozenset(nbrs)
-    elif spec.kind == "full_activity":
-        for i, j in dyads:
-            nbrs = (
-                by_sender.get(i, set())
-                | by_receiver.get(i, set())
-                | by_sender.get(j, set())
-                | by_receiver.get(j, set())
-            )
-            nbrs = set(nbrs)
-            nbrs.discard((i, j))
-            out[(i, j)] = frozenset(nbrs)
-    elif spec.kind in ALLIANCE_KINDS:
-        importing = spec.kind == "alliance_import"
-        groups = by_receiver if importing else by_sender
-        anchors = {j for _, j in dyads} if importing else {i for i, _ in dyads}
-        partners = sorted(groups)
-        allied: dict[str, list[str]] = {}
-        for anchor in sorted(anchors):
-            allied[anchor] = [
-                partner
-                for partner in partners
-                if partner != anchor
-                and _lookup(dyadic, anchor, partner, period, "alliance") != 0
-            ]
-        for i, j in dyads:
-            anchor = j if importing else i
-            nbrs = set()
-            for partner in allied[anchor]:
-                nbrs |= groups[partner]
-            nbrs.discard((i, j))
-            out[(i, j)] = frozenset(nbrs)
-    else:
-        importing = spec.kind == "distance_import"
-        groups = by_receiver if importing else by_sender
-        anchors = {j for _, j in dyads} if importing else {i for i, _ in dyads}
-        partners = sorted(groups)
-        cutoff = spec.cutoff_km
-        close: dict[str, list[str]] = {}
-        for anchor in sorted(anchors):
-            close[anchor] = [
-                partner
-                for partner in partners
-                if partner != anchor
-                and _lookup(dyadic, anchor, partner, period, "distance") < cutoff
-            ]
-        for i, j in dyads:
-            anchor = j if importing else i
-            nbrs = set()
-            for partner in close[anchor]:
-                nbrs |= groups[partner]
-            nbrs.discard((i, j))
-            out[(i, j)] = frozenset(nbrs)
-    return out
+    return {
+        dyad: frozenset(dyads[b] for b in np.flatnonzero(row))
+        for dyad, row in zip(dyads, adjacency)
+    }
 
 
 def build_weight_matrix(
@@ -213,29 +193,18 @@ def build_weight_matrix(
     Row a holds 1/|N(v_a)| at the columns of v_a's neighbours and 0
     elsewhere; a flow with an empty neighbourhood keeps an all-zero row.
     """
-    nbr_map = neighborhood(spec, index, dyadic)
-    n = index.n
-    entries = np.zeros((n, n))
-    for a, dyad in enumerate(index.dyads):
-        nbrs = nbr_map[dyad]
-        if not nbrs:
-            continue
-        weight = 1.0 / len(nbrs)
-        for other in nbrs:
-            entries[a, index.position(other)] = weight
+    adjacency = AnchorRelation(spec.kind, index, dyadic).adjacency(spec.cutoff_km)
+    counts = adjacency.sum(axis=1, keepdims=True)
+    entries = np.zeros(adjacency.shape)
+    np.divide(adjacency, counts, out=entries, where=counts > 0)
     return WeightMatrix(index=index, entries=entries, spec=spec)
 
 
 def write_weight_csv(path, matrix: WeightMatrix) -> None:
     """Dump nonzero entries as ``row_dyad,col_dyad,weight`` for inspection."""
-    dyads = matrix.index.dyads
-    rows = []
-    for a, b in zip(*np.nonzero(matrix.entries)):
-        rows.append(
-            (
-                f"{dyads[a][0]}->{dyads[a][1]}",
-                f"{dyads[b][0]}->{dyads[b][1]}",
-                matrix.entries[a, b],
-            )
-        )
+    names = [f"{sender}->{receiver}" for sender, receiver in matrix.index.dyads]
+    rows = [
+        (names[a], names[b], matrix.entries[a, b])
+        for a, b in zip(*np.nonzero(matrix.entries))
+    ]
     write_csv(path, ("row_dyad", "col_dyad", "weight"), rows)

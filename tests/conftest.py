@@ -29,22 +29,24 @@ def random_flow_index(rng, max_nodes=8, max_flows=30, period=1) -> FlowIndex:
     return FlowIndex(period=period, dyads=tuple(sorted(pairs[:n_flows])))
 
 
-def complete_alliance(rng, nodes, period=1, prob=0.4) -> DyadicSeries:
-    values = {}
+def _pairs(nodes, symmetric):
+    """Node pairs to fill: a < b for a symmetric series, both orders otherwise."""
     nodes = sorted(nodes)
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            values[(nodes[a], nodes[b], period)] = float(rng.uniform() < prob)
-    return DyadicSeries(name="alliance", symmetric=True, values=values)
+    return [(a, b) for a in nodes for b in nodes if (a < b if symmetric else a != b)]
 
 
-def complete_distances(rng, nodes, period=1, scale=5000.0) -> DyadicSeries:
-    values = {}
-    nodes = sorted(nodes)
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            values[(nodes[a], nodes[b], period)] = float(rng.uniform(1.0, scale))
-    return DyadicSeries(name="distance", symmetric=True, values=values)
+def complete_alliance(rng, nodes, period=1, prob=0.4, symmetric=True) -> DyadicSeries:
+    values = {
+        (a, b, period): float(rng.uniform() < prob) for a, b in _pairs(nodes, symmetric)
+    }
+    return DyadicSeries(name="alliance", symmetric=symmetric, values=values)
+
+
+def complete_distances(rng, nodes, period=1, scale=5000.0, symmetric=True) -> DyadicSeries:
+    values = {
+        (a, b, period): float(rng.uniform(1.0, scale)) for a, b in _pairs(nodes, symmetric)
+    }
+    return DyadicSeries(name="distance", symmetric=symmetric, values=values)
 
 
 def random_row_normalized_w(rng, n, density=0.4) -> np.ndarray:

@@ -53,7 +53,7 @@ class TestMoransI:
         assert abs(np.mean(draws) - expected) < 3.0 * np.std(draws) / np.sqrt(len(draws))
 
 
-def toy_panel(rng, periods=3, nodes=6, flows=10):
+def toy_panel(rng, periods=3, nodes=6, flows=10, symmetric=True):
     indices = {}
     residuals = {}
     all_nodes = set()
@@ -62,7 +62,7 @@ def toy_panel(rng, periods=3, nodes=6, flows=10):
         indices[period] = index
         residuals[period] = rng.standard_normal(index.n)
         all_nodes |= {n for dyad in index.dyads for n in dyad}
-    distances = complete_distances(rng, all_nodes, scale=4000.0)
+    distances = complete_distances(rng, all_nodes, scale=4000.0, symmetric=symmetric)
     return residuals, indices, distances
 
 
@@ -77,27 +77,31 @@ class TestScanCutoffs:
     def test_matches_dense_block_diagonal(self):
         # Structural check: the blockwise accumulation equals Moran's I of
         # the pooled residuals under an explicitly assembled block-diagonal
-        # weight matrix built by the general weight builder.
-        rng = np.random.default_rng(4)
-        residuals, indices, distances = toy_panel(rng)
-        for direction in ("import", "export"):
-            scan = scan_cutoffs(
-                residuals, indices, distances, direction=direction,
-                grid=[800.0, 1600.0, 2400.0, 3200.0],
-            )
-            periods = sorted(residuals)
-            z = np.concatenate([residuals[t] for t in periods])
-            for g, cutoff in enumerate(scan.grid):
-                spec = NeighborhoodSpec(f"distance_{direction}", cutoff_km=cutoff)
-                blocks = [
-                    build_weight_matrix(spec, indices[t], distances).entries
-                    for t in periods
-                ]
-                dense = block_diag(*blocks)
-                if dense.sum() == 0.0:
-                    assert not scan.defined[g]
-                    continue
-                assert abs(scan.moran_values[g] - morans_i(z, dense)) < 1e-12
+        # weight matrix built by the general weight builder.  The asymmetric
+        # distance series checks that both read d(anchor, partner).
+        for symmetric in (True, False):
+            rng = np.random.default_rng(4)
+            residuals, indices, distances = toy_panel(rng, symmetric=symmetric)
+            for direction in ("import", "export"):
+                scan = scan_cutoffs(
+                    residuals, indices, distances, direction=direction,
+                    grid=[800.0, 1600.0, 2400.0, 3200.0],
+                )
+                periods = sorted(residuals)
+                z = np.concatenate([residuals[t] for t in periods])
+                for g, cutoff in enumerate(scan.grid):
+                    spec = NeighborhoodSpec(f"distance_{direction}", cutoff_km=cutoff)
+                    blocks = [
+                        build_weight_matrix(spec, indices[t], distances).entries
+                        for t in periods
+                    ]
+                    dense = block_diag(*blocks)
+                    if dense.sum() == 0.0:
+                        assert not scan.defined[g]
+                        continue
+                    assert abs(scan.moran_values[g] - morans_i(z, dense)) < 1e-12, (
+                        f"symmetric={symmetric} {direction} @ {cutoff:g}"
+                    )
 
     def test_undefined_points_skipped_in_argmax(self):
         rng = np.random.default_rng(5)

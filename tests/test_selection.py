@@ -137,9 +137,17 @@ class TestSelect:
                 select(fits, structures=["a", "b"])
 
     def test_non_finite_aic_named(self):
-        fits = {(1, "a"): make_fit(math.inf), (1, "b"): make_fit(1.0)}
-        with pytest.raises(ValueError, match="structure 'a' in period 1"):
-            select(fits, structures=["a", "b"])
+        # A perfect fit (AIC = -inf) excludes its period instead of aborting.
+        fits = {
+            (1, "a"): make_fit(-math.inf),
+            (1, "b"): make_fit(1.0),
+            (2, "a"): make_fit(2.0),
+            (2, "b"): make_fit(3.0),
+        }
+        with pytest.warns(UserWarning, match="excluded"):
+            report = select(fits, structures=["a", "b"])
+        assert report.periods == (2,)
+        assert report.excluded == ((1, "degenerate fit for a"),)
 
     def test_default_structure_order_sorted(self):
         fits = {(1, "z"): make_fit(1.0), (1, "a"): make_fit(2.0)}

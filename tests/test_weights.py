@@ -124,25 +124,30 @@ def all_specs(rng):
     ]
 
 
-def context_for(spec, index, rng):
+def context_for(spec, index, rng, symmetric=True):
     nodes = {n for dyad in index.dyads for n in dyad}
     if spec.kind.startswith("alliance"):
-        return complete_alliance(rng, nodes)
+        return complete_alliance(rng, nodes, symmetric=symmetric)
     if spec.kind.startswith("distance"):
-        return complete_distances(rng, nodes)
+        return complete_distances(rng, nodes, symmetric=symmetric)
     return None
 
 
 class TestOracleAgreement:
     def test_all_builders_match_brute_force(self):
+        # Asymmetric alliance and distance series pin the lookup orientation:
+        # the anchor's row, lookup(anchor, partner), decides membership.
         rng = np.random.default_rng(42)
         for _ in range(60):
             index = random_flow_index(rng)
             for spec in all_specs(rng):
-                dyadic = context_for(spec, index, rng)
-                fast = neighborhood(spec, index, dyadic)
-                slow = brute_force_neighborhoods(spec, index, dyadic)
-                assert fast == slow, f"{spec.structure_id} disagrees with oracle"
+                for symmetric in (True, False):
+                    dyadic = context_for(spec, index, rng, symmetric)
+                    fast = neighborhood(spec, index, dyadic)
+                    slow = brute_force_neighborhoods(spec, index, dyadic)
+                    assert fast == slow, (
+                        f"{spec.structure_id} (symmetric={symmetric}) disagrees with oracle"
+                    )
 
     def test_matrix_matches_neighbourhoods(self):
         rng = np.random.default_rng(43)
