@@ -448,10 +448,8 @@ def _structure_context(structure: NeighborhoodSpec, config, dyadic_map):
 
 
 def _fit_one(config, data: PeriodData, candidate, dyadic_map):
-    n = data.index.n
     if candidate == OLS_CANDIDATE:
-        problem = SemProblem(y=data.y, X=data.design, W=np.zeros((n, n)))
-        return fit_ols(problem), None
+        return fit_ols(SemProblem(y=data.y, X=data.design)), None
     context = _structure_context(candidate, config, dyadic_map)
     weight = build_weight_matrix(candidate, data.index, context)
     problem = SemProblem(y=data.y, X=data.design, W=weight)
@@ -465,7 +463,10 @@ def _fit_one(config, data: PeriodData, candidate, dyadic_map):
 
 
 def _run_fits(config, prepared, dyadic_map):
-    """Fit every (period, candidate); returns (fits, weights, failures)."""
+    """Fit every (period, candidate); returns (fits, failures).
+
+    Each weight matrix is dropped once its fit returns.
+    """
     tasks = [
         (period, candidate)
         for period in sorted(prepared)
@@ -476,12 +477,12 @@ def _run_fits(config, prepared, dyadic_map):
         period, candidate = task
         cand_id = candidate if isinstance(candidate, str) else candidate.structure_id
         try:
-            result, weight = _fit_one(config, prepared[period], candidate, dyadic_map)
-            return period, cand_id, result, weight, None
+            result, _ = _fit_one(config, prepared[period], candidate, dyadic_map)
+            return period, cand_id, result, None
         except ConfigError:
             raise
         except NetdisturbError as exc:
-            return period, cand_id, None, None, str(exc)
+            return period, cand_id, None, str(exc)
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -490,16 +491,13 @@ def _run_fits(config, prepared, dyadic_map):
         outcomes = [run(task) for task in tasks]
 
     fits = {}
-    weight_mats = {}
     failures = []
-    for period, cand_id, result, weight, error in outcomes:
+    for period, cand_id, result, error in outcomes:
         if error is not None:
             failures.append({"period": period, "structure": cand_id, "error": error})
             continue
         fits[(period, cand_id)] = result
-        if weight is not None:
-            weight_mats[(period, cand_id)] = weight
-    return fits, weight_mats, failures
+    return fits, failures
 
 
 def candidate_ids(config) -> list[str]:
@@ -512,7 +510,7 @@ def candidate_ids(config) -> list[str]:
 def cmd_fit(config: RunConfig) -> int:
     panel, nodal, dyadic_map = _load_inputs(config)
     prepared, skipped = _prepare_periods(config, panel, nodal, dyadic_map)
-    fits, _, failures = _run_fits(config, prepared, dyadic_map)
+    fits, failures = _run_fits(config, prepared, dyadic_map)
 
     for cand_id in candidate_ids(config):
         directory = config.out / "fits" / cand_id
@@ -551,7 +549,7 @@ def cmd_fit(config: RunConfig) -> int:
 def cmd_select(config: RunConfig) -> int:
     panel, nodal, dyadic_map = _load_inputs(config)
     prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
-    fits, _, failures = _run_fits(config, prepared, dyadic_map)
+    fits, failures = _run_fits(config, prepared, dyadic_map)
     try:
         report = select(fits, structures=candidate_ids(config))
     except ValueError as exc:
@@ -588,10 +586,7 @@ def cmd_scan(config: RunConfig) -> int:
     indices = {}
     for period, data in prepared.items():
         if config.scan_source == "ols_residuals":
-            problem = SemProblem(
-                y=data.y, X=data.design, W=np.zeros((data.index.n, data.index.n))
-            )
-            residuals[period] = fit_ols(problem).u_hat
+            residuals[period] = fit_ols(SemProblem(y=data.y, X=data.design)).u_hat
         else:
             residuals[period] = data.y
         indices[period] = data.index

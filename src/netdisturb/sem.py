@@ -11,12 +11,19 @@ e = A(y - X beta(rho)), and the profiled log-likelihood is
 
     l(rho) = -(n/2)(log 2 pi + 1) - (n/2) log sigma^2(rho) + log|det(I - rho W)|
 
-The Jacobian term uses the eigenvalues of W: log|det(I - rho W)| equals the
-real part of sum_i log(1 - rho lambda_i) (complex eigenvalues of the
-asymmetric W pair up, so the imaginary parts cancel).  rho is searched over
-an open interval bounded by the reciprocals of W's extreme real
-eigenvalues, by a one-dimensional Nelder-Mead simplex with a golden-section
-fallback when the simplex stalls.
+The Jacobian term log|det(I - rho W)| of a weight matrix from
+:func:`~netdisturb.weights.build_weight_matrix` comes exactly from its
+factors W = D+ (U C U' + E) (see :class:`~netdisturb.weights.WeightFactors`):
+a block-diagonal term plus one determinant over the N anchor nodes, O(n +
+N^3) per evaluation with no n x n eigen-decomposition.  Such a W is row
+normalized and non-negative, so every eigenvalue has modulus at most 1 and
+rho is searched over (-1, 1).  A W given as a plain array, or searched
+under the "spectral" interval policy, uses W's eigenvalues instead:
+log|det(I - rho W)| is then the real part of sum_i log(1 - rho lambda_i)
+(complex eigenvalues of the asymmetric W pair up, so the imaginary parts
+cancel), and the interval is bounded by the reciprocals of W's extreme real
+eigenvalues.  rho is searched by a one-dimensional Nelder-Mead simplex with
+a golden-section fallback when the simplex stalls.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from scipy.linalg import qr
 from ._serialize import write_csv, write_json
 from .covariates import DesignMatrix
 from .errors import EstimationError
-from .weights import WeightMatrix
+from .weights import WeightFactors, WeightMatrix
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -47,13 +54,15 @@ class SemProblem:
     """One period's estimation problem: y = X beta + u with weights W.
 
     ``X`` may be a :class:`~netdisturb.covariates.DesignMatrix` (its column
-    names are kept) or a plain array; ``W`` a
-    :class:`~netdisturb.weights.WeightMatrix` or a plain array.
+    names are kept) or a plain array.  ``W`` may be a
+    :class:`~netdisturb.weights.WeightMatrix`, kept as given so that
+    :func:`fit` can use its factors; a plain array; or None for a problem
+    that only :func:`fit_ols` solves.
     """
 
     y: np.ndarray
     X: np.ndarray
-    W: np.ndarray
+    W: WeightMatrix | np.ndarray | None = None
     column_names: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -62,22 +71,23 @@ class SemProblem:
         if isinstance(X, DesignMatrix):
             names = names or X.column_names
             X = X.rows
-        W = self.W
-        if isinstance(W, WeightMatrix):
-            W = W.entries
         y = np.asarray(self.y, dtype=float).ravel()
         X = np.asarray(X, dtype=float)
-        W = np.asarray(W, dtype=float)
         n = y.shape[0]
         if X.ndim != 2 or X.shape[0] != n:
             raise EstimationError(f"X shape {X.shape} does not match y length {n}")
-        if W.shape != (n, n):
-            raise EstimationError(f"W shape {W.shape} does not match y length {n}")
+        W = self.W
+        if W is not None and not isinstance(W, WeightMatrix):
+            W = np.asarray(W, dtype=float)
+        entries = None if W is None else _entries(W)
+        if entries is not None and entries.shape != (n, n):
+            raise EstimationError(f"W shape {entries.shape} does not match y length {n}")
         if not n > X.shape[1]:
             raise EstimationError(
                 f"need more observations than parameters (n={n}, p={X.shape[1]})"
             )
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X)) and np.all(np.isfinite(W))):
+        finite_w = entries is None or np.all(np.isfinite(entries))
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X)) and finite_w):
             raise EstimationError("y, X and W must be finite")
         if not names:
             names = tuple(f"x{k}" for k in range(X.shape[1]))
@@ -95,33 +105,44 @@ class SemProblem:
         return self.X.shape[1]
 
 
+def _entries(W) -> np.ndarray:
+    return W.entries if isinstance(W, WeightMatrix) else np.asarray(W, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues of W plus the induced open search interval for rho."""
+    """The open search interval for rho and what :func:`log_det` reads.
 
-    eigenvalues: np.ndarray
+    That is W's ``eigenvalues``, or, for a built weight matrix under the
+    "unit" policy, its ``factors`` (``eigenvalues`` is then None).
+    """
+
+    eigenvalues: np.ndarray | None
     rho_lower: float
     rho_upper: float
+    factors: WeightFactors | None = None
 
 
 def spectrum(W, interval: str = "unit") -> Spectrum:
-    """Eigenvalues of W and the admissible rho interval.
+    """The admissible rho interval of W and the means to evaluate log_det.
 
     Parameters
     ----------
     W : WeightMatrix or (n, n) array
     interval : {"unit", "spectral"}
         "unit" intersects (-1, 1) with the reciprocal-eigenvalue interval
-        (the default; for row-normalized W the two usually coincide).
-        "spectral" uses (1/lambda_min, 1/lambda_max) over W's real
-        eigenvalues alone, falling back to -1/+1 on a side with no
-        negative/positive real eigenvalue.
+        (the default).  For a WeightMatrix with factors (row normalized
+        and non-negative, so every |lambda| <= 1) that is exactly (-1, 1),
+        and no eigenvalue is computed.  "spectral" uses (1/lambda_min,
+        1/lambda_max) over W's real eigenvalues alone, falling back to
+        -1/+1 on a side with no negative/positive real eigenvalue.
     """
-    if isinstance(W, WeightMatrix):
-        W = W.entries
-    W = np.asarray(W, dtype=float)
     if interval not in ("unit", "spectral"):
         raise EstimationError(f"unknown interval policy {interval!r}")
+    factors = W.factors if isinstance(W, WeightMatrix) else None
+    if interval == "unit" and factors is not None:
+        return Spectrum(eigenvalues=None, rho_lower=-1.0, rho_upper=1.0, factors=factors)
+    W = _entries(W)
     try:
         eigenvalues = np.linalg.eigvals(W)
     except np.linalg.LinAlgError as exc:
@@ -147,11 +168,19 @@ def spectrum(W, interval: str = "unit") -> Spectrum:
 
 
 def log_det(rho: float, spec: Spectrum) -> float:
-    """log|det(I - rho W)| via the eigenvalues of W.
+    """log|det(I - rho W)| from W's factors or from its eigenvalues.
 
-    Equals the real part of ``sum(log(1 - rho * lambda_i))``; conjugate
-    eigenvalue pairs make the imaginary parts cancel exactly.
+    From eigenvalues it is the real part of ``sum(log(1 - rho * lambda_i))``;
+    conjugate eigenvalue pairs make the imaginary parts cancel exactly.
+    The factored form is defined for -1 < rho < 1.
     """
+    if spec.factors is not None:
+        if not -1.0 < rho < 1.0:
+            raise EstimationError(f"rho={rho} outside (-1, 1), where the factored log-det holds")
+        value = spec.factors.log_det(rho)
+        if not math.isfinite(value):
+            raise EstimationError(f"rho={rho} sits on a pole of the log-determinant")
+        return value
     factors = 1.0 - rho * spec.eigenvalues
     magnitudes = np.abs(factors)
     if np.any(magnitudes == 0.0):
@@ -178,9 +207,14 @@ class _ProfileCache:
     """Precomputed W y and W X so repeated profile evaluations stay cheap."""
 
     def __init__(self, problem: SemProblem):
+        if problem.W is None:
+            raise EstimationError(
+                "the problem has no weight matrix W; give one, or fit rho = 0 with fit_ols"
+            )
         self.problem = problem
-        self.Wy = problem.W @ problem.y
-        self.WX = problem.W @ problem.X
+        self.W = _entries(problem.W)
+        self.Wy = self.W @ problem.y
+        self.WX = self.W @ problem.X
         if np.linalg.matrix_rank(problem.X) < problem.p:
             bad = _name_collinear_columns(problem.X, problem.column_names)
             raise EstimationError(
@@ -351,9 +385,9 @@ def fit(
         With ``converged=False`` when the rho search hit the iteration cap
         (estimates are still reported).
     """
+    cache = _ProfileCache(problem)
     if spec is None:
         spec = spectrum(problem.W, interval=interval)
-    cache = _ProfileCache(problem)
     lo = spec.rho_lower + BOUNDARY_MARGIN
     hi = spec.rho_upper - BOUNDARY_MARGIN
     if not lo < hi:
@@ -380,7 +414,7 @@ def fit(
     beta = at_optimum.beta
     sigma2 = at_optimum.sigma2
     u_hat = problem.y - problem.X @ beta
-    eps_hat = u_hat - rho_hat * (problem.W @ u_hat)
+    eps_hat = u_hat - rho_hat * (cache.W @ u_hat)
     p = problem.p
     aic = -2.0 * at_optimum.loglik + 2.0 * (p + 2)
 
@@ -431,8 +465,8 @@ def _profile_curvature_se(objective, rho_hat, lo, hi, spec) -> float:
 def fit_ols(problem: SemProblem) -> SemFit:
     """Fit the restricted model with rho fixed at 0 (independent errors).
 
-    The weight matrix of the problem is ignored; the AIC counts p + 1
-    parameters (beta and sigma^2).
+    The weight matrix of the problem is ignored and may be None; the AIC
+    counts p + 1 parameters (beta and sigma^2).
     """
     X, y = problem.X, problem.y
     n, p = problem.n, problem.p

@@ -1,0 +1,138 @@
+"""Parity of the factored log-determinant with the dense reference.
+
+A weight matrix from build_weight_matrix carries its factors W = D+ (U C U'
++ E); sem evaluates log|det(I - rho W)| from them.  These property tests
+compare that path with a dense slogdet of I - rho W and with a fit on the
+plain entries (the eigenvalue path), over random flow sets, all seven
+kinds and symmetric and asymmetric dyadic series.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from netdisturb import (
+    EstimationError,
+    FlowIndex,
+    NeighborhoodSpec,
+    SemProblem,
+    build_weight_matrix,
+    fit,
+    log_det,
+    spectrum,
+)
+from netdisturb.weights import DISTANCE_KINDS, KINDS
+
+from conftest import complete_alliance, complete_distances, random_flow_index
+
+# Derandomized, so every run of the suite draws the same examples.
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+# Distances are drawn from [1, 5000] km: 0.5 km leaves every neighbourhood
+# empty (an all-zero W), 1e9 km relates every pair of distinct nodes.
+CUTOFFS = st.sampled_from([0.5, 800.0, 2500.0, 1e9])
+# Besides arbitrary values, the reciprocals where a 1 x 1 or 2 x 2 block of
+# I - rho D+ E is singular for flows with one or two neighbours.
+RHOS = st.one_of(
+    st.sampled_from([-0.5, -1.0 / 3.0, -2.0 / 3.0, 0.0]),
+    st.floats(-0.99, 0.99, allow_nan=False),
+)
+
+
+@st.composite
+def weight_matrices(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(KINDS))
+    symmetric = draw(st.booleans())
+    max_nodes = draw(st.integers(3, 10))
+    max_flows = draw(st.integers(2, 60))
+    rng = np.random.default_rng(seed)
+    index = random_flow_index(rng, max_nodes=max_nodes, max_flows=max_flows)
+    nodes = {node for dyad in index.dyads for node in dyad}
+    dyadic = None
+    if kind.startswith("alliance"):
+        dyadic = complete_alliance(rng, nodes, symmetric=symmetric)
+    elif kind in DISTANCE_KINDS:
+        dyadic = complete_distances(rng, nodes, symmetric=symmetric)
+    cutoff = draw(CUTOFFS) if kind in DISTANCE_KINDS else None
+    return build_weight_matrix(NeighborhoodSpec(kind, cutoff_km=cutoff), index, dyadic)
+
+
+def dense_log_det(W, rho):
+    sign, value = np.linalg.slogdet(np.eye(W.n) - rho * W.entries)
+    assert sign > 0
+    return value
+
+
+def problem_on(W, entries, seed):
+    rng = np.random.default_rng(seed)
+    n = W.n
+    X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    u = np.linalg.solve(np.eye(n) - 0.5 * W.entries, rng.standard_normal(n))
+    return SemProblem(y=X @ (1.0, 2.0) + u, X=X, W=W.entries if entries else W)
+
+
+@PROPERTY
+@given(weight_matrices(), RHOS)
+def test_factored_log_det_matches_dense_slogdet(W, rho):
+    spec = spectrum(W)
+    assert spec.eigenvalues is None and (spec.rho_lower, spec.rho_upper) == (-1.0, 1.0)
+    assert abs(log_det(rho, spec) - dense_log_det(W, rho)) < 1e-10
+
+
+@PROPERTY
+@given(weight_matrices(), st.integers(0, 2**32 - 1))
+def test_fit_on_factors_matches_fit_on_entries(W, seed):
+    if W.n < 6:
+        return
+    factored = fit(problem_on(W, False, seed))
+    dense = fit(problem_on(W, True, seed))
+    assert abs(factored.loglik - dense.loglik) < 1e-8
+    # Near the optimum the profile is flat to within its own rounding over
+    # about 1e-7 in rho, so two log-determinants that agree to 1e-14 can
+    # end the simplex that far apart (the benchmark's reference tolerance).
+    assert abs(factored.rho_hat - dense.rho_hat) < 1e-6
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(weight_matrices())
+def test_spectral_interval_reads_entries(W):
+    factored = spectrum(W, interval="spectral")
+    dense = spectrum(W.entries, interval="spectral")
+    assert (factored.rho_lower, factored.rho_upper) == (dense.rho_lower, dense.rho_upper)
+    assert factored.factors is None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_hand_built_degenerate_structures(kind):
+    # A lone reciprocal pair, a star whose leaves share no anchor, and the
+    # all-zero W of a cutoff below every distance.
+    rng = np.random.default_rng(7)
+    cases = [
+        FlowIndex(period=1, dyads=(("A", "B"), ("B", "A"))),
+        FlowIndex(period=1, dyads=(("A", "B"), ("C", "D"), ("E", "A"), ("B", "A"))),
+        FlowIndex(period=1, dyads=(("A", "B"), ("A", "C"), ("A", "D"), ("D", "A"))),
+    ]
+    for index in cases:
+        nodes = {node for dyad in index.dyads for node in dyad}
+        dyadic = None
+        cutoffs = [None]
+        if kind.startswith("alliance"):
+            dyadic = complete_alliance(rng, nodes)
+        elif kind in DISTANCE_KINDS:
+            dyadic = complete_distances(rng, nodes)
+            cutoffs = [0.5, 1e9]
+        for cutoff in cutoffs:
+            W = build_weight_matrix(NeighborhoodSpec(kind, cutoff_km=cutoff), index, dyadic)
+            if cutoff == 0.5:
+                assert not W.entries.any()
+            for rho in (-0.99, -2.0 / 3.0, -0.5, -1.0 / 3.0, 0.0, 0.5, 0.99):
+                assert abs(log_det(rho, spectrum(W)) - dense_log_det(W, rho)) < 1e-10
+
+
+def test_factored_log_det_rejects_rho_outside_unit_interval():
+    W = build_weight_matrix(
+        NeighborhoodSpec("full_activity"), FlowIndex(period=1, dyads=(("A", "B"), ("B", "A")))
+    )
+    with pytest.raises(EstimationError, match="outside"):
+        log_det(1.0, spectrum(W))

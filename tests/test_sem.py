@@ -349,3 +349,16 @@ class TestSemProblem:
             y=np.arange(3.0), X=np.eye(3)[:, :2], W=np.zeros((3, 3))
         )
         assert problem.column_names == ("x0", "x1")
+
+    def test_no_weight_matrix_serves_ols_only(self):
+        rng = np.random.default_rng(27)
+        n = 20
+        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        y = X @ np.array([1.0, 2.0]) + rng.standard_normal(n)
+        problem = SemProblem(y=y, X=X)
+        with_zeros = SemProblem(y=y, X=X, W=np.zeros((n, n)))
+        np.testing.assert_array_equal(fit_ols(problem).beta_hat, fit_ols(with_zeros).beta_hat)
+        with pytest.raises(EstimationError, match="no weight matrix W"):
+            fit(problem)
+        with pytest.raises(EstimationError, match="no weight matrix W"):
+            profile_loglik(0.0, problem, spectrum(np.zeros((n, n))))
