@@ -12,8 +12,10 @@ Runs are driven by a flat ``key = value`` config file (``#`` starts a
 comment; relative paths resolve against the config file's directory), with
 ``--out``, ``--seed`` and ``--jobs`` flags overriding the file.  Every run
 writes a ``manifest.json`` recording the config hash, package and library
-versions, and the seed, so a run can be reproduced exactly; reruns with the
-same config and seed produce byte-identical artifacts.
+versions, and the seed; the fit/select/scan-cutoff/diagnose manifests also
+record the SHA-256 of every input file under its config key, so a manifest
+identifies the data as well as the config.  Reruns with the same config,
+inputs and seed produce byte-identical artifacts.
 
 Config keys (run commands)
 --------------------------
@@ -31,8 +33,6 @@ candidates               comma list of structure ids; a distance structure
 alliance_series          dyadic series used by alliance structures
 distance_series          dyadic series used by distance structures and scans
 rho_interval             unit | spectral (default unit)
-optimizer_xtol           rho search tolerance (default 1e-8)
-optimizer_max_iter       optimizer iteration cap (default 500)
 scan_direction           import | export (default import)
 scan_grid                start:stop:step in km (default 0:20000:100)
 scan_source              ols_residuals | log_flows (default ols_residuals)
@@ -217,8 +217,6 @@ class RunConfig:
     alliance_series: str
     distance_series: str
     rho_interval: str
-    optimizer_xtol: float
-    optimizer_max_iter: int
     out: Path
     seed: int
     jobs: int
@@ -240,9 +238,8 @@ def _parse_bool(text: str) -> bool:
 
 KNOWN_SCALAR_KEYS = {
     "edges", "roster", "recipe", "lag", "candidates", "alliance_series",
-    "distance_series", "rho_interval", "optimizer_xtol", "optimizer_max_iter",
-    "out", "seed", "jobs", "scan_direction", "scan_grid", "scan_source",
-    "smooth_window", "diagnose_structure",
+    "distance_series", "rho_interval", "out", "seed", "jobs", "scan_direction",
+    "scan_grid", "scan_source", "smooth_window", "diagnose_structure",
 }
 
 
@@ -333,7 +330,7 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
 
     config = RunConfig(
         config_path=path,
-        config_sha256=hashlib.sha256(path.read_bytes()).hexdigest(),
+        config_sha256=_sha256(path),
         edges=resolve(values["edges"]),
         roster=resolve(values["roster"]),
         nodal=nodal,
@@ -344,8 +341,6 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
         alliance_series=values.get("alliance_series", "alliance"),
         distance_series=values.get("distance_series", "distance"),
         rho_interval=rho_interval,
-        optimizer_xtol=_parse_typed(values, "optimizer_xtol", float, 1e-8),
-        optimizer_max_iter=_parse_typed(values, "optimizer_max_iter", int, 500),
         out=Path(out) if out is not None else resolve(values.get("out", "out")),
         seed=seed if seed is not None else _parse_typed(values, "seed", int, 0),
         jobs=jobs if jobs is not None else _parse_typed(values, "jobs", int, 1),
@@ -368,6 +363,14 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
     return config
 
 
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _write_manifest(
     out: Path, command: str, config_path: Path, config_sha256: str, **fields
 ) -> None:
@@ -382,6 +385,23 @@ def _write_manifest(
         **fields,
     }
     write_json(out / "manifest.json", manifest)
+
+
+def _write_run_manifest(config: RunConfig, command: str, **fields) -> None:
+    """A run command's manifest, with the SHA-256 of every input file.
+
+    The hashes are keyed by config key (``edges``, ``nodal.<name>``, ...),
+    not by path, so a rerun from another directory writes the same bytes.
+    """
+    inputs = {"edges": config.edges, "roster": config.roster}
+    inputs.update({f"nodal.{name}": path for name, path in config.nodal.items()})
+    inputs.update({f"dyadic.{name}": entry.path for name, entry in config.dyadic.items()})
+    _write_manifest(
+        config.out, command, config.config_path, config.config_sha256,
+        seed=config.seed, jobs=config.jobs,
+        input_sha256={key: _sha256(path) for key, path in sorted(inputs.items())},
+        **fields,
+    )
 
 
 @dataclass(eq=False)
@@ -453,13 +473,7 @@ def _fit_one(config, data: PeriodData, candidate, dyadic_map):
     context = _structure_context(candidate, config, dyadic_map)
     weight = build_weight_matrix(candidate, data.index, context)
     problem = SemProblem(y=data.y, X=data.design, W=weight)
-    result = fit(
-        problem,
-        interval=config.rho_interval,
-        xtol=config.optimizer_xtol,
-        max_iter=config.optimizer_max_iter,
-    )
-    return result, weight
+    return fit(problem, interval=config.rho_interval), weight
 
 
 def _run_fits(config, prepared, dyadic_map):
@@ -533,10 +547,7 @@ def cmd_fit(config: RunConfig) -> int:
             "candidates": candidate_ids(config),
         },
     )
-    _write_manifest(
-        config.out, "fit", config.config_path, config.config_sha256,
-        seed=config.seed, jobs=config.jobs,
-    )
+    _write_run_manifest(config, "fit")
     for failure in failures:
         print(
             f"fit failed for period {failure['period']} / {failure['structure']}: "
@@ -562,10 +573,7 @@ def cmd_select(config: RunConfig) -> int:
             smoothed_window=config.smooth_window,
         )
     write_report_json(config.out / "selection.json", report)
-    _write_manifest(
-        config.out, "select", config.config_path, config.config_sha256,
-        seed=config.seed, jobs=config.jobs, winner=report.winner,
-    )
+    _write_run_manifest(config, "select", winner=report.winner)
     print(f"winner: {report.winner}")
     for structure, delta in zip(report.structures, report.aggregated_delta):
         print(f"  {structure}: aggregated delta {delta:.3f}")
@@ -599,10 +607,7 @@ def cmd_scan(config: RunConfig) -> int:
     )
     write_scan_csv(config.out / "scan.csv", scan)
     write_scan_json(config.out / "scan.json", scan)
-    _write_manifest(
-        config.out, "scan-cutoff", config.config_path, config.config_sha256,
-        seed=config.seed, jobs=config.jobs, best_cutoff_km=scan.best_cutoff,
-    )
+    _write_run_manifest(config, "scan-cutoff", best_cutoff_km=scan.best_cutoff)
     print(f"best cutoff: {scan.best_cutoff:g} km (Moran's I = {scan.best_value:.6f})")
     return 0
 
@@ -651,10 +656,8 @@ def cmd_diagnose(config: RunConfig) -> int:
             continue
         curves.append(kde(values, node_id=node))
     write_kde_csv(config.out / "kde.csv", curves)
-    _write_manifest(
-        config.out, "diagnose", config.config_path, config.config_sha256,
-        seed=config.seed, jobs=config.jobs,
-        structure=structure.structure_id, failures=failures,
+    _write_run_manifest(
+        config, "diagnose", structure=structure.structure_id, failures=failures
     )
     print(
         f"diagnosed {len(tradecorr_items)} period(s) under {structure.structure_id}; "
@@ -706,10 +709,7 @@ def cmd_simulate(spec_path, out, seed=None) -> int:
     outdir = Path(out)
     write_sim_csvs(result, outdir)
     spec_path = Path(spec_path)
-    _write_manifest(
-        outdir, "simulate", spec_path,
-        hashlib.sha256(spec_path.read_bytes()).hexdigest(), seed=spec.seed,
-    )
+    _write_manifest(outdir, "simulate", spec_path, _sha256(spec_path), seed=spec.seed)
     total = sum(s.n_flows for s in result.panel)
     print(f"simulated {len(result.panel)} period(s), {total} flows -> {outdir}")
     return 0

@@ -22,19 +22,21 @@ under the "spectral" interval policy, uses W's eigenvalues instead:
 log|det(I - rho W)| is then the real part of sum_i log(1 - rho lambda_i)
 (complex eigenvalues of the asymmetric W pair up, so the imaginary parts
 cancel), and the interval is bounded by the reciprocals of W's extreme real
-eigenvalues.  rho is searched by a one-dimensional Nelder-Mead simplex with
-a golden-section fallback when the simplex stalls.
+eigenvalues.  rho is searched in two steps: the profile on a coarse grid
+over the interval, then scipy's bounded Brent method between the best grid
+point's two neighbours.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
 from scipy.linalg import qr
+from scipy.optimize import minimize_scalar
 
 from ._serialize import write_csv, write_json
 from .covariates import DesignMatrix
@@ -43,8 +45,10 @@ from .weights import WeightFactors, WeightMatrix
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Optimizer iterates are kept this far inside the open rho interval.
+# The rho search is kept this far inside the open rho interval.
 BOUNDARY_MARGIN = 1e-6
+# Evenly spaced profile evaluations that bracket the optimum for Brent.
+GRID_POINTS = 21
 # sigma^2 below this is treated as a degenerate (perfect) fit.
 DEGENERATE_SIGMA2 = 1e-12
 
@@ -194,13 +198,18 @@ class ProfilePoint(NamedTuple):
     sigma2: float
 
 
-def _name_collinear_columns(X, names) -> list[str]:
+def _require_full_rank(problem: SemProblem) -> None:
+    """Raise EstimationError naming the collinear columns of a rank-deficient X."""
+    X = problem.X
+    if np.linalg.matrix_rank(X) == problem.p:
+        return
     # Pivoted QR: columns past the numerical rank are the dependent ones.
     _, R, piv = qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     tol = diag.max(initial=0.0) * max(X.shape) * np.finfo(float).eps
     rank = int(np.sum(diag > tol))
-    return [names[k] for k in sorted(piv[rank:])]
+    bad = [problem.column_names[k] for k in sorted(piv[rank:])]
+    raise EstimationError(f"design matrix is rank deficient; collinear columns: {bad}")
 
 
 class _ProfileCache:
@@ -215,11 +224,7 @@ class _ProfileCache:
         self.W = _entries(problem.W)
         self.Wy = self.W @ problem.y
         self.WX = self.W @ problem.X
-        if np.linalg.matrix_rank(problem.X) < problem.p:
-            bad = _name_collinear_columns(problem.X, problem.column_names)
-            raise EstimationError(
-                f"design matrix is rank deficient; collinear columns: {bad}"
-            )
+        _require_full_rank(problem)
 
     def point(self, rho: float, spec: Spectrum) -> ProfilePoint:
         prob = self.problem
@@ -251,62 +256,6 @@ def profile_loglik(rho: float, problem: SemProblem, spec: Spectrum) -> ProfilePo
             f"rho={rho} outside open interval ({spec.rho_lower}, {spec.rho_upper})"
         )
     return _ProfileCache(problem).point(rho, spec)
-
-
-def _nelder_mead_1d(
-    f: Callable[[float], float],
-    x0: float,
-    x1: float,
-    lo: float,
-    hi: float,
-    xtol: float,
-    max_iter: int,
-):
-    """Maximize f over [lo, hi] with a two-point simplex; returns (x, converged)."""
-
-    def clamp(x):
-        return min(max(x, lo), hi)
-
-    pts = [[clamp(x0), f(clamp(x0))], [clamp(x1), f(clamp(x1))]]
-    for _ in range(max_iter):
-        pts.sort(key=lambda t: -t[1])
-        (best, fb), (worst, fw) = pts
-        if abs(best - worst) <= xtol:
-            return best, True
-        xr = clamp(best + (best - worst))
-        fr = f(xr)
-        if fr > fb:
-            xe = clamp(best + 2.0 * (best - worst))
-            fe = f(xe)
-            pts[1] = [xe, fe] if fe > fr else [xr, fr]
-        elif fr > fw:
-            pts[1] = [xr, fr]
-        else:
-            xc = 0.5 * (best + worst)
-            pts[1] = [xc, f(xc)]
-    pts.sort(key=lambda t: -t[1])
-    return pts[0][0], False
-
-
-def _golden_section(f, lo, hi, xtol, max_iter):
-    """Golden-section maximization on [lo, hi]; returns (x, converged)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if abs(b - a) <= xtol:
-            return (0.5 * (a + b), True)
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c if fc > fd else d), False
 
 
 @dataclass(eq=False)
@@ -360,12 +309,14 @@ def fit(
 ) -> SemFit:
     """Fit the disturbance model by profiled maximum likelihood.
 
-    The simplex starts from {0, rho_upper / 2} and is clamped
-    ``BOUNDARY_MARGIN`` inside the open rho interval; if it stalls, a
-    golden-section pass over the whole interval takes over.  Standard
-    errors for beta come from sigma^2 ((AX)'(AX))^{-1} at the optimum; the
-    one for rho from the curvature of the profiled log-likelihood,
-    estimated by a central second difference.
+    The profile is evaluated at ``GRID_POINTS`` evenly spaced points over
+    the rho interval kept ``BOUNDARY_MARGIN`` inside its ends; scipy's
+    bounded Brent method then refines the best of them between its two
+    neighbours, and the grid point is kept unless Brent beats it (so an
+    optimum at an interval end lands exactly on it).  Standard errors for
+    beta come from sigma^2 ((AX)'(AX))^{-1} at the optimum; the one for rho
+    from the curvature of the profiled log-likelihood, estimated by a
+    central second difference (NaN at an interval end).
 
     Parameters
     ----------
@@ -373,19 +324,27 @@ def fit(
     interval : {"unit", "spectral"}
         rho search interval policy, see :func:`spectrum`.
     xtol : float
-        Convergence width for the rho search.
+        Absolute tolerance on rho for the Brent step (scipy's ``xatol``).
     max_iter : int
-        Iteration cap for each optimizer stage.
+        Cap on the Brent step's profile evaluations (scipy's ``maxiter``).
     spec : Spectrum, optional
         Reuse a precomputed spectrum of problem.W.
 
     Returns
     -------
     SemFit
-        With ``converged=False`` when the rho search hit the iteration cap
+        With ``converged=False`` when the Brent step hit its cap
         (estimates are still reported).
+
+    Raises
+    ------
+    EstimationError
+        Among others when W has no nonzero entry: the profile is then flat
+        and rho is not identified.
     """
     cache = _ProfileCache(problem)
+    if not cache.W.any():
+        raise EstimationError("rho is not identified: W gives no flow a neighbour")
     if spec is None:
         spec = spectrum(problem.W, interval=interval)
     lo = spec.rho_lower + BOUNDARY_MARGIN
@@ -398,17 +357,17 @@ def fit(
     def objective(rho: float) -> float:
         return cache.point(rho, spec).loglik
 
-    rho_hat, converged = _nelder_mead_1d(
-        objective, 0.0, 0.5 * spec.rho_upper, lo, hi, xtol, max_iter
+    grid = np.linspace(lo, hi, GRID_POINTS)
+    values = [objective(rho) for rho in grid]
+    best = int(np.argmax(values))
+    result = minimize_scalar(
+        lambda rho: -objective(rho),
+        bounds=(grid[max(best - 1, 0)], grid[min(best + 1, GRID_POINTS - 1)]),
+        method="bounded",
+        options={"xatol": xtol, "maxiter": max_iter},
     )
-    # A simplex whose points both clamp onto an interval end collapses there
-    # and looks converged without being at a maximum; treat any landing at
-    # the edge as a stall and let golden section arbitrate.
-    near_edge = min(rho_hat - lo, hi - rho_hat) <= 10.0 * xtol
-    if not converged or near_edge:
-        alt, alt_converged = _golden_section(objective, lo, hi, xtol, max_iter)
-        if objective(alt) >= objective(rho_hat):
-            rho_hat, converged = alt, alt_converged
+    rho_hat = float(result.x) if -result.fun > values[best] else float(grid[best])
+    converged = bool(result.success)
 
     at_optimum = cache.point(rho_hat, spec)
     beta = at_optimum.beta
@@ -470,11 +429,7 @@ def fit_ols(problem: SemProblem) -> SemFit:
     """
     X, y = problem.X, problem.y
     n, p = problem.n, problem.p
-    if np.linalg.matrix_rank(X) < p:
-        bad = _name_collinear_columns(X, problem.column_names)
-        raise EstimationError(
-            f"design matrix is rank deficient; collinear columns: {bad}"
-        )
+    _require_full_rank(problem)
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     u_hat = y - X @ beta
     sigma2 = float(u_hat @ u_hat) / n

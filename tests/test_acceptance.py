@@ -95,7 +95,7 @@ def test_criterion_02_ols_nesting():
 
 
 def test_criterion_03_grid_search_oracle():
-    with criterion(3, "simplex rho within 1e-3 of a 1e-4-step grid argmax (10 x n=50)"):
+    with criterion(3, "rho search within 1e-3 of a 1e-4-step grid argmax (10 x n=50)"):
         for seed in range(10):
             rng = np.random.default_rng(300 + seed)
             n = 50

@@ -223,3 +223,39 @@ class TestPipeline:
         assert manifest["config_file"] == "run.cfg"
         assert manifest["seed"] == 7
         assert len(manifest["config_sha256"]) == 64
+
+    def test_manifest_identifies_the_input_data(self, workspace):
+        tmp_path, config_file = workspace
+        first, second = tmp_path / "before", tmp_path / "after"
+        assert main(["fit", "--config", str(config_file), "--out", str(first)]) == 0
+        edges = tmp_path / "data" / "edges.csv"
+        edges.write_text(edges.read_text() + "\n", encoding="utf-8")
+        assert main(["fit", "--config", str(config_file), "--out", str(second)]) == 0
+        before = json.loads((first / "manifest.json").read_text())
+        after = json.loads((second / "manifest.json").read_text())
+        assert sorted(before["input_sha256"]) == [
+            "dyadic.alliance", "dyadic.distance", "edges", "nodal.x1", "nodal.x2", "roster",
+        ]
+        assert before["input_sha256"]["edges"] != after["input_sha256"]["edges"]
+        assert before["input_sha256"]["roster"] == after["input_sha256"]["roster"]
+        assert str(tmp_path) not in (first / "manifest.json").read_text()
+
+    def test_unidentified_rho_reported_as_failure(self, workspace, capsys):
+        # A 1 km cutoff relates no pair of nodes, so W is all zero and rho
+        # is not identified in any period.
+        tmp_path, config_file = workspace
+        text = config_file.read_text().replace(
+            "candidates = sender_attached, receiver_attached, full_activity, rho0",
+            "candidates = full_activity, distance_import:1",
+        )
+        config_file.write_text(text, encoding="utf-8")
+        out = tmp_path / "unidentified"
+        assert main(["fit", "--config", str(config_file), "--out", str(out)]) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        assert [(f["period"], f["structure"]) for f in report["failures"]] == [
+            (period, "distance_import@1") for period in (1, 2, 3, 4)
+        ]
+        for failure in report["failures"]:
+            assert failure["error"] == "rho is not identified: W gives no flow a neighbour"
+        assert not (out / "fits" / "distance_import@1").exists()
+        assert "rho is not identified" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from netdisturb import (
     simulate,
     spectrum,
 )
-from netdisturb.sem import LOG_2PI
+from netdisturb.sem import BOUNDARY_MARGIN, LOG_2PI
 
 from conftest import RECOVERY_TRUTH, random_row_normalized_w
 
@@ -248,6 +248,26 @@ class TestFit:
             lo, hi = fitted.rho_bounds
             assert lo < fitted.rho_hat < hi
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_boundary_optimum_lands_on_interval_end(self, sign):
+        # Flows in reverse pairs with y = (a, sign * a): (I - rho W) y scales
+        # by 1 - sign * rho, so the profile rises monotonically towards
+        # rho = sign and the optimum is the end of the search interval.
+        rng = np.random.default_rng(28)
+        pairs = 20
+        a = 100.0 * rng.standard_normal(pairs)
+        y = np.column_stack([a, sign * a]).ravel()
+        W = np.kron(np.eye(pairs), SWAP)
+        problem = SemProblem(y=y, X=np.ones((2 * pairs, 1)), W=W)
+        spec = spectrum(W)
+        fitted = fit(problem)
+        if sign < 0:
+            assert fitted.rho_hat == spec.rho_lower + BOUNDARY_MARGIN
+        else:
+            assert fitted.rho_hat == spec.rho_upper - BOUNDARY_MARGIN
+        assert fitted.converged
+        assert math.isnan(fitted.se_rho)
+
     def test_non_convergence_still_returns_fit(self):
         rng = np.random.default_rng(27)
         problem = random_problem(rng, n=40, rho=0.5)
@@ -296,18 +316,16 @@ class TestFit:
 
 class TestFitOls:
     def test_zero_weight_matrix_equivalence(self):
+        # With an all-zero W the profile is flat in rho: fit refuses to pick
+        # an arbitrary rho, and only the OLS fit is defined.
         rng = np.random.default_rng(23)
         n = 30
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
         y = X @ np.array([1.0, -0.5, 2.0]) + rng.standard_normal(n)
         problem = SemProblem(y=y, X=X, W=np.zeros((n, n)))
-        sem_fit = fit(problem)
-        ols_fit = fit_ols(problem)
-        np.testing.assert_allclose(sem_fit.beta_hat, ols_fit.beta_hat, atol=1e-8)
-        assert abs(sem_fit.sigma2_hat - ols_fit.sigma2_hat) < 1e-10
-        assert abs(sem_fit.loglik - ols_fit.loglik) < 1e-8
-        # Same likelihood, but the SEM counts one extra parameter.
-        assert abs((sem_fit.aic - ols_fit.aic) - 2.0) < 1e-8
+        with pytest.raises(EstimationError, match="rho is not identified"):
+            fit(problem)
+        assert fit_ols(problem).converged
 
     def test_perfect_fit_flagged_degenerate(self):
         rng = np.random.default_rng(24)
