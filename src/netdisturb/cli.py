@@ -35,7 +35,6 @@ distance_series          dyadic series used by distance structures and scans
 rho_interval             unit | spectral (default unit)
 scan_direction           import | export (default import)
 scan_grid                start:stop:step in km (default 0:20000:100)
-scan_source              ols_residuals | log_flows (default ols_residuals)
 smooth_window            odd moving-average window for weights (default 5;
                          0 disables the smoothed series)
 diagnose_structure       structure id diagnosed by `diagnose`
@@ -222,7 +221,6 @@ class RunConfig:
     jobs: int
     scan_direction: str
     scan_grid: np.ndarray
-    scan_source: str
     smooth_window: int
     diagnose_structure: NeighborhoodSpec | None = None
 
@@ -239,7 +237,7 @@ def _parse_bool(text: str) -> bool:
 KNOWN_SCALAR_KEYS = {
     "edges", "roster", "recipe", "lag", "candidates", "alliance_series",
     "distance_series", "rho_interval", "out", "seed", "jobs", "scan_direction",
-    "scan_grid", "scan_source", "smooth_window", "diagnose_structure",
+    "scan_grid", "smooth_window", "diagnose_structure",
 }
 
 
@@ -308,11 +306,6 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
     scan_direction = values.get("scan_direction", "import")
     if scan_direction not in ("import", "export"):
         raise ConfigError(f"scan_direction must be import or export, got {scan_direction!r}")
-    scan_source = values.get("scan_source", "ols_residuals")
-    if scan_source not in ("ols_residuals", "log_flows"):
-        raise ConfigError(
-            f"scan_source must be ols_residuals or log_flows, got {scan_source!r}"
-        )
 
     smooth_window = _parse_typed(values, "smooth_window", int, 5)
     if smooth_window < 0 or (smooth_window > 0 and smooth_window % 2 == 0):
@@ -346,7 +339,6 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
         jobs=jobs if jobs is not None else _parse_typed(values, "jobs", int, 1),
         scan_direction=scan_direction,
         scan_grid=parse_grid(values["scan_grid"]) if "scan_grid" in values else None,
-        scan_source=scan_source,
         smooth_window=smooth_window,
         diagnose_structure=diagnose_structure,
     )
@@ -562,7 +554,8 @@ def cmd_select(config: RunConfig) -> int:
     prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
     fits, failures = _run_fits(config, prepared, dyadic_map)
     try:
-        report = select(fits, structures=candidate_ids(config))
+        failed = {(f["period"], f["structure"]): f["error"] for f in failures}
+        report = select(fits, structures=candidate_ids(config), failures=failed)
     except ValueError as exc:
         raise NetdisturbError(str(exc)) from None
     write_aggregated_csv(config.out / "aggregated.csv", report)
@@ -590,14 +583,8 @@ def cmd_scan(config: RunConfig) -> int:
             f"scan needs dyadic series {config.distance_series!r}; add a "
             f"dyadic.{config.distance_series} entry to the config"
         )
-    residuals = {}
-    indices = {}
-    for period, data in prepared.items():
-        if config.scan_source == "ols_residuals":
-            residuals[period] = fit_ols(SemProblem(y=data.y, X=data.design)).u_hat
-        else:
-            residuals[period] = data.y
-        indices[period] = data.index
+    residuals = {t: fit_ols(SemProblem(y=d.y, X=d.design)).u_hat for t, d in prepared.items()}
+    indices = {t: d.index for t, d in prepared.items()}
     scan = scan_cutoffs(
         residuals,
         indices,

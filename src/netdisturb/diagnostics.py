@@ -89,7 +89,7 @@ def tradecorr_residuals(
         raise EstimationError("cannot compute spillover residuals of a non-converged fit")
     if weights.index is not index and weights.index.dyads != index.dyads:
         raise EstimationError("weight matrix and flow index do not match")
-    values = fit.rho_hat * (weights.entries @ fit.u_hat)
+    values = fit.rho_hat * (weights @ fit.u_hat)
     attribution: dict[str, list[float]] = {}
     for a, (sender, receiver) in enumerate(index.dyads):
         attribution.setdefault(sender, []).append(float(values[a]))

@@ -11,9 +11,12 @@ first argmax.  Each period's block is the weight builder's AnchorRelation
 of ``distance_<direction>``: flows anchored at the receiver (import) or
 sender (export), related by d(anchor, partner) < cutoff over a distance
 table read once and re-thresholded at each grid point, with no reverse
-flow.  The blocks are never materialized jointly: with pooled centered z,
-I decomposes into per-block quadratic forms z_t' W_t z_t and per-block S0
-contributions, which is what the scan accumulates.
+flow.  No block is ever materialized: with pooled centered z, I
+decomposes into per-block quadratic forms z_t' W_t z_t and per-block S0
+contributions.  At each grid point the scan takes the block's factors
+W_t = D+ U C U' and accumulates z_t' (W_t z_t) and S0_t, the number of
+flows with a neighbour (each such row of W_t sums to 1), so a grid point
+costs O(n + N^2) for n flows over N anchor nodes.
 """
 
 from __future__ import annotations
@@ -122,20 +125,14 @@ def scan_cutoffs(
     denom = zc @ zc
     if denom == 0.0:
         raise ValueError("pooled residuals have zero variance")
-    bounds = np.cumsum([0] + [seg.size for seg in segments])
+    blocks = np.split(zc, np.cumsum([seg.size for seg in segments])[:-1])
 
     values = np.full(grid.size, np.nan)
     for g, cutoff in enumerate(grid):
-        total_quad = 0.0
-        total_s0 = 0.0
-        for relation, lo, hi in zip(relations, bounds[:-1], bounds[1:]):
-            adjacency = relation.adjacency(cutoff)
-            counts = adjacency.sum(axis=1)
-            nonzero = counts > 0
-            wz = (adjacency @ zc[lo:hi])[nonzero] / counts[nonzero]
-            total_quad += float(zc[lo:hi][nonzero] @ wz)
-            total_s0 += float(nonzero.sum())
-        if total_s0 > 0.0:
+        factors = [relation.factors(cutoff) for relation in relations]
+        total_s0 = sum(np.count_nonzero(W_t.counts) for W_t in factors)
+        if total_s0 > 0:
+            total_quad = sum(float(zc_t @ (W_t @ zc_t)) for W_t, zc_t in zip(factors, blocks))
             values[g] = z.size / total_s0 * total_quad / denom
 
     defined = np.isfinite(values)

@@ -8,8 +8,9 @@ For every period each candidate's AIC is rescaled by the period minimum
 interpretable as the probability that candidate i is the best of the set.
 Aggregated AICs (summed over periods) are rescaled the same way, with the
 overall winner attaining delta 0.  Periods where a candidate is missing,
-failed to converge or has a degenerate fit (non-finite AIC, e.g. a perfect
-fit) are excluded from both views and reported.
+failed, did not converge or has a degenerate fit (non-finite AIC, e.g. a
+perfect fit) are excluded from both views and reported; a candidate with
+no usable fit in any period is dropped instead, and reported.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class SelectionReport:
 
     ``aic``, ``delta`` and ``weight`` are (periods x structures) arrays in
     the order of ``periods`` and ``structures``; the aggregated arrays have
-    one entry per structure.
+    one entry per structure.  ``dropped`` lists the (structure, reason) of
+    candidates left out for want of a usable fit in any period.
     """
 
     structures: tuple[str, ...]
@@ -62,19 +64,23 @@ class SelectionReport:
     aggregated_delta: np.ndarray
     winner: str
     excluded: tuple[tuple[int, str], ...] = ()
+    dropped: tuple[tuple[str, str], ...] = ()
 
 
 def select(
     fits: Mapping[tuple[int, str], SemFit],
     structures: list[str] | None = None,
+    failures: Mapping[tuple[int, str], str] | None = None,
 ) -> SelectionReport:
     """Build a selection report from per-(period, structure) fits.
 
-    A period enters the comparison only if every candidate structure has a
-    converged fit with a finite AIC for it; dropped periods are listed in
-    ``excluded`` with a reason.  Ties for the aggregated minimum keep delta
-    0 for every tied structure, and the winner is the first one in
-    ``structures`` order.
+    A candidate with no converged fit with a finite AIC in any period is
+    left out and listed in ``dropped`` with its reasons.  A period enters
+    the comparison only if every other candidate has such a fit for it;
+    dropped periods are listed in ``excluded`` with a reason, which quotes
+    the error that ``failures`` maps a failed (period, structure) fit to.
+    Ties for the aggregated minimum keep delta 0 for every tied structure,
+    and the winner is the first one in ``structures`` order.
 
     Raises
     ------
@@ -85,32 +91,34 @@ def select(
         raise ValueError("empty fit map")
     if structures is None:
         structures = sorted({structure for _, structure in fits})
-    all_periods = sorted({period for period, _ in fits})
+    failures = failures or {}
+    all_periods = sorted({period for period, _ in [*fits, *failures]})
 
-    excluded = []
-    rows = []
-    kept_periods = []
-    for period in all_periods:
-        reasons = []
-        row = np.empty(len(structures))
-        for k, structure in enumerate(structures):
-            result = fits.get((period, structure))
-            if result is None:
-                reasons.append(f"missing fit for {structure}")
-                continue
-            if not result.converged:
-                reasons.append(f"non-converged fit for {structure}")
-                continue
-            if not math.isfinite(result.aic):
-                reasons.append(f"degenerate fit for {structure}")
-                continue
-            row[k] = result.aic
-        if reasons:
-            excluded.append((period, "; ".join(reasons)))
-            continue
-        kept_periods.append(period)
-        rows.append(row)
+    def reason(period, structure):
+        if (period, structure) in failures:
+            return f"fit failed for {structure}: {failures[period, structure]}"
+        result = fits.get((period, structure))
+        if result is None:
+            return f"missing fit for {structure}"
+        if not result.converged:
+            return f"non-converged fit for {structure}"
+        if not math.isfinite(result.aic):
+            return f"degenerate fit for {structure}"
+        return None
 
+    reasons = {(period, s): reason(period, s) for period in all_periods for s in structures}
+    dropped = [
+        (s, "; ".join(dict.fromkeys(reasons[period, s] for period in all_periods)))
+        for s in structures
+        if all(reasons[period, s] for period in all_periods)
+    ]
+    structures = [s for s in structures if s not in dict(dropped)]
+    found = {t: [reasons[t, s] for s in structures if reasons[t, s]] for t in all_periods}
+    excluded = [(period, "; ".join(why)) for period, why in found.items() if why]
+    kept_periods = [period for period, why in found.items() if not why]
+
+    if dropped:
+        warnings.warn("; ".join(f"{s} dropped ({why})" for s, why in dropped), stacklevel=2)
     if excluded:
         warnings.warn(
             f"{len(excluded)} period(s) excluded from the comparison: "
@@ -118,11 +126,9 @@ def select(
             + ("; ..." if len(excluded) > 3 else ""),
             stacklevel=2,
         )
-    if not kept_periods:
-        raise ValueError(
-            "no period has a converged fit for every candidate structure"
-        )
-    aic = np.array(rows)
+    if not kept_periods or not structures:
+        raise ValueError("no period has a converged fit for every candidate structure")
+    aic = np.array([[fits[period, s].aic for s in structures] for period in kept_periods])
     delta = aic - aic.min(axis=1, keepdims=True)
     weight = np.vstack([akaike_weights(row) for row in aic])
     aggregated = aic.sum(axis=0)
@@ -138,6 +144,7 @@ def select(
         aggregated_delta=aggregated_delta,
         winner=winner,
         excluded=tuple(excluded),
+        dropped=tuple(dropped),
     )
 
 
@@ -177,6 +184,9 @@ def report_to_dict(report: SelectionReport) -> dict:
         },
         "excluded_periods": [
             {"period": period, "reason": reason} for period, reason in report.excluded
+        ],
+        "dropped_structures": [
+            {"structure": structure, "reason": reason} for structure, reason in report.dropped
         ],
     }
 

@@ -24,7 +24,8 @@ log|det(I - rho W)| is then the real part of sum_i log(1 - rho lambda_i)
 cancel), and the interval is bounded by the reciprocals of W's extreme real
 eigenvalues.  rho is searched in two steps: the profile on a coarse grid
 over the interval, then scipy's bounded Brent method between the best grid
-point's two neighbours.
+point's two neighbours.  W y, W X and W u_hat are taken as ``W @ v``, from
+the factors of a built W, so a fit never forms its n x n entries.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class SemProblem:
     names are kept) or a plain array.  ``W`` may be a
     :class:`~netdisturb.weights.WeightMatrix`, kept as given so that
     :func:`fit` can use its factors; a plain array; or None for a problem
-    that only :func:`fit_ols` solves.
+    that only :func:`fit_ols` solves.  Only plain entries are checked for
+    finiteness; a built W is not expanded to its dense entries.
     """
 
     y: np.ndarray
@@ -83,14 +85,15 @@ class SemProblem:
         W = self.W
         if W is not None and not isinstance(W, WeightMatrix):
             W = np.asarray(W, dtype=float)
-        entries = None if W is None else _entries(W)
-        if entries is not None and entries.shape != (n, n):
-            raise EstimationError(f"W shape {entries.shape} does not match y length {n}")
+        shape = None if W is None else (W.n, W.n) if isinstance(W, WeightMatrix) else W.shape
+        if shape is not None and shape != (n, n):
+            raise EstimationError(f"W shape {shape} does not match y length {n}")
         if not n > X.shape[1]:
             raise EstimationError(
                 f"need more observations than parameters (n={n}, p={X.shape[1]})"
             )
-        finite_w = entries is None or np.all(np.isfinite(entries))
+        plain = W.entries if isinstance(W, WeightMatrix) and W.factors is None else W
+        finite_w = not isinstance(plain, np.ndarray) or np.all(np.isfinite(plain))
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X)) and finite_w):
             raise EstimationError("y, X and W must be finite")
         if not names:
@@ -221,9 +224,8 @@ class _ProfileCache:
                 "the problem has no weight matrix W; give one, or fit rho = 0 with fit_ols"
             )
         self.problem = problem
-        self.W = _entries(problem.W)
-        self.Wy = self.W @ problem.y
-        self.WX = self.W @ problem.X
+        self.Wy = problem.W @ problem.y
+        self.WX = problem.W @ problem.X
         _require_full_rank(problem)
 
     def point(self, rho: float, spec: Spectrum) -> ProfilePoint:
@@ -305,7 +307,6 @@ def fit(
     interval: str = "unit",
     xtol: float = 1e-8,
     max_iter: int = 500,
-    spec: Spectrum | None = None,
 ) -> SemFit:
     """Fit the disturbance model by profiled maximum likelihood.
 
@@ -327,8 +328,6 @@ def fit(
         Absolute tolerance on rho for the Brent step (scipy's ``xatol``).
     max_iter : int
         Cap on the Brent step's profile evaluations (scipy's ``maxiter``).
-    spec : Spectrum, optional
-        Reuse a precomputed spectrum of problem.W.
 
     Returns
     -------
@@ -343,10 +342,9 @@ def fit(
         and rho is not identified.
     """
     cache = _ProfileCache(problem)
-    if not cache.W.any():
+    spec = spectrum(problem.W, interval=interval)
+    if not (_entries(problem.W) if spec.factors is None else spec.factors.counts).any():
         raise EstimationError("rho is not identified: W gives no flow a neighbour")
-    if spec is None:
-        spec = spectrum(problem.W, interval=interval)
     lo = spec.rho_lower + BOUNDARY_MARGIN
     hi = spec.rho_upper - BOUNDARY_MARGIN
     if not lo < hi:
@@ -373,7 +371,7 @@ def fit(
     beta = at_optimum.beta
     sigma2 = at_optimum.sigma2
     u_hat = problem.y - problem.X @ beta
-    eps_hat = u_hat - rho_hat * (cache.W @ u_hat)
+    eps_hat = u_hat - rho_hat * (problem.W @ u_hat)
     p = problem.p
     aic = -2.0 * at_optimum.loglik + 2.0 * (p + 2)
 

@@ -39,14 +39,17 @@ where E corrects what U C U' counts wrongly:
     full_activity                 E = -2I - R  (two roles count self and
                                                the reverse flow twice)
 
-:class:`WeightFactors` holds these factors and evaluates
-log|det(I - rho W)| from them in O(n + N^3), with no n x n work.
+:class:`WeightFactors` holds these factors and is the one operator for a
+built W: it evaluates W v in O(n + N^2) per column and log|det(I - rho W)|
+in O(n + N^3), with no n x n work, and forms the dense entries from the
+same factors only when they are asked for.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,44 +98,47 @@ class NeighborhoodSpec:
         return self.kind
 
 
-@dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Row-normalized n x n dependence matrix over a flow index.
 
-    ``factors`` is W's factorization when :func:`build_weight_matrix` made
-    it, and None for a matrix given as plain entries.
+    A matrix from :func:`build_weight_matrix` holds its ``factors``: W @ v
+    reads them, and ``entries`` are formed from them on first access and
+    then cached.  A matrix given as plain ``entries`` has ``factors`` None.
     """
 
-    index: FlowIndex
-    entries: np.ndarray
-    spec: NeighborhoodSpec
-    factors: WeightFactors | None = field(default=None, repr=False)
+    def __init__(self, index: FlowIndex, entries, spec: NeighborhoodSpec, factors=None):
+        self.index, self.spec, self.factors, n = index, spec, factors, index.n
+        if factors is None:
+            self.entries = np.asarray(entries, dtype=float)
+            if self.entries.shape != (n, n):
+                raise WeightError(f"weight matrix shape {self.entries.shape}, expected ({n}, {n})")
 
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", entries)
-        n = self.index.n
-        if entries.shape != (n, n):
-            raise WeightError(f"weight matrix shape {entries.shape}, expected ({n}, {n})")
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        return self.factors.dense()
 
     @property
     def n(self) -> int:
         return self.index.n
+
+    def __matmul__(self, v) -> np.ndarray:
+        return self.entries @ v if self.factors is None else self.factors @ v
 
 
 class AnchorRelation:
     """One period's flows grouped by anchor node, related through the nodes.
 
     ``anchors`` holds, per role, each flow's anchor as a position in the
-    period's sorted anchor nodes.  ``table`` is N x N over those nodes: the
-    identity, or the dyadic lookups at (anchor, partner) with a diagonal of
-    0 for alliances and infinity for distances, so no node relates to
-    itself.  The table is read once and thresholded per cutoff, so the
-    Moran scan reuses one relation along its grid.  ``reverse`` pairs each
-    flow with its reverse flow in the kinds whose E holds R (the attached
-    kinds and full_activity) and is empty otherwise; ``correction`` is E's
-    (self, reverse) coefficients.  Building it raises WeightError when
-    dyadic data misses a needed pair.
+    period's sorted anchor nodes: U's nonzero columns.  ``table`` is N x N
+    over those nodes: the identity, or the dyadic lookups at (anchor,
+    partner) with a diagonal of 0 for alliances and infinity for distances,
+    so no node relates to itself.  The table is read once and thresholded
+    per cutoff, so the Moran scan reuses one relation along its grid.
+    ``partner`` maps each flow to its reverse flow where E holds R (the
+    attached kinds and full_activity), else to itself, and ``paired``
+    marks the flows that have one; ``correction`` is E's (self, reverse)
+    coefficients.  Building it raises WeightError when dyadic data misses
+    a needed pair.
     """
 
     def __init__(self, kind: str, index: FlowIndex, dyadic: DyadicSeries | None = None):
@@ -155,29 +161,14 @@ class AnchorRelation:
                             self.table[x, y] = dyadic.lookup(anchor, partner, index.period)
             except CovariateError as exc:
                 raise WeightError(str(exc)) from None
-        has_reverse = self.correction[1] != 0
-        rows = [a for a, (i, j) in enumerate(index.dyads) if has_reverse and (j, i) in index]
-        cols = [index.position(index.dyads[a][::-1]) for a in rows]
-        self.reverse = (np.array(rows, dtype=int), np.array(cols, dtype=int))
-
-    def related(self, cutoff: float | None = None) -> np.ndarray:
-        """Boolean N x N node relation C; a ``cutoff`` thresholds distances."""
-        return self.table != 0 if cutoff is None else self.table < cutoff
-
-    def adjacency(self, cutoff: float | None = None) -> np.ndarray:
-        """Boolean n x n flow adjacency; a ``cutoff`` thresholds distances."""
-        related = self.related(cutoff)
-        adjacency = functools.reduce(
-            np.logical_or,
-            (related[np.ix_(x, y)] for x in self.anchors for y in self.anchors),
-        )
-        adjacency[self.reverse] = True
-        np.fill_diagonal(adjacency, False)
-        return adjacency
+        rows = [a for a, (i, j) in enumerate(index.dyads) if self.correction[1] and (j, i) in index]
+        self.partner = np.arange(index.n)
+        self.partner[rows] = [index.position(index.dyads[a][::-1]) for a in rows]
+        self.paired = self.partner != np.arange(index.n)
 
     def factors(self, cutoff: float | None = None) -> WeightFactors:
-        """The factors of W = D+ (U C U' + E) at this relation."""
-        return WeightFactors(self.anchors, self.related(cutoff), *self.correction, self.reverse)
+        """The factors of W = D+ (U C U' + E); a ``cutoff`` thresholds distances in C."""
+        return WeightFactors(self, self.table != 0 if cutoff is None else self.table < cutoff)
 
 
 # A flow block of B(rho) = I - rho D+ E whose determinant falls below this
@@ -190,11 +181,14 @@ _BLOCK_DET_FLOOR = -1e-9
 
 
 class WeightFactors:
-    """W = D+ (U C U' + E) for one built matrix, and log|det(I - rho W)|.
+    """W = D+ (U C U' + E) for one built matrix: W v, its entries, log|det(I - rho W)|.
 
-    ``counts`` is D's diagonal, (U C U' + E) 1.  B(rho) = I - rho D+ E is
-    block diagonal: a 1 x 1 block per flow, or a 2 x 2 block per pair of
-    reverse flows.  By the matrix determinant lemma
+    ``counts`` is D's diagonal, (U C U' + E) 1.  ``W @ v``, for v of shape
+    (n,) or (n, k), is D+ (U (C (U' v)) + E v) in O(n k + N^2 k), as U'
+    sums v over each anchor node's flows; :meth:`dense` forms the entries.
+
+    B(rho) = I - rho D+ E is block diagonal: a 1 x 1 block per flow, or a
+    2 x 2 block per pair of reverse flows.  By the matrix determinant lemma
 
         log|det(I - rho W)| = log|det B| + log|det(I_N - rho C U' B^-1 D+ U)|
 
@@ -203,19 +197,44 @@ class WeightFactors:
     determinant vanishes inside (-1, 1) (a flow with one or two neighbours)
     keeps identity rows in B; its part of E joins the core as extra rows
     and columns, one per flow, whose entries do not depend on rho.  With
-    E = 0 the whole core is fixed and is built once.
+    E = 0 the whole core is fixed and is built once.  All this is prepared
+    on the first :meth:`log_det` call: a W only multiplied never pays for it.
     """
 
-    def __init__(self, anchors, related, self_term, reverse_term, reverse):
-        n, size = anchors[0].size, related.shape[0]
-        relation = related.astype(float)
-        partner = np.arange(n)
-        partner[reverse[0]] = reverse[1]
-        paired = partner != np.arange(n)
-        reach = relation @ sum(np.bincount(x, minlength=size) for x in anchors)
-        self.counts = sum(reach[x] for x in anchors) + self_term + reverse_term * paired
-        own = np.zeros(n)
-        np.divide(1.0, self.counts, out=own, where=self.counts > 0)
+    def __init__(self, relation: AnchorRelation, related: np.ndarray):
+        self._relation, self._related = relation, related
+        self._C = related.astype(float)
+        self.counts = self._spread(np.ones((relation.partner.size, 1)))[:, 0]
+        self._own = np.divide(1.0, self.counts, out=np.zeros_like(self.counts), where=self.counts > 0)
+        self._border = None
+
+    def _spread(self, v) -> np.ndarray:
+        """(U C U' + E) v for v of shape (n, k); U' v sums v per anchor node."""
+        r, size = self._relation, self._C.shape[0]
+        grouped = [sum(np.bincount(x, column, minlength=size) for x in r.anchors) for column in v.T]
+        reach = self._C @ np.column_stack(grouped)
+        mates = np.where(r.paired[:, None], v[r.partner], 0.0)
+        return sum(reach[x] for x in r.anchors) + r.correction[0] * v + r.correction[1] * mates
+
+    def __matmul__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        return (self._own[:, None] * self._spread(v.reshape(len(v), -1))).reshape(v.shape)
+
+    def dense(self) -> np.ndarray:
+        """The n x n entries D+ (U C U' + E), formed in one n x n float array."""
+        r, n = self._relation, self.counts.size
+        entries = np.zeros((n, n))
+        for x, y in itertools.product(r.anchors, repeat=2):
+            entries += self._related[np.ix_(x, y)]
+        entries.flat[:: n + 1] += r.correction[0]
+        entries[r.paired, r.partner[r.paired]] += r.correction[1]
+        return np.divide(entries, self.counts[:, None], out=entries, where=self.counts[:, None] > 0)
+
+    def _prepare(self) -> None:
+        """The per-flow block terms, anchor cells and border of the log-det."""
+        anchors, partner, own = self._relation.anchors, self._relation.partner, self._own
+        self_term, reverse_term = self._relation.correction
+        n, size, paired = own.size, self._C.shape[0], self._relation.paired
         other = np.where(paired, own[partner], 0.0)
 
         # det B_a(rho) = 1 + b rho + c rho^2, the same for both flows of a pair.
@@ -226,19 +245,16 @@ class WeightFactors:
         in_core = lowest < _BLOCK_DET_FLOOR
         e_self = np.where(in_core, 0.0, float(self_term))
         e_reverse = np.where(in_core | ~paired, 0.0, float(reverse_term))
-        self._own = own
         self._self_own = e_self * own
         self._self_other = e_self * other
         self._reverse = e_reverse * own * other
         self._reverse_sq = e_reverse * self._reverse
         # Both flows of a pair carry the pair's determinant.
         self._halves = np.where(paired, 0.5, 1.0)
-        self._roles = len(anchors) ** 2
         self._cells = np.concatenate(
             [np.concatenate([x * size + y, x * size + y[partner]]) for x in anchors for y in anchors]
         )
-        self._size = size
-        self._relation = None if np.array_equal(related, np.eye(size, dtype=bool)) else relation
+        self._identity = np.array_equal(self._related, np.eye(size, dtype=bool))
 
         core = np.flatnonzero(in_core)
         slot = np.full(n, -1)
@@ -250,7 +266,7 @@ class WeightFactors:
         mates = core[paired[core]]
         e_core[slot[mates], slot[partner[mates]]] = reverse_term
         self._border = np.zeros((size + core.size, size + core.size))
-        self._border[:size, size:] = relation @ spread
+        self._border[:size, size:] = self._C @ spread
         self._border[size:, :size] = e_core @ spread.T
         self._border[size:, size:] = e_core * own[core]
         self._fixed = None
@@ -259,15 +275,17 @@ class WeightFactors:
 
     def _core(self, diag, off) -> np.ndarray:
         """C~ U~' B^-1 D+ U~, from B^-1 D+'s per-flow diagonal and reverse entries."""
-        size = self._size
-        weights = np.tile(np.concatenate([diag, off]), self._roles)
+        size = self._C.shape[0]
+        weights = np.tile(np.concatenate([diag, off]), len(self._relation.anchors) ** 2)
         gram = np.bincount(self._cells, weights, minlength=size * size).reshape(size, size)
         core = self._border.copy()
-        core[:size, :size] = gram if self._relation is None else self._relation @ gram
+        core[:size, :size] = gram if self._identity else self._C @ gram
         return core
 
     def log_det(self, rho: float) -> float:
         """log|det(I - rho W)| for -1 < rho < 1; -inf where it is singular."""
+        if self._border is None:
+            self._prepare()
         if self._fixed is not None:
             core, outer = self._fixed, 0.0
         else:
@@ -311,11 +329,11 @@ def neighborhood(
     WeightError
         When alliance or distance data is missing for a required pair.
     """
-    adjacency = AnchorRelation(spec.kind, index, dyadic).adjacency(spec.cutoff_km)
+    entries = build_weight_matrix(spec, index, dyadic).entries
     dyads = index.dyads
     return {
         dyad: frozenset(dyads[b] for b in np.flatnonzero(row))
-        for dyad, row in zip(dyads, adjacency)
+        for dyad, row in zip(dyads, entries)
     }
 
 
@@ -324,17 +342,13 @@ def build_weight_matrix(
     index: FlowIndex,
     dyadic: DyadicSeries | None = None,
 ) -> WeightMatrix:
-    """Materialize the row-normalized weight matrix for one structure.
+    """The row-normalized weight matrix of one structure, held as its factors.
 
     Row a holds 1/|N(v_a)| at the columns of v_a's neighbours and 0
     elsewhere; a flow with an empty neighbourhood keeps an all-zero row.
     """
-    relation = AnchorRelation(spec.kind, index, dyadic)
-    factors = relation.factors(spec.cutoff_km)
-    counts = factors.counts[:, None]
-    entries = np.zeros((index.n, index.n))
-    np.divide(relation.adjacency(spec.cutoff_km), counts, out=entries, where=counts > 0)
-    return WeightMatrix(index=index, entries=entries, spec=spec, factors=factors)
+    factors = AnchorRelation(spec.kind, index, dyadic).factors(spec.cutoff_km)
+    return WeightMatrix(index=index, entries=None, spec=spec, factors=factors)
 
 
 def write_weight_csv(path, matrix: WeightMatrix) -> None:

@@ -259,3 +259,26 @@ class TestPipeline:
             assert failure["error"] == "rho is not identified: W gives no flow a neighbour"
         assert not (out / "fits" / "distance_import@1").exists()
         assert "rho is not identified" in capsys.readouterr().err
+
+    def test_select_drops_a_candidate_that_never_fits(self, workspace):
+        # distance_import@1 leaves rho unidentified in every period; select
+        # drops it with the fit's reason and still compares the others.
+        tmp_path, config_file = workspace
+        text = config_file.read_text().replace(
+            "candidates = sender_attached, receiver_attached, full_activity, rho0",
+            "candidates = full_activity, distance_import:1",
+        )
+        config_file.write_text(text, encoding="utf-8")
+        out = tmp_path / "dropped"
+        assert main(["select", "--config", str(config_file), "--out", str(out)]) == 0
+        payload = json.loads((out / "selection.json").read_text())
+        assert payload["aggregated"]["winner"] == "full_activity"
+        assert payload["structures"] == ["full_activity"]
+        assert payload["excluded_periods"] == []
+        assert payload["dropped_structures"] == [
+            {
+                "structure": "distance_import@1",
+                "reason": "fit failed for distance_import@1: rho is not identified: "
+                "W gives no flow a neighbour",
+            }
+        ]

@@ -1,11 +1,15 @@
-"""Parity of the factored log-determinant with the dense reference.
+"""Parity of the factored operator and log-determinant with the dense reference.
 
 A weight matrix from build_weight_matrix carries its factors W = D+ (U C U'
-+ E); sem evaluates log|det(I - rho W)| from them.  These property tests
-compare that path with a dense slogdet of I - rho W and with a fit on the
-plain entries (the eigenvalue path), over random flow sets, all seven
-kinds and symmetric and asymmetric dyadic series.
++ E); W @ v and sem's log|det(I - rho W)| come from them.  These property
+tests compare those paths with the dense entries, a dense slogdet of
+I - rho W and a fit on the plain entries (the eigenvalue path), over random
+flow sets, all seven kinds and symmetric and asymmetric dyadic series.  One
+more test checks that fitting, scanning and diagnosing a built W never
+forms its n x n entries.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +23,9 @@ from netdisturb import (
     build_weight_matrix,
     fit,
     log_det,
+    scan_cutoffs,
     spectrum,
+    tradecorr_residuals,
 )
 from netdisturb.weights import DISTANCE_KINDS, KINDS
 
@@ -137,3 +143,35 @@ def test_factored_log_det_rejects_rho_outside_unit_interval():
     )
     with pytest.raises(EstimationError, match="outside"):
         log_det(1.0, spectrum(W))
+
+
+@PROPERTY
+@given(weight_matrices(), st.integers(0, 2**32 - 1))
+def test_product_matches_entries(W, seed):
+    rng = np.random.default_rng(seed)
+    assert W.factors is not None
+    for v in (rng.standard_normal(W.n), rng.standard_normal((W.n, 3))):
+        np.testing.assert_allclose(W @ v, W.entries @ v, rtol=0.0, atol=1e-12)
+
+
+def test_fit_scan_and_diagnostics_never_form_entries():
+    # About 3000 flows over 60 nodes: one n x n float64 is 72 MB, so a peak
+    # below a tenth of it rules out any dense W along the way.
+    rng = np.random.default_rng(11)
+    nodes = [f"N{k:02d}" for k in range(60)]
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    chosen = rng.choice(len(pairs), size=3000, replace=False)
+    index = FlowIndex(period=1, dyads=tuple(sorted(pairs[k] for k in chosen)))
+    distances = complete_distances(rng, nodes)
+    X = np.column_stack([np.ones(index.n), rng.standard_normal(index.n)])
+    y = X @ (1.0, 2.0) + rng.standard_normal(index.n)
+    tracemalloc.start()
+    try:
+        W = build_weight_matrix(NeighborhoodSpec("full_activity"), index)
+        result = fit(SemProblem(y=y, X=X, W=W))
+        scan_cutoffs({1: result.u_hat}, {1: index}, distances, grid=[2500.0])
+        tradecorr_residuals(result, W, index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < index.n**2 * 8 / 10
