@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from ._serialize import write_csv
 from .errors import EstimationError
@@ -41,7 +41,7 @@ def qq_pairs(values) -> tuple[np.ndarray, np.ndarray]:
     if n == 0:
         raise ValueError("no values for QQ pairs")
     probs = (np.arange(1, n + 1) - 0.5) / n
-    return stats.norm.ppf(probs), values
+    return ndtri(probs), values
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +63,7 @@ def histogram(values) -> HistogramData:
     if values.size < 2:
         raise ValueError("need at least two values to bin")
     counts, edges = np.histogram(values, bins="fd")
-    mass = stats.norm.cdf(edges[1:]) - stats.norm.cdf(edges[:-1])
+    mass = ndtr(edges[1:]) - ndtr(edges[:-1])
     return HistogramData(bin_edges=edges, counts=counts, normal_ref=values.size * mass)
 
 
@@ -135,7 +135,8 @@ def kde(values, n_grid: int = 512, node_id: str = "") -> DensityCurve:
     # Chunk over the sample so the (grid x m) kernel matrix stays small.
     for start in range(0, m, 4096):
         chunk = values[start : start + 4096]
-        density += stats.norm.pdf((grid[:, None] - chunk[None, :]) / bandwidth).sum(axis=1)
+        z = (grid[:, None] - chunk[None, :]) / bandwidth
+        density += (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)).sum(axis=1)  # standard normal pdf
     density /= m * bandwidth
     return DensityCurve(node_id=node_id, grid=grid, density=density, bandwidth=bandwidth)
 

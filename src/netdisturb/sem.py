@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import qr
 from scipy.optimize import minimize_scalar
+from scipy.special import ndtr
 
 from ._serialize import write_csv, write_json
 from .covariates import DesignMatrix
@@ -298,7 +298,7 @@ def _two_sided_p(estimate, se):
         return np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(estimate) / se
-    return 2.0 * stats.norm.sf(z)
+    return 2.0 * ndtr(-z)
 
 
 def fit(

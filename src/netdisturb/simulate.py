@@ -7,6 +7,9 @@ resulting flows, draws eps ~ N(0, sigma^2 I), solves
     u = (I - rho W)^{-1} eps,    y = X beta + u,    flows = exp(y)
 
 and packages everything in the same types the ingestion path produces.
+The solve goes through W's factors (:meth:`WeightFactors.solve`), so no
+n x n matrix is formed; any -1 < rho < 1 is admissible, as every built W
+is row normalized.
 Covariate series are standard normal per node and period, alliances are
 symmetric Bernoulli indicators, and node positions are uniform on a disk
 so capital-style pairwise distances exist for the distance structures.
@@ -42,7 +45,6 @@ from .panel import (
     write_edge_csv,
     write_roster_csv,
 )
-from .sem import spectrum
 from .weights import ALLIANCE_KINDS, DISTANCE_KINDS, NeighborhoodSpec, WeightMatrix, build_weight_matrix
 
 # Re-draw a period's graph at most this many times when it comes out too
@@ -107,20 +109,22 @@ class SimResult:
 
 
 def draw_disturbances(
-    W: np.ndarray, rho: float, sigma: float, rng: np.random.Generator, size: int = 1
+    W: WeightMatrix | np.ndarray, rho: float, sigma: float, rng: np.random.Generator, size: int = 1
 ) -> np.ndarray:
     """Draw `size` disturbance vectors u = (I - rho W)^{-1} eps.
 
     Returns a (size, n) array; this is the exact law the estimator assumes,
-    with covariance sigma^2 (I - rho W)^{-1} (I - rho W')^{-1}.
+    with covariance sigma^2 (I - rho W)^{-1} (I - rho W')^{-1}.  A built
+    WeightMatrix solves for all draws at once through its factors, with no
+    n x n array; a plain-array W is solved densely.  eps is drawn first, so
+    the random stream does not depend on which.
     """
-    if isinstance(W, WeightMatrix):
-        W = W.entries
-    W = np.asarray(W, dtype=float)
-    n = W.shape[0]
+    n = W.n if isinstance(W, WeightMatrix) else np.shape(W)[0]
     eps = rng.normal(0.0, sigma, size=(size, n))
-    A = np.eye(n) - rho * W
-    return np.linalg.solve(A, eps.T).T
+    if isinstance(W, WeightMatrix) and W.factors is not None:
+        return W.factors.solve(rho, eps.T).T
+    entries = np.asarray(W.entries if isinstance(W, WeightMatrix) else W, dtype=float)
+    return np.linalg.solve(np.eye(n) - rho * entries, eps.T).T
 
 
 def _structure_context(spec: SimSpec, dyadic_map):
@@ -138,9 +142,15 @@ def simulate(spec: SimSpec) -> SimResult:
     Raises
     ------
     NetdisturbError
-        If |rho| falls outside the spectral interval of some period's
-        realized weight matrix; re-run with a smaller |rho|.
+        If rho is outside (-1, 1); re-run with a smaller |rho|.
     """
+    # Every row of a built W sums to 1 or 0, so each |eigenvalue| <= 1 and
+    # I - rho W is invertible for every period exactly when |rho| < 1.
+    if not -1.0 < spec.rho < 1.0:
+        raise NetdisturbError(
+            f"rho={spec.rho} outside the interval (-1, 1) where I - rho W is "
+            f"invertible for every row-normalized W; choose a smaller |rho|"
+        )
     rng = np.random.default_rng(spec.seed)
     nodes = [f"N{k:03d}" for k in range(spec.n_nodes)]
     first_period = 1
@@ -173,16 +183,12 @@ def simulate(spec: SimSpec) -> SimResult:
     angles = rng.uniform(0.0, 2.0 * math.pi, spec.n_nodes)
     radii = radius * np.sqrt(rng.uniform(0.0, 1.0, spec.n_nodes))
     xy = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    distance_values = {}
-    alliance_values = {}
-    for a in range(spec.n_nodes):
-        for b in range(a + 1, spec.n_nodes):
-            distance_values[(nodes[a], nodes[b], first_period)] = float(
-                np.hypot(*(xy[a] - xy[b]))
-            )
-            alliance_values[(nodes[a], nodes[b], first_period)] = float(
-                rng.uniform() < spec.alliance_prob
-            )
+    first, second = np.triu_indices(spec.n_nodes, k=1)
+    pairs = [(nodes[a], nodes[b], first_period) for a, b in zip(first, second)]
+    distances = np.hypot(*(xy[first] - xy[second]).T)
+    allied = rng.uniform(size=len(pairs)) < spec.alliance_prob
+    distance_values = dict(zip(pairs, distances.tolist()))
+    alliance_values = dict(zip(pairs, allied.astype(float).tolist()))
     dyadic = [
         DyadicSeries(name="alliance", symmetric=True, values=alliance_values),
         DyadicSeries(name="distance", symmetric=True, values=distance_values),
@@ -225,14 +231,7 @@ def simulate(spec: SimSpec) -> SimResult:
             provisional, index, nodal, dyadic, recipe=recipe, lag=spec.lag
         )
         W = build_weight_matrix(spec.structure, index, context)
-        spect = spectrum(W)
-        if not spect.rho_lower < spec.rho < spect.rho_upper:
-            raise NetdisturbError(
-                f"period {period}: rho={spec.rho} outside the spectral interval "
-                f"({spect.rho_lower:.6g}, {spect.rho_upper:.6g}) of the realized "
-                f"weight matrix; choose a smaller |rho|"
-            )
-        u = draw_disturbances(W.entries, spec.rho, spec.sigma, rng, size=1)[0]
+        u = draw_disturbances(W, spec.rho, spec.sigma, rng, size=1)[0]
         y = design.rows @ np.asarray(spec.beta) + u
         # exp(y) must stay a normal positive double, or the flow values
         # would degenerate to 0 or inf.
@@ -254,7 +253,7 @@ def simulate(spec: SimSpec) -> SimResult:
         weight_mats[period] = W
         truth_periods[period] = {
             "n_flows": index.n,
-            "rho_bounds": [spect.rho_lower, spect.rho_upper],
+            "rho_bounds": [-1.0, 1.0],
         }
 
     truth = {

@@ -40,9 +40,9 @@ where E corrects what U C U' counts wrongly:
                                                the reverse flow twice)
 
 :class:`WeightFactors` holds these factors and is the one operator for a
-built W: it evaluates W v in O(n + N^2) per column and log|det(I - rho W)|
-in O(n + N^3), with no n x n work, and forms the dense entries from the
-same factors only when they are asked for.
+built W: it evaluates W v in O(n + N^2) per column, and log|det(I - rho W)|
+and (I - rho W)^-1 v in O(n + N^3), with no n x n work, and forms the dense
+entries from the same factors only when they are asked for.
 """
 
 from __future__ import annotations
@@ -197,8 +197,21 @@ class WeightFactors:
     determinant vanishes inside (-1, 1) (a flow with one or two neighbours)
     keeps identity rows in B; its part of E joins the core as extra rows
     and columns, one per flow, whose entries do not depend on rho.  With
-    E = 0 the whole core is fixed and is built once.  All this is prepared
-    on the first :meth:`log_det` call: a W only multiplied never pays for it.
+    E = 0 the whole core is fixed and is built once.
+
+    :meth:`solve` gives (I - rho W)^-1 v from the same B(rho) and core by
+    the Woodbury identity.  Let U~ be U with one more column per core flow
+    (its indicator), C~ be C bordered by E's rows and columns over the core
+    flows, and core = C~ U~' B^-1 D+ U~, the matrix :meth:`log_det` takes
+    the determinant of.  Then
+
+        (I - rho W)^-1 v = B^-1 v + rho B^-1 D+ U~ (I - rho core)^-1 C~ U~' B^-1 v,
+
+    and B^-1 = I + rho B^-1 D+ E (E without the core flows' rows) needs only
+    the per-flow entries of B^-1 D+.  A solve for k columns costs
+    O(n k + N^2 k) plus one dense solve with the core, and forms no n x n
+    matrix.  All this is prepared on the first :meth:`log_det` or
+    :meth:`solve` call: a W only multiplied never pays for it.
     """
 
     def __init__(self, relation: AnchorRelation, related: np.ndarray):
@@ -208,13 +221,21 @@ class WeightFactors:
         self._own = np.divide(1.0, self.counts, out=np.zeros_like(self.counts), where=self.counts > 0)
         self._border = None
 
+    def _gather(self, v) -> np.ndarray:
+        """U' v for v of shape (n, k): v summed over each anchor node's flows."""
+        size, k = self._C.shape[0], v.shape[1]
+        cells = [(x[:, None] * k + np.arange(k)).ravel() for x in self._relation.anchors]
+        return sum(np.bincount(c, v.ravel(), minlength=size * k) for c in cells).reshape(size, k)
+
+    def _mates(self, v) -> np.ndarray:
+        """R v for v of shape (n, k): each flow's reverse-flow row, 0 where it has none."""
+        return np.where(self._relation.paired[:, None], v[self._relation.partner], 0.0)
+
     def _spread(self, v) -> np.ndarray:
-        """(U C U' + E) v for v of shape (n, k); U' v sums v per anchor node."""
-        r, size = self._relation, self._C.shape[0]
-        grouped = [sum(np.bincount(x, column, minlength=size) for x in r.anchors) for column in v.T]
-        reach = self._C @ np.column_stack(grouped)
-        mates = np.where(r.paired[:, None], v[r.partner], 0.0)
-        return sum(reach[x] for x in r.anchors) + r.correction[0] * v + r.correction[1] * mates
+        """(U C U' + E) v for v of shape (n, k)."""
+        r = self._relation
+        reach = self._C @ self._gather(v)
+        return sum(reach[x] for x in r.anchors) + r.correction[0] * v + r.correction[1] * self._mates(v)
 
     def __matmul__(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -245,6 +266,7 @@ class WeightFactors:
         in_core = lowest < _BLOCK_DET_FLOOR
         e_self = np.where(in_core, 0.0, float(self_term))
         e_reverse = np.where(in_core | ~paired, 0.0, float(reverse_term))
+        self._e_self, self._e_reverse = e_self, e_reverse
         self._self_own = e_self * own
         self._self_other = e_self * other
         self._reverse = e_reverse * own * other
@@ -256,7 +278,7 @@ class WeightFactors:
         )
         self._identity = np.array_equal(self._related, np.eye(size, dtype=bool))
 
-        core = np.flatnonzero(in_core)
+        core = self._core_flows = np.flatnonzero(in_core)
         slot = np.full(n, -1)
         slot[core] = np.arange(core.size)
         spread = np.zeros((size, core.size))
@@ -282,23 +304,48 @@ class WeightFactors:
         core[:size, :size] = gram if self._identity else self._C @ gram
         return core
 
-    def log_det(self, rho: float) -> float:
-        """log|det(I - rho W)| for -1 < rho < 1; -inf where it is singular."""
+    def _blocks(self, rho: float):
+        """log|det B(rho)|, B^-1 D+'s diagonal and reverse entries per flow, and I - rho core."""
         if self._border is None:
             self._prepare()
-        if self._fixed is not None:
-            core, outer = self._fixed, 0.0
+        if self._fixed is None:
+            first = 1.0 - rho * self._self_other
+            det = (1.0 - rho * self._self_own) * first - rho * rho * self._reverse_sq
+            diag, off = first * self._own / det, rho * self._reverse / det
+            core, outer = self._core(diag, off), float(self._halves @ np.log(np.abs(det)))
         else:
-            det = (1.0 - rho * self._self_own) * (1.0 - rho * self._self_other)
-            det -= rho * rho * self._reverse_sq
-            core = self._core(
-                (1.0 - rho * self._self_other) * self._own / det, rho * self._reverse / det
-            )
-            outer = float(self._halves @ np.log(np.abs(det)))
+            # E = 0 outside the core: B = I, and self._reverse is all zero.
+            diag, off, core, outer = self._own, self._reverse, self._fixed, 0.0
         matrix = -rho * core
         matrix.flat[:: len(matrix) + 1] += 1.0
+        return outer, diag, off, matrix
+
+    def log_det(self, rho: float) -> float:
+        """log|det(I - rho W)| for -1 < rho < 1; -inf where it is singular."""
+        outer, _, _, matrix = self._blocks(rho)
         _, inner = np.linalg.slogdet(matrix)
         return outer + float(inner)
+
+    def solve(self, rho: float, v) -> np.ndarray:
+        """(I - rho W)^-1 v for -1 < rho < 1 and v of shape (n,) or (n, k)."""
+        _, diag, off, matrix = self._blocks(rho)
+        r, size = self._relation, self._C.shape[0]
+        columns = np.asarray(v, dtype=float).reshape(len(v), -1)
+
+        def scaled(w):  # B^-1 D+ w
+            return diag[:, None] * w + off[:, None] * w[r.partner]
+
+        corrected = self._e_self[:, None] * columns + self._e_reverse[:, None] * columns[r.partner]
+        blocked = columns + rho * scaled(corrected)
+        core = self._core_flows
+        right = np.vstack([
+            self._C @ self._gather(blocked),
+            (r.correction[0] * blocked + r.correction[1] * self._mates(blocked))[core],
+        ])
+        inner = np.linalg.solve(matrix, right)
+        spread = sum(inner[x] for x in r.anchors)
+        spread[core] += inner[size:]
+        return (columns + rho * scaled(corrected + spread)).reshape(np.shape(v))
 
 
 def neighborhood(

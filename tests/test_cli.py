@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netdisturb
 from netdisturb import ConfigError
 from netdisturb.cli import (
     load_run_config,
@@ -282,3 +287,14 @@ class TestPipeline:
                 "W gives no flow a neighbour",
             }
         ]
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # Every CLI command starts a fresh interpreter, and importing
+    # scipy.stats costs it about half a second and 20 MB.
+    env = dict(os.environ, PYTHONPATH=str(Path(netdisturb.__file__).parents[1]))
+    code = "import sys, netdisturb.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert done.stdout.strip() == "False"

@@ -2,11 +2,12 @@
 
 A weight matrix from build_weight_matrix carries its factors W = D+ (U C U'
 + E); W @ v and sem's log|det(I - rho W)| come from them.  These property
-tests compare those paths with the dense entries, a dense slogdet of
-I - rho W and a fit on the plain entries (the eigenvalue path), over random
-flow sets, all seven kinds and symmetric and asymmetric dyadic series.  One
-more test checks that fitting, scanning and diagnosing a built W never
-forms its n x n entries.
+tests compare those paths, and the factored solve of (I - rho W) u = v,
+with the dense entries, a dense slogdet and solve of I - rho W and a fit on
+the plain entries (the eigenvalue path), over random flow sets, all seven
+kinds and symmetric and asymmetric dyadic series.  Two more tests check
+that fitting, scanning and diagnosing a built W, and simulating from one,
+never form its n x n entries.
 """
 
 import tracemalloc
@@ -20,10 +21,12 @@ from netdisturb import (
     FlowIndex,
     NeighborhoodSpec,
     SemProblem,
+    SimSpec,
     build_weight_matrix,
     fit,
     log_det,
     scan_cutoffs,
+    simulate,
     spectrum,
     tradecorr_residuals,
 )
@@ -154,6 +157,20 @@ def test_product_matches_entries(W, seed):
         np.testing.assert_allclose(W @ v, W.entries @ v, rtol=0.0, atol=1e-12)
 
 
+@PROPERTY
+@given(weight_matrices(), RHOS, st.integers(0, 2**32 - 1))
+def test_solve_matches_dense_solve(W, rho, seed):
+    # RHOS holds -1/2, where the blocks of flows with one neighbour each
+    # (a lone reciprocal pair under the attached kinds) are singular and
+    # those flows are solved in the core.
+    rng = np.random.default_rng(seed)
+    dense = np.eye(W.n) - rho * W.entries
+    for v in (rng.standard_normal(W.n), rng.standard_normal((W.n, 3))):
+        np.testing.assert_allclose(
+            W.factors.solve(rho, v), np.linalg.solve(dense, v), rtol=0.0, atol=1e-10
+        )
+
+
 def test_fit_scan_and_diagnostics_never_form_entries():
     # About 3000 flows over 60 nodes: one n x n float64 is 72 MB, so a peak
     # below a tenth of it rules out any dense W along the way.
@@ -175,3 +192,27 @@ def test_fit_scan_and_diagnostics_never_form_entries():
     finally:
         tracemalloc.stop()
     assert peak < index.n**2 * 8 / 10
+
+
+def test_simulate_never_forms_entries():
+    # About 3000 flows (60 nodes at density 0.85) in one period: one n x n
+    # float64 is 72 MB, and the dense solve allocated three of them.
+    spec = SimSpec(
+        n_nodes=60,
+        n_periods=1,
+        density=0.85,
+        structure=NeighborhoodSpec("full_activity"),
+        rho=0.5,
+        beta=(1.0, 2.0, -1.0),
+        sigma=1.0,
+        seed=5,
+    )
+    tracemalloc.start()
+    try:
+        result = simulate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = result.indices[1].n
+    assert n > 2900
+    assert peak < n**2 * 8 / 10
