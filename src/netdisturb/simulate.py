@@ -8,8 +8,7 @@ resulting flows, draws eps ~ N(0, sigma^2 I), solves
 
 and packages everything in the same types the ingestion path produces.
 The solve goes through W's factors (:meth:`WeightFactors.solve`), so no
-n x n matrix is formed; any -1 < rho < 1 is admissible, as every built W
-is row normalized.
+n x n matrix is formed.
 Covariate series are standard normal per node and period, alliances are
 symmetric Bernoulli indicators, and node positions are uniform on a disk
 so capital-style pairwise distances exist for the distance structures.
@@ -45,6 +44,7 @@ from .panel import (
     write_edge_csv,
     write_roster_csv,
 )
+from .sem import spectrum
 from .weights import ALLIANCE_KINDS, DISTANCE_KINDS, NeighborhoodSpec, WeightMatrix, build_weight_matrix
 
 # Re-draw a period's graph at most this many times when it comes out too
@@ -142,15 +142,9 @@ def simulate(spec: SimSpec) -> SimResult:
     Raises
     ------
     NetdisturbError
-        If rho is outside (-1, 1); re-run with a smaller |rho|.
+        If |rho| falls outside the spectral interval of some period's
+        realized weight matrix; re-run with a smaller |rho|.
     """
-    # Every row of a built W sums to 1 or 0, so each |eigenvalue| <= 1 and
-    # I - rho W is invertible for every period exactly when |rho| < 1.
-    if not -1.0 < spec.rho < 1.0:
-        raise NetdisturbError(
-            f"rho={spec.rho} outside the interval (-1, 1) where I - rho W is "
-            f"invertible for every row-normalized W; choose a smaller |rho|"
-        )
     rng = np.random.default_rng(spec.seed)
     nodes = [f"N{k:03d}" for k in range(spec.n_nodes)]
     first_period = 1
@@ -231,6 +225,13 @@ def simulate(spec: SimSpec) -> SimResult:
             provisional, index, nodal, dyadic, recipe=recipe, lag=spec.lag
         )
         W = build_weight_matrix(spec.structure, index, context)
+        spect = spectrum(W)
+        if not spect.rho_lower < spec.rho < spect.rho_upper:
+            raise NetdisturbError(
+                f"period {period}: rho={spec.rho} outside the spectral interval "
+                f"({spect.rho_lower:.6g}, {spect.rho_upper:.6g}) of the realized "
+                f"weight matrix; choose a smaller |rho|"
+            )
         u = draw_disturbances(W, spec.rho, spec.sigma, rng, size=1)[0]
         y = design.rows @ np.asarray(spec.beta) + u
         # exp(y) must stay a normal positive double, or the flow values
@@ -253,7 +254,7 @@ def simulate(spec: SimSpec) -> SimResult:
         weight_mats[period] = W
         truth_periods[period] = {
             "n_flows": index.n,
-            "rho_bounds": [-1.0, 1.0],
+            "rho_bounds": [spect.rho_lower, spect.rho_upper],
         }
 
     truth = {
