@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,28 +25,39 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
+@contextmanager
+def csv_writer(path, header):
+    """A csv.writer on a new file at `path` (parents created), header written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        yield writer
+
+
+def write_csv(path, header, rows) -> None:
+    with csv_writer(path, header) as writer:
         for row in rows:
             writer.writerow([fmt(cell) for cell in row])
 
 
 def read_csv(path, expected_header, error):
-    """Read a CSV with a fixed header into ``(path, [(lineno, cells)])``.
+    """Read a CSV with a fixed header into ``(path, linenos, columns)``.
 
-    Blank lines are skipped and cells stripped.  ``error`` is the exception
-    class raised for an unreadable or empty file, a wrong header or a row
-    with the wrong number of fields.
+    ``columns`` holds one list of cells per header field and ``linenos``
+    the file line of each row.  Blank lines are skipped and cells stripped.
+    ``error`` is the exception class raised for an unreadable or empty
+    file, a wrong header or a row with the wrong number of fields.
     """
     path = Path(path)
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise error(f"cannot open {path}: {exc}") from None
+    width = len(expected_header)
+    columns = tuple([] for _ in expected_header)
+    linenos = array("q")
     with fh:
         reader = csv.reader(fh)
         try:
@@ -56,17 +69,16 @@ def read_csv(path, expected_header, error):
                 f"{path}: expected header {','.join(expected_header)!r}, "
                 f"got {','.join(header)!r}"
             )
-        rows = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
                 continue
-            if len(row) != len(expected_header):
-                raise error(
-                    f"{path}:{lineno}: expected {len(expected_header)} fields, "
-                    f"got {len(row)}"
-                )
-            rows.append((lineno, [cell.strip() for cell in row]))
-    return path, rows
+            if len(cells) != width:
+                raise error(f"{path}:{lineno}: expected {width} fields, got {len(cells)}")
+            for column, cell in zip(columns, cells):
+                column.append(cell)
+            linenos.append(lineno)
+    return path, linenos, columns
 
 
 def json_ready(obj):

@@ -13,20 +13,26 @@ trailing gaps.  Lookups beyond a series' observed span fall back to the
 nearest endpoint (constant extrapolation) and are reported with a warning;
 dyadic lookups at a period with no entry use the dyad's nearest recorded
 period, which carries e.g. a last-known alliance status forward.
+
+A dyadic series is held as arrays (node codes, period, value per record)
+and is read through one node x node table per period, which resolves the
+nearest-period rule for every dyad at once; the design's ``dyadic`` role,
+the alliance and distance weight structures and :meth:`DyadicSeries.lookup`
+all read that table.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import repeat
 
 import numpy as np
 
-from ._serialize import fmt, read_csv
+from ._serialize import csv_writer, fmt, read_csv
 from .errors import CovariateError
 from .panel import FlowIndex, NetworkSnapshot
 
@@ -55,17 +61,6 @@ class NodalSeries:
 
     def nodes(self) -> set[str]:
         return set(self._spans)
-
-    def observed(self, node: str) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted (periods, values) pairs with a finite value for `node`."""
-        pairs = sorted(
-            (period, value)
-            for (n, period), value in self.values.items()
-            if n == node and not math.isnan(value)
-        )
-        periods = np.array([p for p, _ in pairs], dtype=float)
-        vals = np.array([v for _, v in pairs], dtype=float)
-        return periods, vals
 
     def lookup(self, node: str, period: int) -> tuple[float, bool]:
         """Value at (node, period); second element flags span extrapolation.
@@ -104,80 +99,193 @@ def impute_linear(series: NodalSeries) -> NodalSeries:
     CovariateError
         If some node carries only missing values.
     """
+    by_node: dict[str, list[tuple[int, float]]] = {}
+    for (node, period), value in series.values.items():
+        by_node.setdefault(node, []).append((period, value))
     filled: dict[tuple[str, int], float] = {}
-    recorded: dict[str, list[int]] = {}
-    for node, period in series.values:
-        recorded.setdefault(node, []).append(period)
-    for node in sorted(recorded):
-        periods, vals = series.observed(node)
-        if periods.size == 0:
+    for node in sorted(by_node):
+        records = by_node[node]
+        observed = sorted((p, v) for p, v in records if not math.isnan(v))
+        if not observed:
             raise CovariateError(
                 f"series {series.name!r}: node {node!r} has no observed values"
             )
+        periods, vals = np.array(observed, dtype=float).T
+        recorded = [p for p, _ in records]
         # Cover every recorded period, observed or missing; np.interp clamps
         # to the end values outside the observed range, which is exactly the
         # nearest-value rule for leading/trailing gaps.
-        full = np.arange(min(recorded[node]), max(recorded[node]) + 1)
+        full = np.arange(min(recorded), max(recorded) + 1)
         interp = np.interp(full, periods, vals)
         for period, value in zip(full, interp):
             filled[(node, int(period))] = float(value)
     return NodalSeries(name=series.name, values=filled)
 
 
-@dataclass(frozen=True)
 class DyadicSeries:
-    """One named per-dyad time series (optionally symmetric).
+    """One named per-dyad time series (optionally symmetric), held as arrays.
 
-    ``default`` supplies a value for dyads absent from the data (natural
-    for sparse indicators such as alliances, where unlisted pairs mean 0);
-    leaving it ``None`` makes absent dyads an error.
+    The series keeps its sorted node names ``nodes`` and one entry per
+    record in four aligned arrays: ``node_a`` and ``node_b`` (codes, i.e.
+    positions in ``nodes``), ``period`` and ``value``.  Records with a NaN
+    value are kept, so :attr:`values` and :func:`write_dyadic_csv` return
+    them, but no reader ever sees them.
+
+    Readers go through :meth:`table`: for one period it holds every dyad's
+    value by the nearest-period rule (the latest recorded period at or
+    before it, otherwise the earliest after it), and it is built once and
+    cached.  A symmetric series reads (a, b) and (b, a) as one dyad and
+    rejects two records of it that disagree in one period.  ``default``
+    supplies a value for dyads absent from the data (natural for sparse
+    indicators such as alliances, where unlisted pairs mean 0); leaving it
+    ``None`` makes absent dyads an error.
+
+    ``DyadicSeries(name, symmetric, values)`` reads a dict
+    ``{(node_a, node_b, period): value}`` once into the arrays;
+    :meth:`from_arrays` takes the arrays directly.
     """
 
-    name: str
-    symmetric: bool
-    values: dict[tuple[str, str, int], float]
-    default: float | None = None
+    def __init__(self, name: str, symmetric: bool, values, default: float | None = None):
+        keys = list(values)
+        nodes = sorted({node for a, b, _ in keys for node in (a, b)})
+        pos = {node: k for k, node in enumerate(nodes)}
+        self._setup(
+            name, symmetric, default, nodes,
+            [pos[a] for a, _, _ in keys], [pos[b] for _, b, _ in keys],
+            [t for _, _, t in keys], list(values.values()),
+        )
 
-    def __post_init__(self):
-        table: dict[tuple[str, str], dict[int, float]] = {}
-        for (a, b, period), value in self.values.items():
-            if math.isnan(value):
-                continue
-            key = self._key(a, b)
-            prior = table.setdefault(key, {}).get(period)
-            if prior is not None and prior != value:
-                raise CovariateError(
-                    f"series {self.name!r}: conflicting values for "
-                    f"({a}, {b}) at period {period}: {prior} vs {value}"
-                )
-            table[key][period] = value
-        periods = {key: sorted(vals) for key, vals in table.items()}
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_periods", periods)
+    @classmethod
+    def from_arrays(
+        cls, name, symmetric, nodes, node_a, node_b, period, value, default=None
+    ) -> DyadicSeries:
+        """A series from node names and aligned record arrays.
 
-    def _key(self, a: str, b: str) -> tuple[str, str]:
-        if self.symmetric and b < a:
-            return (b, a)
-        return (a, b)
+        ``node_a`` and ``node_b`` are positions in ``nodes``, which need
+        not be sorted; records keep the given order for error messages.
+        """
+        order = sorted(range(len(nodes)), key=nodes.__getitem__)
+        recode = np.empty(len(nodes), np.int32)
+        recode[order] = np.arange(len(nodes))
+        series = cls.__new__(cls)
+        series._setup(
+            name, symmetric, default, [nodes[k] for k in order],
+            recode[np.asarray(node_a)], recode[np.asarray(node_b)], period, value,
+        )
+        return series
+
+    def _setup(self, name, symmetric, default, nodes, a, b, period, value) -> None:
+        """Store the records sorted by dyad, then period; reject conflicts."""
+        self.name, self.symmetric, self.default = name, symmetric, default
+        a, b = np.asarray(a, np.int32), np.asarray(b, np.int32)
+        period, value = np.asarray(period, np.int64), np.asarray(value, float)
+        self.nodes = tuple(nodes)
+        self._pos = {node: k for k, node in enumerate(self.nodes)}
+        self._tables: dict[int, np.ndarray] = {}
+        missing = np.isnan(value)
+        lo, hi = self._dyads(a, b)
+        # NaN records go last; np.lexsort is stable, so records of one dyad
+        # and period keep their input order.
+        order = np.lexsort((period, hi, lo, missing))
+        self.node_a, self.node_b, self.period, self.value = a[order], b[order], period[order], value[order]
+        f = self._finite = int(value.size - missing.sum())
+        lo, hi, period, value = lo[order][:f], hi[order][:f], self.period[:f], self.value[:f]
+        clash = 1 + np.flatnonzero(
+            (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+            & (period[1:] == period[:-1]) & (value[1:] != value[:-1])
+        )
+        if clash.size:
+            # The first clash in input order, against the record before it.
+            k = clash[np.argmin(order[clash])]
+            raise CovariateError(
+                f"series {name!r}: conflicting values for "
+                f"({self.nodes[self.node_a[k]]}, {self.nodes[self.node_b[k]]}) at period "
+                f"{int(period[k])}: {float(value[k - 1])} vs {float(value[k])}"
+            )
+
+    def _dyads(self, a, b):
+        """Each record's dyad: (a, b), or for a symmetric series its sorted pair."""
+        return (np.minimum(a, b), np.maximum(a, b)) if self.symmetric else (a, b)
+
+    @property
+    def values(self) -> dict[tuple[str, str, int], float]:
+        """The records as ``{(node_a, node_b, period): value}``, NaN ones included."""
+        nodes = self.nodes
+        return {
+            (nodes[a], nodes[b], t): v
+            for a, b, t, v in zip(
+                self.node_a.tolist(), self.node_b.tolist(),
+                self.period.tolist(), self.value.tolist(),
+            )
+        }
+
+    @functools.cached_property
+    def _index(self):
+        """What :meth:`table` searches, built on its first call.
+
+        The sorted recorded periods; per finite record the key
+        dyad * P + rank of its period (P periods), ascending; and per dyad
+        its first record and its (a, b) codes.
+        """
+        f = self._finite
+        lo, hi = self._dyads(self.node_a[:f], self.node_b[:f])
+        first = np.ones(f, dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        periods, rank = np.unique(self.period[:f], return_inverse=True)
+        keys = (np.cumsum(first) - 1) * periods.size + rank
+        starts = np.flatnonzero(first)
+        return periods.tolist(), keys, starts, lo[starts], hi[starts]
+
+    def table(self, period: int) -> np.ndarray:
+        """Every dyad's value at `period`, as a read-only node x node array.
+
+        Entry [x, y] holds dyad (nodes[x], nodes[y]).  The array has one
+        more row and column than ``nodes``, the fill for a node the series
+        does not hold (code -1 from :meth:`codes`).  A dyad without records
+        reads ``default``, or NaN when there is none.  Periods between the
+        same two recorded periods share one cached table.
+        """
+        periods, keys, starts, lo, hi = self._index
+        k = max(bisect_right(periods, period) - 1, 0)
+        table = self._tables.get(k)
+        if table is None:
+            # Each dyad's last record at or before periods[k], else its first.
+            last = np.searchsorted(keys, np.arange(starts.size) * len(periods) + k, side="right") - 1
+            picked = self.value[np.maximum(last, starts)]
+            fill = math.nan if self.default is None else self.default
+            table = np.full((len(self.nodes) + 1,) * 2, fill, dtype=float)
+            table[lo, hi] = picked
+            if self.symmetric:
+                table[hi, lo] = picked
+            table.flags.writeable = False
+            self._tables[k] = table
+        return table
+
+    def codes(self, names) -> np.ndarray:
+        """Each node's row and column in :meth:`table`; -1 (the fill) if absent."""
+        return np.fromiter(map(self._pos.get, names, repeat(-1)), np.intp, len(names))
+
+    def _no_data(self, a, b) -> CovariateError:
+        return CovariateError(f"series {self.name!r} has no data for pair ({a}, {b})")
+
+    def check(self, values: np.ndarray, pair_at) -> np.ndarray:
+        """`values` read from :meth:`table`, or an error for a dyad without data.
+
+        Without a default, the first NaN entry in C order raises
+        CovariateError naming its dyad, ``pair_at(index tuple)``.
+        """
+        if self.default is None:
+            missing = np.isnan(values)
+            if missing.any():
+                raise self._no_data(*pair_at(np.unravel_index(np.argmax(missing), values.shape)))
+        return values
 
     def lookup(self, a: str, b: str, period: int) -> float:
         """Value for dyad (a, b) at `period`, nearest recorded period if absent."""
-        key = self._key(a, b)
-        by_period = self._table.get(key)
-        if not by_period:
-            if self.default is not None:
-                return self.default
-            raise CovariateError(
-                f"series {self.name!r} has no data for pair ({a}, {b})"
-            )
-        if period in by_period:
-            return by_period[period]
-        periods = self._periods[key]
-        at = bisect_right(periods, period)
-        # Prefer the latest value before `period` (carry forward), fall back
-        # to the earliest one after it.
-        nearest = periods[at - 1] if at > 0 else periods[0]
-        return by_period[nearest]
+        value = float(self.table(period)[self._pos.get(a, -1), self._pos.get(b, -1)])
+        if math.isnan(value) and self.default is None:
+            raise self._no_data(a, b)
+        return value
 
 
 @dataclass(frozen=True)
@@ -301,34 +409,46 @@ def build_design(
             extrapolated.add((term.series, node))
         return value
 
+    def log_error(term, value, who):
+        return CovariateError(
+            f"log of nonpositive {term.series!r} value {value} for {who} at period {t}"
+        )
+
+    def dyadic_column(term):
+        series = dyadic_map.get(term.series)
+        if series is None:
+            raise CovariateError(f"no dyadic series named {term.series!r}")
+        col = series.table(t)[series.codes(index.senders), series.codes(index.receivers)]
+        if term.transform != "log":
+            return series.check(col, lambda k: index.dyads[k[0]])
+        # A missing pair before the first nonpositive value is reported first.
+        bad = np.flatnonzero(col <= 0)
+        series.check(col[: bad[0] if bad.size else None], lambda k: index.dyads[k[0]])
+        if bad.size:
+            raise log_error(term, float(col[bad[0]]), "({}, {})".format(*index.dyads[bad[0]]))
+        return np.fromiter(map(math.log, col.tolist()), float, col.size)
+
     columns = []
     names = []
     if intercept:
         columns.append(np.ones(index.n))
         names.append("intercept")
     for term in recipe:
+        if term.role == "dyadic":
+            columns.append(dyadic_column(term))
+            names.append(term.column_name)
+            continue
         col = np.empty(index.n)
         for a, (sender, receiver) in enumerate(index.dyads):
             if term.role == "sender":
                 value = nodal_value(term, sender)
             elif term.role == "receiver":
                 value = nodal_value(term, receiver)
-            elif term.role == "abs_diff":
-                value = abs(nodal_value(term, sender) - nodal_value(term, receiver))
             else:
-                series = dyadic_map.get(term.series)
-                if series is None:
-                    raise CovariateError(f"no dyadic series named {term.series!r}")
-                value = series.lookup(sender, receiver, t)
+                value = abs(nodal_value(term, sender) - nodal_value(term, receiver))
             if term.transform == "log":
                 if value <= 0:
-                    who = f"({sender}, {receiver})" if term.role == "dyadic" else (
-                        sender if term.role == "sender" else receiver
-                    )
-                    raise CovariateError(
-                        f"log of nonpositive {term.series!r} value {value} "
-                        f"for {who} at period {t}"
-                    )
+                    raise log_error(term, value, sender if term.role == "sender" else receiver)
                 value = math.log(value)
             col[a] = value
         columns.append(col)
@@ -350,20 +470,36 @@ def build_design(
     )
 
 
-def _parse_value(path, lineno, text):
+def _value(text: str) -> float:
+    """A value cell: empty, ``NA`` or ``NaN`` (any case) mark a missing value."""
     if text == "" or text.upper() in ("NA", "NAN"):
         return math.nan
+    return float(text)
+
+
+def _parse_column(cells, parse, dtype) -> tuple[np.ndarray, int]:
+    """``cells`` parsed into an array, and the position of the first bad cell.
+
+    That position is ``len(cells)`` when every cell parses; otherwise the
+    array holds the cells before it.
+    """
     try:
-        return float(text)
-    except ValueError:
-        raise CovariateError(f"{path}:{lineno}: bad value {text!r}") from None
+        return np.fromiter(map(parse, cells), dtype, len(cells)), len(cells)
+    except (ValueError, OverflowError):
+        parsed = []
+        for cell in cells:
+            try:
+                parsed.append(np.array(parse(cell), dtype))
+            except (ValueError, OverflowError):
+                break
+        return np.array(parsed, dtype), len(parsed)
 
 
 def load_nodal_csv(path, name: str) -> NodalSeries:
     """Read a nodal series CSV with header ``node,period,value``."""
-    path, rows = read_csv(path, NODAL_HEADER, CovariateError)
+    path, linenos, columns = read_csv(path, NODAL_HEADER, CovariateError)
     values = {}
-    for lineno, (node, period, value) in rows:
+    for lineno, node, period, value in zip(linenos, *columns):
         try:
             t = int(period)
         except ValueError:
@@ -371,43 +507,63 @@ def load_nodal_csv(path, name: str) -> NodalSeries:
         key = (node, t)
         if key in values:
             raise CovariateError(f"{path}:{lineno}: duplicate entry for {key}")
-        values[key] = _parse_value(path, lineno, value)
+        try:
+            values[key] = _value(value)
+        except ValueError:
+            raise CovariateError(f"{path}:{lineno}: bad value {value!r}") from None
     return NodalSeries(name=name, values=values)
 
 
 def load_dyadic_csv(
     path, name: str, symmetric: bool, default: float | None = None
 ) -> DyadicSeries:
-    """Read a dyadic series CSV with header ``node_a,node_b,period,value``."""
-    path, rows = read_csv(path, DYADIC_HEADER, CovariateError)
-    values = {}
-    for lineno, (a, b, period, value) in rows:
-        try:
-            t = int(period)
-        except ValueError:
-            raise CovariateError(f"{path}:{lineno}: bad period {period!r}") from None
-        key = (a, b, t)
-        if key in values:
+    """Read a dyadic series CSV with header ``node_a,node_b,period,value``.
+
+    The columns are parsed whole into arrays.  Errors name the first bad
+    row, and on one row a bad period before a repeated (node_a, node_b,
+    period) entry before a bad value.
+    """
+    path, linenos, (col_a, col_b, col_period, col_value) = read_csv(
+        path, DYADIC_HEADER, CovariateError
+    )
+    n = len(linenos)
+    nodes = sorted(set(col_a).union(col_b))
+    pos = {node: k for k, node in enumerate(nodes)}
+    a = np.fromiter(map(pos.__getitem__, col_a), np.int32, n)
+    b = np.fromiter(map(pos.__getitem__, col_b), np.int32, n)
+    period, bad_period = _parse_column(col_period, int, np.int64)
+    value, bad_value = _parse_column(col_value, _value, float)
+    # The first repeat of an (a, b, period) entry among rows with a period.
+    order = np.lexsort((period, b[:bad_period], a[:bad_period]))
+    key = np.column_stack((a[order], b[order], period[order]))
+    repeats = order[1:][(key[1:] == key[:-1]).all(axis=1)]
+    duplicate = int(repeats.min()) if repeats.size else n
+    first = min(bad_period, duplicate, bad_value)
+    if first < n:
+        lineno = linenos[first]
+        if first == bad_period:
+            raise CovariateError(f"{path}:{lineno}: bad period {col_period[first]!r}")
+        if first == duplicate:
+            key = (col_a[first], col_b[first], int(period[first]))
             raise CovariateError(f"{path}:{lineno}: duplicate entry for {key}")
-        values[key] = _parse_value(path, lineno, value)
-    return DyadicSeries(name=name, symmetric=symmetric, values=values, default=default)
+        raise CovariateError(f"{path}:{lineno}: bad value {col_value[first]!r}")
+    return DyadicSeries.from_arrays(name, symmetric, nodes, a, b, period, value, default)
 
 
 def write_nodal_csv(path, series: NodalSeries) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(NODAL_HEADER)
+    with csv_writer(path, NODAL_HEADER) as writer:
         for (node, period), value in sorted(series.values.items()):
             writer.writerow([node, period, fmt(value)])
 
 
 def write_dyadic_csv(path, series: DyadicSeries) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DYADIC_HEADER)
-        for (a, b, period), value in sorted(series.values.items()):
-            writer.writerow([a, b, period, fmt(value)])
+    """Write the records sorted by (node_a, node_b, period), NaN ones included."""
+    order = np.lexsort((series.period, series.node_b, series.node_a))
+    name = series.nodes.__getitem__
+    with csv_writer(path, DYADIC_HEADER) as writer:
+        writer.writerows(zip(
+            map(name, series.node_a[order].tolist()),
+            map(name, series.node_b[order].tolist()),
+            series.period[order].tolist(),
+            map(fmt, series.value[order].tolist()),
+        ))

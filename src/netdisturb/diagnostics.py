@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ._serialize import write_csv
+from ._serialize import csv_writer, write_csv
 from .errors import EstimationError
 from .panel import FlowIndex
 from .sem import DEGENERATE_SIGMA2, SemFit
@@ -154,12 +155,15 @@ def write_hist_csv(path, hist: HistogramData) -> None:
 
 
 def write_kde_csv(path, curves) -> None:
-    rows = [
-        (curve.node_id, curve.grid[k], curve.density[k])
-        for curve in curves
-        for k in range(curve.grid.size)
-    ]
-    write_csv(path, ("node", "x", "density"), rows)
+    """`node,x,density` rows, written curve by curve with 17 significant digits."""
+    digits = "%.17g".__mod__  # format(x, ".17g"), as write_csv writes floats
+    with csv_writer(path, ("node", "x", "density")) as writer:
+        for curve in curves:
+            writer.writerows(zip(
+                repeat(curve.node_id),
+                map(digits, curve.grid.tolist()),
+                map(digits, curve.density.tolist()),
+            ))
 
 
 def write_tradecorr_csv(path, items) -> None:

@@ -13,13 +13,11 @@ exist by construction; a flow is present only when something was traded.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._serialize import fmt, read_csv
+from ._serialize import csv_writer, fmt, read_csv
 from .errors import PanelError
 
 EDGE_HEADER = ("period", "sender", "receiver", "value")
@@ -192,9 +190,9 @@ def _parse_float(path, lineno, field, text):
 
 def load_roster(path) -> NodeRoster:
     """Read a roster CSV with header ``node,active_from,active_to``."""
-    path, rows = read_csv(path, ROSTER_HEADER, PanelError)
+    path, linenos, columns = read_csv(path, ROSTER_HEADER, PanelError)
     entries = []
-    for lineno, (node, frm, to) in rows:
+    for lineno, node, frm, to in zip(linenos, *columns):
         entries.append(
             RosterEntry(
                 node_id=node,
@@ -224,10 +222,10 @@ def load_panel(edge_path, roster_path) -> list[NetworkSnapshot]:
         One snapshot per distinct period, sorted by period.
     """
     roster = load_roster(roster_path)
-    path, rows = read_csv(edge_path, EDGE_HEADER, PanelError)
+    path, linenos, columns = read_csv(edge_path, EDGE_HEADER, PanelError)
     by_period: dict[int, list[Flow]] = {}
     seen: set[tuple[int, str, str]] = set()
-    for lineno, (period_t, sender, receiver, value_t) in rows:
+    for lineno, period_t, sender, receiver, value_t in zip(linenos, *columns):
         period = _parse_int(path, lineno, "period", period_t)
         value = _parse_float(path, lineno, "value", value_t)
         if value <= 0:
@@ -260,11 +258,7 @@ def load_panel(edge_path, roster_path) -> list[NetworkSnapshot]:
 
 def write_edge_csv(path, snapshots) -> None:
     """Write snapshots back to the edge CSV format (exact round-trip)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EDGE_HEADER)
+    with csv_writer(path, EDGE_HEADER) as writer:
         for snapshot in snapshots:
             for flow in snapshot.flows:
                 writer.writerow(
@@ -273,10 +267,6 @@ def write_edge_csv(path, snapshots) -> None:
 
 
 def write_roster_csv(path, roster: NodeRoster) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ROSTER_HEADER)
+    with csv_writer(path, ROSTER_HEADER) as writer:
         for entry in roster.entries:
             writer.writerow([entry.node_id, entry.active_from, entry.active_to])

@@ -178,14 +178,12 @@ def simulate(spec: SimSpec) -> SimResult:
     radii = radius * np.sqrt(rng.uniform(0.0, 1.0, spec.n_nodes))
     xy = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     first, second = np.triu_indices(spec.n_nodes, k=1)
-    pairs = [(nodes[a], nodes[b], first_period) for a, b in zip(first, second)]
+    periods = np.full(first.size, first_period)
     distances = np.hypot(*(xy[first] - xy[second]).T)
-    allied = rng.uniform(size=len(pairs)) < spec.alliance_prob
-    distance_values = dict(zip(pairs, distances.tolist()))
-    alliance_values = dict(zip(pairs, allied.astype(float).tolist()))
+    allied = rng.uniform(size=first.size) < spec.alliance_prob
     dyadic = [
-        DyadicSeries(name="alliance", symmetric=True, values=alliance_values),
-        DyadicSeries(name="distance", symmetric=True, values=distance_values),
+        DyadicSeries.from_arrays("alliance", True, nodes, first, second, periods, allied.astype(float)),
+        DyadicSeries.from_arrays("distance", True, nodes, first, second, periods, distances),
     ]
     dyadic_map = {series.name: series for series in dyadic}
     context = _structure_context(spec, dyadic_map)

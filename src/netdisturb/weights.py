@@ -15,15 +15,16 @@ member predicate over another flow (p, q) is
 Each structure is one :class:`AnchorRelation` over a period's flows: the
 roles that anchor a flow (its sender s, its receiver r, or both), a node
 relation C over the anchor nodes, and, for the attached kinds, the reverse
-flow (j, i).  C is the identity for the activity kinds, lookup(anchor,
-partner) != 0 for the alliance kinds and lookup(anchor, partner) < cutoff
-for the distance kinds; the last two are false on the diagonal, as no node
-is its own ally or close neighbour.  Flow b neighbours flow a when
-C[x(a), y(b)] holds for some roles x and y, or when b is a's reverse flow.
-A flow is never its own neighbour (a nonzero diagonal would break the
-disturbance model).  Weights are uniform within a neighbourhood:
-W[a, b] = 1/|N(a)| for neighbours, 0 otherwise, so each row sums to 1, or
-to 0 when the neighbourhood is empty (such flows receive no spillover).
+flow (j, i).  With d the dyadic series' table at the period, C is the
+identity for the activity kinds, d(anchor, partner) != 0 for the alliance
+kinds and d(anchor, partner) < cutoff for the distance kinds; the last two
+are false on the diagonal, as no node is its own ally or close neighbour.
+Flow b neighbours flow a when C[x(a), y(b)] holds for some roles x and y,
+or when b is a's reverse flow.  A flow is never its own neighbour (a
+nonzero diagonal would break the disturbance model).  Weights are uniform
+within a neighbourhood: W[a, b] = 1/|N(a)| for neighbours, 0 otherwise,
+so each row sums to 1, or to 0 when the neighbourhood is empty (such flows
+receive no spillover).
 
 The same relation factors W exactly.  With U the n x N sum over the roles
 of each flow's one-hot anchor position, C the thresholded node relation,
@@ -130,10 +131,11 @@ class AnchorRelation:
 
     ``anchors`` holds, per role, each flow's anchor as a position in the
     period's sorted anchor nodes: U's nonzero columns.  ``table`` is N x N
-    over those nodes: the identity, or the dyadic lookups at (anchor,
-    partner) with a diagonal of 0 for alliances and infinity for distances,
-    so no node relates to itself.  The table is read once and thresholded
-    per cutoff, so the Moran scan reuses one relation along its grid.
+    over those nodes: the identity, or the dyadic series' table for the
+    period (:meth:`DyadicSeries.table`) taken at (anchor, partner), with a
+    diagonal of 0 for alliances and infinity for distances, so no node
+    relates to itself.  The table is read once and thresholded per cutoff,
+    so the Moran scan reuses one relation along its grid.
     ``partner`` maps each flow to its reverse flow where E holds R (the
     attached kinds and full_activity), else to itself, and ``paired``
     marks the flows that have one; ``correction`` is E's (self, reverse)
@@ -152,13 +154,11 @@ class AnchorRelation:
         elif dyadic is None:
             raise WeightError(f"{relation} data required but no dyadic series given")
         else:
-            diagonal = np.inf if relation == "distance" else 0.0
-            self.table = np.full((len(nodes), len(nodes)), diagonal)
+            pos = dyadic.codes(nodes)
+            self.table = dyadic.table(index.period)[np.ix_(pos, pos)]
+            np.fill_diagonal(self.table, np.inf if relation == "distance" else 0.0)
             try:
-                for x, anchor in enumerate(nodes):
-                    for y, partner in enumerate(nodes):
-                        if x != y:
-                            self.table[x, y] = dyadic.lookup(anchor, partner, index.period)
+                dyadic.check(self.table, lambda xy: (nodes[xy[0]], nodes[xy[1]]))
             except CovariateError as exc:
                 raise WeightError(str(exc)) from None
         rows = [a for a, (i, j) in enumerate(index.dyads) if self.correction[1] and (j, i) in index]

@@ -268,3 +268,134 @@ class TestCsvIO:
         path.write_text("a,b,t,v\n", encoding="utf-8")
         with pytest.raises(CovariateError, match="expected header"):
             load_dyadic_csv(path, "alliance", symmetric=True)
+
+
+DYADIC_CSV_HEADER = "node_a,node_b,period,value\n"
+
+
+def dyadic_file(tmp_path, body, name="alliance.csv"):
+    path = tmp_path / name
+    path.write_text(DYADIC_CSV_HEADER + body, encoding="utf-8")
+    return path
+
+
+def error_text(call, *args, **kwargs):
+    with pytest.raises(CovariateError) as info:
+        call(*args, **kwargs)
+    return str(info.value)
+
+
+class TestLoaderMessages:
+    """The exact text of every loader error, and the row that names it."""
+
+    def test_duplicate_dyadic_entry(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,1,1\nA,B,1,1\n")
+        message = error_text(load_dyadic_csv, path, "alliance", symmetric=True)
+        assert message == f"{path}:3: duplicate entry for ('A', 'B', 1)"
+
+    def test_duplicate_after_blank_line_keeps_file_line_number(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,1,1\n\n , \nA,B,1,0\n")
+        message = error_text(load_dyadic_csv, path, "alliance", symmetric=False)
+        assert message == f"{path}:5: duplicate entry for ('A', 'B', 1)"
+
+    def test_bad_period(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,1,1\nA,C,1.0,1\n")
+        message = error_text(load_dyadic_csv, path, "alliance", symmetric=True)
+        assert message == f"{path}:3: bad period '1.0'"
+
+    def test_bad_nodal_period(self, tmp_path):
+        path = tmp_path / "gdp.csv"
+        path.write_text("node,period,value\nA,x,1\n", encoding="utf-8")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:2: bad period 'x'"
+
+    def test_bad_value(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,1,1\nA,C,1,abc\n")
+        message = error_text(load_dyadic_csv, path, "alliance", symmetric=True)
+        assert message == f"{path}:3: bad value 'abc'"
+
+    def test_bad_nodal_value(self, tmp_path):
+        path = tmp_path / "gdp.csv"
+        path.write_text("node,period,value\nA,1,1\nA,2,1..5\n", encoding="utf-8")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:3: bad value '1..5'"
+
+    def test_first_bad_row_wins(self, tmp_path):
+        # Row 3 has a bad value, row 4 a bad period and row 5 repeats row 2.
+        path = dyadic_file(tmp_path, "A,B,1,1\nA,C,1,x\nA,D,y,1\nA,B,1,1\n")
+        message = error_text(load_dyadic_csv, path, "alliance", symmetric=True)
+        assert message == f"{path}:3: bad value 'x'"
+
+    def test_period_checked_before_value_on_one_row(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,1,1\nA,C,y,x\n")
+        message = error_text(load_dyadic_csv, path, "alliance", symmetric=True)
+        assert message == f"{path}:3: bad period 'y'"
+
+    def test_duplicate_checked_before_value_on_one_row(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,1,1\nA,B,1,x\n")
+        message = error_text(load_dyadic_csv, path, "alliance", symmetric=True)
+        assert message == f"{path}:3: duplicate entry for ('A', 'B', 1)"
+
+    def test_wrong_field_count(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,1,1\nA,C,1\n")
+        message = error_text(load_dyadic_csv, path, "alliance", symmetric=True)
+        assert message == f"{path}:3: expected 4 fields, got 3"
+
+    def test_field_count_checked_before_any_parse(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,x,1\nA,C,1,1,1\n")
+        message = error_text(load_dyadic_csv, path, "alliance", symmetric=True)
+        assert message == f"{path}:3: expected 4 fields, got 5"
+
+    def test_missing_markers_and_int_float_syntax(self, tmp_path):
+        path = dyadic_file(
+            tmp_path,
+            "A,B,1,NA\nA,B,2,\nA,B,3,nan\nA,B,4,NaN\n A , B , +5 , 1_0.5 \nA,C,0_7,-inf\n",
+        )
+        series = load_dyadic_csv(path, "x", symmetric=False)
+        values = series.values
+        assert all(math.isnan(values[("A", "B", t)]) for t in (1, 2, 3, 4))
+        assert values[("A", "B", 5)] == 10.5
+        assert values[("A", "C", 7)] == -math.inf
+        # NaN records are kept but never looked up: every period reads period 5.
+        assert [series.lookup("A", "B", t) for t in (0, 3, 5, 9)] == [10.5] * 4
+
+    def test_symmetric_conflict_from_csv(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,1,1\nC,A,1,2.5\nB,A,2,1\nB,A,1,0\nA,C,1,3\n")
+        message = error_text(load_dyadic_csv, path, "alliance", symmetric=True)
+        assert message == "series 'alliance': conflicting values for (B, A) at period 1: 1.0 vs 0.0"
+
+    def test_symmetric_pair_may_repeat_an_equal_or_missing_value(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,1,1\nB,A,1,1\nA,C,1,NA\nC,A,1,4\n")
+        series = load_dyadic_csv(path, "alliance", symmetric=True)
+        assert series.lookup("B", "A", 1) == 1.0
+        assert series.lookup("A", "C", 1) == 4.0
+
+    def test_absent_node_without_default(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,1,100\n", name="distance.csv")
+        series = load_dyadic_csv(path, "distance", symmetric=True)
+        assert error_text(series.lookup, "A", "Z", 1) == "series 'distance' has no data for pair (A, Z)"
+        assert error_text(series.lookup, "Z", "Y", 1) == "series 'distance' has no data for pair (Z, Y)"
+        snapshot = NetworkSnapshot(period=1, flows=(Flow("A", "B", 1.0), Flow("Z", "A", 1.0)))
+        message = error_text(
+            build_design, snapshot, index_flows(snapshot), [], [series],
+            (CovariateTerm("distance", "dyadic"),), lag=0,
+        )
+        assert message == "series 'distance' has no data for pair (Z, A)"
+
+    def test_absent_node_with_default(self, tmp_path):
+        path = dyadic_file(tmp_path, "A,B,1,1\n")
+        series = load_dyadic_csv(path, "alliance", symmetric=True, default=0.0)
+        assert series.lookup("A", "Z", 1) == 0.0
+        assert series.lookup("Z", "Y", 7) == 0.0
+        snapshot = NetworkSnapshot(period=3, flows=(Flow("A", "B", 1.0), Flow("Z", "A", 1.0)))
+        design = build_design(
+            snapshot, index_flows(snapshot), [], [series], (CovariateTerm("alliance", "dyadic"),), lag=0
+        )
+        np.testing.assert_array_equal(design.rows[:, 1], [1.0, 0.0])
+
+    def test_log_error_before_later_missing_pair(self):
+        series = DyadicSeries("trade", False, {("A", "B", 1): -2.0})
+        snapshot = NetworkSnapshot(period=1, flows=(Flow("A", "B", 1.0), Flow("B", "A", 1.0)))
+        message = error_text(
+            build_design, snapshot, index_flows(snapshot), [], [series],
+            (CovariateTerm("trade", "dyadic", "log"),), lag=0,
+        )
+        assert message == "log of nonpositive 'trade' value -2.0 for (A, B) at period 1"
