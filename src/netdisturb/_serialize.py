@@ -26,11 +26,18 @@ def fmt(value) -> str:
 
 
 @contextmanager
-def csv_writer(path, header):
-    """A csv.writer on a new file at `path` (parents created), header written."""
+def open_text(path):
+    """A new UTF-8 text file at `path` (parents created), newlines untranslated."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        yield fh
+
+
+@contextmanager
+def csv_writer(path, header):
+    """A csv.writer on a new file at `path` (parents created), header written."""
+    with open_text(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         yield writer

@@ -17,6 +17,16 @@ record the SHA-256 of every input file under its config key, so a manifest
 identifies the data as well as the config.  Reruns with the same config,
 inputs and seed produce byte-identical artifacts.
 
+`fit` stores every fit under ``--out``, and its ``fit_report.json`` carries
+a ``fingerprint`` of the run: the package version, the config's SHA-256
+and the same ``input_sha256`` the manifest records.  `select`,
+`scan-cutoff` (the ``rho0`` residuals) and `diagnose` read the fits they
+need from there when that fingerprint matches their own run, the report
+lists the same periods and every candidate they need, and each stored fit
+reads back; a pair the report lists as failed stays failed.  Otherwise they
+compute the fits as `fit` does, so every command also runs on its own, with
+the same output either way.
+
 Config keys (run commands)
 --------------------------
 edges, roster            input CSV paths
@@ -47,7 +57,9 @@ Simulation spec keys: n_nodes, n_periods, density, structure, rho, beta
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import json
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -87,7 +99,14 @@ from .selection import (
     write_report_json,
     write_weights_csv,
 )
-from .sem import SemProblem, fit, fit_ols, write_coefficients_csv, write_fit_json
+from .sem import (
+    SemProblem,
+    fit,
+    fit_from_dict,
+    fit_ols,
+    write_coefficients_csv,
+    write_fit_json,
+)
 from .simulate import SimSpec, simulate, write_sim_csvs
 from .weights import (
     ALLIANCE_KINDS,
@@ -223,6 +242,24 @@ class RunConfig:
     scan_grid: np.ndarray
     smooth_window: int
     diagnose_structure: NeighborhoodSpec | None = None
+
+    @functools.cached_property
+    def fingerprint(self) -> dict:
+        """What the run's fits depend on: package version, config and input hashes.
+
+        The input hashes are keyed by config key (``edges``,
+        ``nodal.<name>``, ...), not by path, so a rerun from another
+        directory gives the same bytes.  Each file is hashed once per
+        RunConfig.
+        """
+        inputs = {"edges": self.edges, "roster": self.roster}
+        inputs.update({f"nodal.{name}": path for name, path in self.nodal.items()})
+        inputs.update({f"dyadic.{name}": entry.path for name, entry in self.dyadic.items()})
+        return {
+            "package_version": __version__,
+            "config_sha256": self.config_sha256,
+            "input_sha256": {key: _sha256(path) for key, path in sorted(inputs.items())},
+        }
 
 
 def _parse_bool(text: str) -> bool:
@@ -380,18 +417,11 @@ def _write_manifest(
 
 
 def _write_run_manifest(config: RunConfig, command: str, **fields) -> None:
-    """A run command's manifest, with the SHA-256 of every input file.
-
-    The hashes are keyed by config key (``edges``, ``nodal.<name>``, ...),
-    not by path, so a rerun from another directory writes the same bytes.
-    """
-    inputs = {"edges": config.edges, "roster": config.roster}
-    inputs.update({f"nodal.{name}": path for name, path in config.nodal.items()})
-    inputs.update({f"dyadic.{name}": entry.path for name, entry in config.dyadic.items()})
+    """A run command's manifest, with the SHA-256 of every input file."""
     _write_manifest(
         config.out, command, config.config_path, config.config_sha256,
         seed=config.seed, jobs=config.jobs,
-        input_sha256={key: _sha256(path) for key, path in sorted(inputs.items())},
+        input_sha256=config.fingerprint["input_sha256"],
         **fields,
     )
 
@@ -459,31 +489,31 @@ def _structure_context(structure: NeighborhoodSpec, config, dyadic_map):
     return dyadic_map[name]
 
 
+def _weight_matrix(config, data: PeriodData, structure, dyadic_map):
+    context = _structure_context(structure, config, dyadic_map)
+    return build_weight_matrix(structure, data.index, context)
+
+
 def _fit_one(config, data: PeriodData, candidate, dyadic_map):
     if candidate == OLS_CANDIDATE:
-        return fit_ols(SemProblem(y=data.y, X=data.design)), None
-    context = _structure_context(candidate, config, dyadic_map)
-    weight = build_weight_matrix(candidate, data.index, context)
+        return fit_ols(SemProblem(y=data.y, X=data.design))
+    weight = _weight_matrix(config, data, candidate, dyadic_map)
     problem = SemProblem(y=data.y, X=data.design, W=weight)
-    return fit(problem, interval=config.rho_interval), weight
+    return fit(problem, interval=config.rho_interval)
 
 
-def _run_fits(config, prepared, dyadic_map):
+def _run_fits(config, prepared, dyadic_map, candidates):
     """Fit every (period, candidate); returns (fits, failures).
 
     Each weight matrix is dropped once its fit returns.
     """
-    tasks = [
-        (period, candidate)
-        for period in sorted(prepared)
-        for candidate in config.candidates
-    ]
+    tasks = [(period, candidate) for period in sorted(prepared) for candidate in candidates]
 
     def run(task):
         period, candidate = task
-        cand_id = candidate if isinstance(candidate, str) else candidate.structure_id
+        cand_id = _candidate_id(candidate)
         try:
-            result, _ = _fit_one(config, prepared[period], candidate, dyadic_map)
+            result = _fit_one(config, prepared[period], candidate, dyadic_map)
             return period, cand_id, result, None
         except ConfigError:
             raise
@@ -506,17 +536,68 @@ def _run_fits(config, prepared, dyadic_map):
     return fits, failures
 
 
+def _stored_fits(config, periods, candidates):
+    """The fits `fit` stored in ``config.out`` for this run, or None.
+
+    None unless ``fit_report.json`` carries this run's fingerprint, the
+    same periods and every one of ``candidates``, and each stored fit of
+    theirs reads back.  Only the candidates' own files are read.
+    """
+    ids = [_candidate_id(candidate) for candidate in candidates]
+    try:
+        report = json.loads((config.out / "fit_report.json").read_text(encoding="utf-8"))
+        if (
+            report["fingerprint"] != config.fingerprint
+            or report["periods_fitted"] != periods
+            or not set(ids) <= set(report["candidates"])
+        ):
+            return None
+        failed = {(f["period"], f["structure"]): f["error"] for f in report["failures"]}
+        fits, failures = {}, []
+        for period in periods:
+            for cand_id in ids:
+                if (period, cand_id) in failed:
+                    failures.append(
+                        {"period": period, "structure": cand_id, "error": failed[period, cand_id]}
+                    )
+                    continue
+                path = config.out / "fits" / cand_id / f"period_{period}.json"
+                payload = json.loads(path.read_text(encoding="utf-8"))
+                fits[period, cand_id] = fit_from_dict(payload)
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+    return fits, failures
+
+
+def _fits(config, prepared, dyadic_map, candidates):
+    """(fits, failures) of every prepared period under each of ``candidates``.
+
+    Read from the artifacts of a `fit` of this same run when there are any
+    (see :func:`_stored_fits`), computed by :func:`_run_fits` otherwise;
+    both give the same fits and the same failure texts.
+    """
+    stored = _stored_fits(config, sorted(prepared), candidates)
+    if stored is not None:
+        return stored
+    return _run_fits(config, prepared, dyadic_map, candidates)
+
+
+def _candidate_id(candidate) -> str:
+    return candidate if isinstance(candidate, str) else candidate.structure_id
+
+
 def candidate_ids(config) -> list[str]:
-    return [
-        candidate if isinstance(candidate, str) else candidate.structure_id
-        for candidate in config.candidates
-    ]
+    return [_candidate_id(candidate) for candidate in config.candidates]
 
 
 def cmd_fit(config: RunConfig) -> int:
+    # Hash the inputs before reading them, and drop the old report before
+    # any fit file is rewritten, so a report never vouches for other data.
+    fingerprint = config.fingerprint
+    (config.out / "fit_report.json").unlink(missing_ok=True)
     panel, nodal, dyadic_map = _load_inputs(config)
     prepared, skipped = _prepare_periods(config, panel, nodal, dyadic_map)
-    fits, failures = _run_fits(config, prepared, dyadic_map)
+    fits, failures = _run_fits(config, prepared, dyadic_map, config.candidates)
 
     for cand_id in candidate_ids(config):
         directory = config.out / "fits" / cand_id
@@ -537,6 +618,7 @@ def cmd_fit(config: RunConfig) -> int:
             "skipped_periods": skipped,
             "failures": failures,
             "candidates": candidate_ids(config),
+            "fingerprint": fingerprint,
         },
     )
     _write_run_manifest(config, "fit")
@@ -552,7 +634,7 @@ def cmd_fit(config: RunConfig) -> int:
 def cmd_select(config: RunConfig) -> int:
     panel, nodal, dyadic_map = _load_inputs(config)
     prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
-    fits, failures = _run_fits(config, prepared, dyadic_map)
+    fits, failures = _fits(config, prepared, dyadic_map, config.candidates)
     try:
         failed = {(f["period"], f["structure"]): f["error"] for f in failures}
         report = select(fits, structures=candidate_ids(config), failures=failed)
@@ -583,7 +665,10 @@ def cmd_scan(config: RunConfig) -> int:
             f"scan needs dyadic series {config.distance_series!r}; add a "
             f"dyadic.{config.distance_series} entry to the config"
         )
-    residuals = {t: fit_ols(SemProblem(y=d.y, X=d.design)).u_hat for t, d in prepared.items()}
+    fits, failures = _fits(config, prepared, dyadic_map, [OLS_CANDIDATE])
+    if failures:
+        raise NetdisturbError(failures[0]["error"])
+    residuals = {t: fits[t, OLS_CANDIDATE].u_hat for t in prepared}
     indices = {t: d.index for t, d in prepared.items()}
     scan = scan_cutoffs(
         residuals,
@@ -606,21 +691,21 @@ def cmd_diagnose(config: RunConfig) -> int:
     panel, nodal, dyadic_map = _load_inputs(config)
     prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
 
+    fits, fit_failures = _fits(config, prepared, dyadic_map, [structure])
+    failed = {f["period"]: f["error"] for f in fit_failures}
     pooled = []
     tradecorr_items = []
     failures = []
     for period in sorted(prepared):
-        data = prepared[period]
-        try:
-            result, weight = _fit_one(config, data, structure, dyadic_map)
-        except ConfigError:
-            raise
-        except NetdisturbError as exc:
-            failures.append({"period": period, "error": str(exc)})
+        if period in failed:
+            failures.append({"period": period, "error": failed[period]})
             continue
+        result = fits[period, structure.structure_id]
         if not result.converged or result.degenerate:
             failures.append({"period": period, "error": "fit did not converge"})
             continue
+        data = prepared[period]
+        weight = _weight_matrix(config, data, structure, dyadic_map)
         pooled.append(standardized_residuals(result))
         tradecorr_items.append(tradecorr_residuals(result, weight, data.index))
 

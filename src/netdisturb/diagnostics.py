@@ -8,14 +8,17 @@ u_hat, each flow's value attributed to both of its endpoint nodes.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from ._serialize import csv_writer, write_csv
+# scipy.special is imported inside the functions that use it, so that a
+# CLI command that never reaches them does not pay for the import.
+
+from ._serialize import open_text, write_csv
 from .errors import EstimationError
 from .panel import FlowIndex
 from .sem import DEGENERATE_SIGMA2, SemFit
@@ -37,6 +40,8 @@ def qq_pairs(values) -> tuple[np.ndarray, np.ndarray]:
     Sorted values are paired with normal quantiles at probabilities
     (k - 0.5) / n for k = 1..n.
     """
+    from scipy.special import ndtri
+
     values = np.sort(np.asarray(values, dtype=float).ravel())
     n = values.size
     if n == 0:
@@ -60,6 +65,8 @@ def histogram(values) -> HistogramData:
     ``normal_ref`` holds the count a standard normal sample of the same
     size would put in each bin (n times the normal mass of the bin).
     """
+    from scipy.special import ndtr
+
     values = np.asarray(values, dtype=float).ravel()
     if values.size < 2:
         raise ValueError("need at least two values to bin")
@@ -155,15 +162,23 @@ def write_hist_csv(path, hist: HistogramData) -> None:
 
 
 def write_kde_csv(path, curves) -> None:
-    """`node,x,density` rows, written curve by curve with 17 significant digits."""
-    digits = "%.17g".__mod__  # format(x, ".17g"), as write_csv writes floats
-    with csv_writer(path, ("node", "x", "density")) as writer:
+    """`node,x,density` rows, written curve by curve with 17 significant digits.
+
+    Each curve's rows come from one format string: its node cell, quoted
+    once by csv.writer exactly as a row would quote it, then ``%.17g`` (the
+    digits write_csv gives a float) for x and density.
+    """
+    cell = io.StringIO()
+    quote = csv.writer(cell, lineterminator="\n")
+    with open_text(path) as fh:
+        fh.write("node,x,density\n")
         for curve in curves:
-            writer.writerows(zip(
-                repeat(curve.node_id),
-                map(digits, curve.grid.tolist()),
-                map(digits, curve.density.tolist()),
-            ))
+            cell.seek(0)
+            cell.truncate()
+            quote.writerow((curve.node_id, ""))  # "<node cell>,\n"
+            row = cell.getvalue()[:-1].replace("%", "%%") + "%.17g,%.17g\n"
+            pairs = zip(curve.grid.tolist(), curve.density.tolist())
+            fh.write("".join(map(row.__mod__, pairs)))
 
 
 def write_tradecorr_csv(path, items) -> None:

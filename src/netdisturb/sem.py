@@ -35,9 +35,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.optimize import minimize_scalar
-from scipy.special import ndtr
+
+# scipy is imported inside the functions that use it: every CLI command is
+# a fresh interpreter, and importing scipy.optimize and scipy.special would
+# cost one that never fits several times what numpy costs it.
 
 from ._serialize import write_csv, write_json
 from .covariates import DesignMatrix
@@ -206,6 +207,8 @@ def _require_full_rank(problem: SemProblem) -> None:
     X = problem.X
     if np.linalg.matrix_rank(X) == problem.p:
         return
+    from scipy.linalg import qr
+
     # Pivoted QR: columns past the numerical rank are the dependent ones.
     _, R, piv = qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
@@ -294,6 +297,8 @@ class SemFit:
 
 
 def _two_sided_p(estimate, se):
+    from scipy.special import ndtr
+
     if se is None or not np.all(np.isfinite(np.atleast_1d(se))):
         return np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -341,6 +346,8 @@ def fit(
         Among others when W has no nonzero entry: the profile is then flat
         and rho is not identified.
     """
+    from scipy.optimize import minimize_scalar
+
     cache = _ProfileCache(problem)
     spec = spectrum(problem.W, interval=interval)
     if not (_entries(problem.W) if spec.factors is None else spec.factors.counts).any():
@@ -477,6 +484,40 @@ def fit_to_dict(result: SemFit) -> dict:
         "column_names": list(result.column_names),
         "rho_bounds": result.rho_bounds,
     }
+
+
+def fit_from_dict(payload: dict) -> SemFit:
+    """The SemFit that :func:`fit_to_dict` mapped to ``payload``, after JSON.
+
+    JSON has no NaN or infinity, so each is written as null.  A null reads
+    back as NaN, except where a fit only ever puts one other value: an
+    infinite ``loglik`` is the +inf of a perfect fit, and its ``aic`` then
+    -inf; ``se_rho`` is None for a fit with no rho interval (``fit_ols``).
+    """
+
+    def number(value, missing=math.nan) -> float:
+        return missing if value is None else float(value)
+
+    def array(values) -> np.ndarray:
+        return np.array(values, dtype=float)  # None becomes NaN
+
+    bounds = payload["rho_bounds"]
+    return SemFit(
+        rho_hat=number(payload["rho_hat"]),
+        beta_hat=array(payload["beta_hat"]),
+        sigma2_hat=number(payload["sigma2_hat"]),
+        se_beta=array(payload["se_beta"]),
+        se_rho=None if bounds is None else number(payload["se_rho"]),
+        p_values=array(payload["p_values"]),
+        loglik=number(payload["loglik"], math.inf),
+        aic=number(payload["aic"], -math.inf),
+        u_hat=array(payload["u_hat"]),
+        eps_hat=array(payload["eps_hat"]),
+        converged=bool(payload["converged"]),
+        degenerate=bool(payload["degenerate"]),
+        column_names=tuple(payload["column_names"]),
+        rho_bounds=None if bounds is None else tuple(number(b) for b in bounds),
+    )
 
 
 def write_fit_json(path, result: SemFit) -> None:

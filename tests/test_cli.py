@@ -289,12 +289,137 @@ class TestPipeline:
         ]
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # Every CLI command starts a fresh interpreter, and importing
-    # scipy.stats costs it about half a second and 20 MB.
+SELECT_FILES = ("selection.json", "aggregated.csv", "weights.csv", "weights_smoothed.csv")
+SCAN_FILES = ("scan.csv", "scan.json")
+DIAGNOSE_FILES = ("qq.csv", "hist.csv", "kde.csv", "tradecorr.csv")
+
+
+def refuse_to_fit(*args, **kwargs):
+    raise AssertionError("a stored fit was computed again")
+
+
+class TestFitReuse:
+    """select, scan-cutoff and diagnose read the fits `fit` stored for the same run."""
+
+    def test_reuse_writes_the_bytes_of_a_fresh_run(self, workspace):
+        tmp_path, config_file = workspace
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["fit", "--config", str(config_file), "--out", str(reused)]) == 0
+        for command, names in (
+            ("select", SELECT_FILES), ("scan-cutoff", SCAN_FILES), ("diagnose", DIAGNOSE_FILES),
+        ):
+            for out in (reused, fresh):
+                assert main([command, "--config", str(config_file), "--out", str(out)]) == 0
+            for name in names:
+                assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert not (fresh / "fit_report.json").exists()
+
+    def test_stored_fits_are_not_computed_again(self, workspace, monkeypatch):
+        tmp_path, config_file = workspace
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(config_file), "--out", str(out)]) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert report["fingerprint"] == {
+            "package_version": netdisturb.__version__,
+            "config_sha256": manifest["config_sha256"],
+            "input_sha256": manifest["input_sha256"],
+        }
+        monkeypatch.setattr("netdisturb.cli.fit", refuse_to_fit)
+        monkeypatch.setattr("netdisturb.cli.fit_ols", refuse_to_fit)
+        for command in ("select", "scan-cutoff", "diagnose"):
+            assert main([command, "--config", str(config_file), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("edited", ["edges", "config"])
+    def test_an_edited_run_computes_its_fits(self, workspace, monkeypatch, edited):
+        tmp_path, config_file = workspace
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(config_file), "--out", str(out)]) == 0
+        # A trailing blank line or comment changes the file's hash, not its data.
+        path = config_file if edited == "config" else tmp_path / "data" / "edges.csv"
+        path.write_text(path.read_text() + ("# edited\n" if edited == "config" else "\n"))
+        calls = []
+        original = netdisturb.cli.fit
+        monkeypatch.setattr(
+            "netdisturb.cli.fit", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        assert main(["select", "--config", str(config_file), "--out", str(out)]) == 0
+        assert len(calls) == 3 * 4  # three spatial candidates, four periods
+
+    def test_a_listed_failure_stays_failed_over_a_stale_fit_file(self, workspace, monkeypatch):
+        tmp_path, config_file = workspace
+        text = config_file.read_text().replace(
+            "candidates = sender_attached, receiver_attached, full_activity, rho0",
+            "candidates = full_activity, distance_import:1",
+        )
+        config_file.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(config_file), "--out", str(out)]) == 0
+        # A fit file an older run might have left for a pair that now fails.
+        stale = out / "fits" / "distance_import@1" / "period_1.json"
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes((out / "fits" / "full_activity" / "period_1.json").read_bytes())
+        monkeypatch.setattr("netdisturb.cli.fit", refuse_to_fit)
+        assert main(["select", "--config", str(config_file), "--out", str(out)]) == 0
+        payload = json.loads((out / "selection.json").read_text())
+        assert payload["structures"] == ["full_activity"]
+        assert payload["dropped_structures"] == [
+            {
+                "structure": "distance_import@1",
+                "reason": "fit failed for distance_import@1: rho is not identified: "
+                "W gives no flow a neighbour",
+            }
+        ]
+
+    def test_scan_reports_a_failed_ols_fit_as_before(self, workspace, capsys):
+        # x3 is x1 under another name, so the design has two equal columns.
+        tmp_path, config_file = workspace
+        text = config_file.read_text().replace(
+            "recipe = x1:sender, x2:receiver", "nodal.x3 = data/x1.csv\nrecipe = x1:sender, x3:sender"
+        )
+        config_file.write_text(text, encoding="utf-8")
+        fitted, fresh = tmp_path / "fitted", tmp_path / "fresh"
+        assert main(["fit", "--config", str(config_file), "--out", str(fitted)]) == 0
+        capsys.readouterr()
+        errors = []
+        for out in (fitted, fresh):
+            code = main(["scan-cutoff", "--config", str(config_file), "--out", str(out)])
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: design matrix is rank deficient; collinear columns:")
+
+
+def run_fresh_interpreter(code, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(netdisturb.__file__).parents[1]))
-    code = "import sys, netdisturb.cli; print('scipy.stats' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special", "scipy.linalg"])
+def test_cli_import_leaves_scipy_module_out(module):
+    # Every CLI command starts a fresh interpreter, and a command pays for
+    # each of these imports only where it uses the module.
+    code = f"import sys, netdisturb.cli; print({module!r} in sys.modules)"
+    assert run_fresh_interpreter(code) == "False"
+
+
+@pytest.mark.parametrize("command", ["simulate", "select", "scan-cutoff"])
+def test_a_command_that_does_not_fit_leaves_scipy_fitting_modules_out(workspace, command):
+    tmp_path, config_file = workspace
+    if command == "simulate":
+        argv = ["simulate", "--spec", str(tmp_path / "sim.cfg"), "--out", str(tmp_path / "d2")]
+    else:
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(config_file), "--out", str(out)]) == 0
+        argv = [command, "--config", str(config_file), "--out", str(out)]
+    code = (
+        "import sys\n"
+        "from netdisturb.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])"
+    )
+    assert run_fresh_interpreter(code, *argv).splitlines()[-1] == "[]"

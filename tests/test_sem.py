@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -17,7 +19,7 @@ from netdisturb import (
     simulate,
     spectrum,
 )
-from netdisturb.sem import BOUNDARY_MARGIN, LOG_2PI
+from netdisturb.sem import BOUNDARY_MARGIN, LOG_2PI, fit_from_dict, write_fit_json
 
 from conftest import RECOVERY_TRUTH, random_row_normalized_w
 
@@ -380,3 +382,50 @@ class TestSemProblem:
             fit(problem)
         with pytest.raises(EstimationError, match="no weight matrix W"):
             profile_loglik(0.0, problem, spectrum(np.zeros((n, n))))
+
+
+class TestFitFromDict:
+    @staticmethod
+    def round_trip(fitted, tmp_path):
+        path = tmp_path / "fit.json"
+        write_fit_json(path, fitted)
+        return fit_from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+    @staticmethod
+    def assert_same_fit(read, original):
+        for field in dataclasses.fields(original):
+            a, b = getattr(read, field.name), getattr(original, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype, field.name
+                np.testing.assert_array_equal(a, b, err_msg=field.name)
+            elif isinstance(b, float) and math.isnan(b):
+                assert isinstance(a, float) and math.isnan(a), field.name
+            else:
+                assert type(a) is type(b) and a == b, field.name
+
+    def test_spatial_fit(self, tmp_path):
+        fitted = fit(random_problem(np.random.default_rng(60)))
+        assert math.isfinite(fitted.se_rho)
+        self.assert_same_fit(self.round_trip(fitted, tmp_path), fitted)
+
+    def test_ols_fit(self, tmp_path):
+        fitted = fit_ols(random_problem(np.random.default_rng(61)))
+        assert fitted.se_rho is None and fitted.rho_bounds is None
+        self.assert_same_fit(self.round_trip(fitted, tmp_path), fitted)
+
+    def test_degenerate_fits(self, tmp_path):
+        # A perfect fit: se_beta and se_rho are NaN or None, and an OLS
+        # fit's loglik and AIC are infinite, so the JSON holds nulls.
+        rng = np.random.default_rng(62)
+        n = 20
+        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        problem = SemProblem(y=X @ np.array([2.0, 3.0]), X=X, W=random_row_normalized_w(rng, n))
+        ols = fit_ols(problem)
+        assert ols.degenerate and ols.aic == -math.inf
+        spatial = fit(problem)
+        assert spatial.degenerate and math.isnan(spatial.se_rho)
+        for fitted in (ols, spatial):
+            assert np.isnan(fitted.se_beta).all()
+            self.assert_same_fit(self.round_trip(fitted, tmp_path), fitted)
+        written = json.loads((tmp_path / "fit.json").read_text(encoding="utf-8"))
+        assert written["se_rho"] is None and written["se_beta"] == [None, None]
