@@ -23,9 +23,10 @@ and the same ``input_sha256`` the manifest records.  `select`,
 `scan-cutoff` (the ``rho0`` residuals) and `diagnose` read the fits they
 need from there when that fingerprint matches their own run, the report
 lists the same periods and every candidate they need, and each stored fit
-reads back; a pair the report lists as failed stays failed.  Otherwise they
-compute the fits as `fit` does, so every command also runs on its own, with
-the same output either way.
+reads back; a pair the report lists as failed stays failed.  `select` only
+hashes the input files, and parses none, when the fits are stored.
+Otherwise they compute the fits as `fit` does, so every command also runs
+on its own, with the same output either way.
 
 Config keys (run commands)
 --------------------------
@@ -42,7 +43,7 @@ candidates               comma list of structure ids; a distance structure
                          the independent-errors (OLS) candidate
 alliance_series          dyadic series used by alliance structures
 distance_series          dyadic series used by distance structures and scans
-rho_interval             unit | spectral (default unit)
+rho_interval             unit only (default): rho is searched over (-1, 1)
 scan_direction           import | export (default import)
 scan_grid                start:stop:step in km (default 0:20000:100)
 smooth_window            odd moving-average window for weights (default 5;
@@ -234,7 +235,6 @@ class RunConfig:
     candidates: list
     alliance_series: str
     distance_series: str
-    rho_interval: str
     out: Path
     seed: int
     jobs: int
@@ -338,8 +338,11 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
         raise ConfigError("config is missing required key 'recipe'")
 
     rho_interval = values.get("rho_interval", "unit")
-    if rho_interval not in ("unit", "spectral"):
-        raise ConfigError(f"rho_interval must be unit or spectral, got {rho_interval!r}")
+    if rho_interval != "unit":
+        raise ConfigError(
+            f"rho_interval {rho_interval!r}: the spectral policy was removed; rho is "
+            f"searched over (-1, 1), so rho_interval must be unit or left out"
+        )
     scan_direction = values.get("scan_direction", "import")
     if scan_direction not in ("import", "export"):
         raise ConfigError(f"scan_direction must be import or export, got {scan_direction!r}")
@@ -370,7 +373,6 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
         candidates=candidates,
         alliance_series=values.get("alliance_series", "alliance"),
         distance_series=values.get("distance_series", "distance"),
-        rho_interval=rho_interval,
         out=Path(out) if out is not None else resolve(values.get("out", "out")),
         seed=seed if seed is not None else _parse_typed(values, "seed", int, 0),
         jobs=jobs if jobs is not None else _parse_typed(values, "jobs", int, 1),
@@ -499,7 +501,7 @@ def _fit_one(config, data: PeriodData, candidate, dyadic_map):
         return fit_ols(SemProblem(y=data.y, X=data.design))
     weight = _weight_matrix(config, data, candidate, dyadic_map)
     problem = SemProblem(y=data.y, X=data.design, W=weight)
-    return fit(problem, interval=config.rho_interval)
+    return fit(problem)
 
 
 def _run_fits(config, prepared, dyadic_map, candidates):
@@ -536,16 +538,21 @@ def _run_fits(config, prepared, dyadic_map, candidates):
     return fits, failures
 
 
-def _stored_fits(config, periods, candidates):
-    """The fits `fit` stored in ``config.out`` for this run, or None.
+def _stored_fits(config, candidates, periods=None):
+    """The (fits, failures) `fit` stored in ``config.out`` for this run, or None.
 
-    None unless ``fit_report.json`` carries this run's fingerprint, the
-    same periods and every one of ``candidates``, and each stored fit of
-    theirs reads back.  Only the candidates' own files are read.
+    None unless ``fit_report.json`` carries this run's fingerprint, lists
+    ``periods`` (any periods when None: the fingerprint vouches for the
+    ones the report lists) and every one of ``candidates``, and each stored
+    fit of theirs reads back.  Only the candidates' own files are read.
+    Where it gives fits, :func:`_run_fits` gives the same fits and the
+    same failure texts.
     """
     ids = [_candidate_id(candidate) for candidate in candidates]
     try:
         report = json.loads((config.out / "fit_report.json").read_text(encoding="utf-8"))
+        if periods is None:
+            periods = report["periods_fitted"]
         if (
             report["fingerprint"] != config.fingerprint
             or report["periods_fitted"] != periods
@@ -567,19 +574,6 @@ def _stored_fits(config, periods, candidates):
     except (OSError, ValueError, LookupError, TypeError):
         return None
     return fits, failures
-
-
-def _fits(config, prepared, dyadic_map, candidates):
-    """(fits, failures) of every prepared period under each of ``candidates``.
-
-    Read from the artifacts of a `fit` of this same run when there are any
-    (see :func:`_stored_fits`), computed by :func:`_run_fits` otherwise;
-    both give the same fits and the same failure texts.
-    """
-    stored = _stored_fits(config, sorted(prepared), candidates)
-    if stored is not None:
-        return stored
-    return _run_fits(config, prepared, dyadic_map, candidates)
 
 
 def _candidate_id(candidate) -> str:
@@ -632,9 +626,13 @@ def cmd_fit(config: RunConfig) -> int:
 
 
 def cmd_select(config: RunConfig) -> int:
-    panel, nodal, dyadic_map = _load_inputs(config)
-    prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
-    fits, failures = _fits(config, prepared, dyadic_map, config.candidates)
+    # Stored fits need neither the inputs nor the periods' designs.
+    stored = _stored_fits(config, config.candidates)
+    if stored is None:
+        panel, nodal, dyadic_map = _load_inputs(config)
+        prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
+        stored = _run_fits(config, prepared, dyadic_map, config.candidates)
+    fits, failures = stored
     try:
         failed = {(f["period"], f["structure"]): f["error"] for f in failures}
         report = select(fits, structures=candidate_ids(config), failures=failed)
@@ -665,7 +663,9 @@ def cmd_scan(config: RunConfig) -> int:
             f"scan needs dyadic series {config.distance_series!r}; add a "
             f"dyadic.{config.distance_series} entry to the config"
         )
-    fits, failures = _fits(config, prepared, dyadic_map, [OLS_CANDIDATE])
+    fits, failures = _stored_fits(config, [OLS_CANDIDATE], sorted(prepared)) or _run_fits(
+        config, prepared, dyadic_map, [OLS_CANDIDATE]
+    )
     if failures:
         raise NetdisturbError(failures[0]["error"])
     residuals = {t: fits[t, OLS_CANDIDATE].u_hat for t in prepared}
@@ -691,7 +691,9 @@ def cmd_diagnose(config: RunConfig) -> int:
     panel, nodal, dyadic_map = _load_inputs(config)
     prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
 
-    fits, fit_failures = _fits(config, prepared, dyadic_map, [structure])
+    fits, fit_failures = _stored_fits(config, [structure], sorted(prepared)) or _run_fits(
+        config, prepared, dyadic_map, [structure]
+    )
     failed = {f["period"]: f["error"] for f in fit_failures}
     pooled = []
     tradecorr_items = []

@@ -18,7 +18,7 @@ class WeightError(NetdisturbError):
 
 
 class EstimationError(NetdisturbError):
-    """Hard failure during model estimation (singular design, spectral pole)."""
+    """Hard failure during model estimation (singular design, a pole of the log-determinant)."""
 
 
 class ConfigError(NetdisturbError):

@@ -17,12 +17,12 @@ factors W = D+ (U C U' + E) (see :class:`~netdisturb.weights.WeightFactors`):
 a block-diagonal term plus one determinant over the N anchor nodes, O(n +
 N^3) per evaluation with no n x n eigen-decomposition.  Such a W is row
 normalized and non-negative, so every eigenvalue has modulus at most 1 and
-rho is searched over (-1, 1).  A W given as a plain array, or searched
-under the "spectral" interval policy, uses W's eigenvalues instead:
-log|det(I - rho W)| is then the real part of sum_i log(1 - rho lambda_i)
-(complex eigenvalues of the asymmetric W pair up, so the imaginary parts
-cancel), and the interval is bounded by the reciprocals of W's extreme real
-eigenvalues.  rho is searched in two steps: the profile on a coarse grid
+rho is searched over (-1, 1) (LeSage & Pace 2009, section 4).  A W given as
+a plain array uses its eigenvalues instead: log|det(I - rho W)| is then the
+real part of sum_i log(1 - rho lambda_i) (complex eigenvalues of the
+asymmetric W pair up, so the imaginary parts cancel), and (-1, 1) is
+narrowed to the reciprocals of W's extreme real eigenvalues where they fall
+inside it.  rho is searched in two steps: the profile on a coarse grid
 over the interval, then scipy's bounded Brent method between the best grid
 point's two neighbours.  W y, W X and W u_hat are taken as ``W @ v``, from
 the factors of a built W, so a fit never forms its n x n entries.
@@ -121,8 +121,8 @@ def _entries(W) -> np.ndarray:
 class Spectrum:
     """The open search interval for rho and what :func:`log_det` reads.
 
-    That is W's ``eigenvalues``, or, for a built weight matrix under the
-    "unit" policy, its ``factors`` (``eigenvalues`` is then None).
+    That is a built weight matrix's ``factors`` (``eigenvalues`` is then
+    None), or the ``eigenvalues`` of a W given as a plain array.
     """
 
     eigenvalues: np.ndarray | None
@@ -131,28 +131,18 @@ class Spectrum:
     factors: WeightFactors | None = None
 
 
-def spectrum(W, interval: str = "unit") -> Spectrum:
+def spectrum(W) -> Spectrum:
     """The admissible rho interval of W and the means to evaluate log_det.
 
-    Parameters
-    ----------
-    W : WeightMatrix or (n, n) array
-    interval : {"unit", "spectral"}
-        "unit" intersects (-1, 1) with the reciprocal-eigenvalue interval
-        (the default).  For a WeightMatrix with factors (row normalized
-        and non-negative, so every |lambda| <= 1) that is exactly (-1, 1),
-        and no eigenvalue is computed.  "spectral" uses (1/lambda_min,
-        1/lambda_max) over W's real eigenvalues alone, falling back to
-        -1/+1 on a side with no negative/positive real eigenvalue.
+    For a WeightMatrix with factors (row normalized and non-negative, so
+    every |lambda| <= 1) the interval is exactly (-1, 1), and no eigenvalue
+    is computed.  For a plain array W it is (-1, 1) intersected with
+    (1/lambda_min, 1/lambda_max) over W's nonzero real eigenvalues.
     """
-    if interval not in ("unit", "spectral"):
-        raise EstimationError(f"unknown interval policy {interval!r}")
-    factors = W.factors if isinstance(W, WeightMatrix) else None
-    if interval == "unit" and factors is not None:
-        return Spectrum(eigenvalues=None, rho_lower=-1.0, rho_upper=1.0, factors=factors)
-    W = _entries(W)
+    if isinstance(W, WeightMatrix) and W.factors is not None:
+        return Spectrum(eigenvalues=None, rho_lower=-1.0, rho_upper=1.0, factors=W.factors)
     try:
-        eigenvalues = np.linalg.eigvals(W)
+        eigenvalues = np.linalg.eigvals(_entries(W))
     except np.linalg.LinAlgError as exc:
         raise EstimationError(f"eigenvalue computation failed: {exc}") from None
 
@@ -162,16 +152,8 @@ def spectrum(W, interval: str = "unit") -> Spectrum:
     tiny = 1e-12 * scale
     positive = real_parts[real_parts > tiny]
     negative = real_parts[real_parts < -tiny]
-    upper = 1.0 / positive.max() if positive.size else math.inf
-    lower = 1.0 / negative.min() if negative.size else -math.inf
-    if interval == "unit":
-        lower = max(lower, -1.0)
-        upper = min(upper, 1.0)
-    else:
-        if not math.isfinite(lower):
-            lower = -1.0
-        if not math.isfinite(upper):
-            upper = 1.0
+    upper = min(1.0 / positive.max(), 1.0) if positive.size else 1.0
+    lower = max(1.0 / negative.min(), -1.0) if negative.size else -1.0
     return Spectrum(eigenvalues=eigenvalues, rho_lower=lower, rho_upper=upper)
 
 
@@ -306,17 +288,12 @@ def _two_sided_p(estimate, se):
     return 2.0 * ndtr(-z)
 
 
-def fit(
-    problem: SemProblem,
-    *,
-    interval: str = "unit",
-    xtol: float = 1e-8,
-    max_iter: int = 500,
-) -> SemFit:
+def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemFit:
     """Fit the disturbance model by profiled maximum likelihood.
 
     The profile is evaluated at ``GRID_POINTS`` evenly spaced points over
-    the rho interval kept ``BOUNDARY_MARGIN`` inside its ends; scipy's
+    the rho interval of :func:`spectrum` kept ``BOUNDARY_MARGIN`` inside
+    its ends, (-1, 1) for a built W; scipy's
     bounded Brent method then refines the best of them between its two
     neighbours, and the grid point is kept unless Brent beats it (so an
     optimum at an interval end lands exactly on it).  Standard errors for
@@ -327,8 +304,6 @@ def fit(
     Parameters
     ----------
     problem : SemProblem
-    interval : {"unit", "spectral"}
-        rho search interval policy, see :func:`spectrum`.
     xtol : float
         Absolute tolerance on rho for the Brent step (scipy's ``xatol``).
     max_iter : int
@@ -349,7 +324,7 @@ def fit(
     from scipy.optimize import minimize_scalar
 
     cache = _ProfileCache(problem)
-    spec = spectrum(problem.W, interval=interval)
+    spec = spectrum(problem.W)
     if not (_entries(problem.W) if spec.factors is None else spec.factors.counts).any():
         raise EstimationError("rho is not identified: W gives no flow a neighbour")
     lo = spec.rho_lower + BOUNDARY_MARGIN

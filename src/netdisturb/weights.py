@@ -42,14 +42,15 @@ where E corrects what U C U' counts wrongly:
 
 :class:`WeightFactors` holds these factors and is the one operator for a
 built W: it evaluates W v in O(n + N^2) per column, and log|det(I - rho W)|
-and (I - rho W)^-1 v in O(n + N^3), with no n x n work, and forms the dense
-entries from the same factors only when they are asked for.
+and (I - rho W)^-1 v in O(n + N^3), with no n x n work.  The neighbour sets
+and the weight CSV read W's nonzeros from the sparse pattern the same
+factors give in O(n + nnz); the dense entries are that pattern expanded,
+formed only when they are asked for.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +104,9 @@ class WeightMatrix:
     """Row-normalized n x n dependence matrix over a flow index.
 
     A matrix from :func:`build_weight_matrix` holds its ``factors``: W @ v
-    reads them, and ``entries`` are formed from them on first access and
-    then cached.  A matrix given as plain ``entries`` has ``factors`` None.
+    reads them, and ``entries`` are their sparse pattern expanded on first
+    access and then cached.  A matrix given as plain ``entries`` has
+    ``factors`` None.
     """
 
     def __init__(self, index: FlowIndex, entries, spec: NeighborhoodSpec, factors=None):
@@ -116,7 +118,7 @@ class WeightMatrix:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        return self.factors.dense()
+        return self.factors.sparse().toarray()
 
     @property
     def n(self) -> int:
@@ -181,11 +183,12 @@ _BLOCK_DET_FLOOR = -1e-9
 
 
 class WeightFactors:
-    """W = D+ (U C U' + E) for one built matrix: W v, its entries, log|det(I - rho W)|.
+    """W = D+ (U C U' + E) for one built matrix: W v, its nonzeros, log|det(I - rho W)|.
 
     ``counts`` is D's diagonal, (U C U' + E) 1.  ``W @ v``, for v of shape
     (n,) or (n, k), is D+ (U (C (U' v)) + E v) in O(n k + N^2 k), as U'
-    sums v over each anchor node's flows; :meth:`dense` forms the entries.
+    sums v over each anchor node's flows; :meth:`sparse` gives W's nonzero
+    entries.
 
     B(rho) = I - rho D+ E is block diagonal: a 1 x 1 block per flow, or a
     2 x 2 block per pair of reverse flows.  By the matrix determinant lemma
@@ -241,15 +244,24 @@ class WeightFactors:
         v = np.asarray(v, dtype=float)
         return (self._own[:, None] * self._spread(v.reshape(len(v), -1))).reshape(v.shape)
 
-    def dense(self) -> np.ndarray:
-        """The n x n entries D+ (U C U' + E), formed in one n x n float array."""
+    def sparse(self):
+        """The entries D+ (U C U' + E) as a scipy.sparse CSR array with sorted indices.
+
+        U, C and the reverse-flow pairing R are sparse, so this costs O(n +
+        nnz) memory beyond the sparse products and forms no n x n array.
+        """
+        from scipy import sparse
+
         r, n = self._relation, self.counts.size
-        entries = np.zeros((n, n))
-        for x, y in itertools.product(r.anchors, repeat=2):
-            entries += self._related[np.ix_(x, y)]
-        entries.flat[:: n + 1] += r.correction[0]
-        entries[r.paired, r.partner[r.paired]] += r.correction[1]
-        return np.divide(entries, self.counts[:, None], out=entries, where=self.counts[:, None] > 0)
+        indptr = np.arange(n + 1)  # one entry per row
+        U = sum(sparse.csr_array((np.ones(n), x, indptr), shape=(n, len(self._C))) for x in r.anchors)
+        R = sparse.csr_array((r.paired.astype(float), r.partner, indptr), shape=(n, n))
+        E = r.correction[0] * sparse.eye_array(n, format="csr") + r.correction[1] * R
+        entries = U @ sparse.csr_array(self._C) @ U.T + E
+        entries.eliminate_zeros()
+        entries.sort_indices()
+        entries.data /= np.repeat(self.counts, np.diff(entries.indptr))
+        return entries
 
     def _prepare(self) -> None:
         """The per-flow block terms, anchor cells and border of the log-det."""
@@ -376,12 +388,9 @@ def neighborhood(
     WeightError
         When alliance or distance data is missing for a required pair.
     """
-    entries = build_weight_matrix(spec, index, dyadic).entries
+    W = build_weight_matrix(spec, index, dyadic).factors.sparse()
     dyads = index.dyads
-    return {
-        dyad: frozenset(dyads[b] for b in np.flatnonzero(row))
-        for dyad, row in zip(dyads, entries)
-    }
+    return {dyads[a]: frozenset(dyads[b] for b in columns) for a, columns, _ in _rows(W)}
 
 
 def build_weight_matrix(
@@ -398,11 +407,22 @@ def build_weight_matrix(
     return WeightMatrix(index=index, entries=None, spec=spec, factors=factors)
 
 
+def _rows(W):
+    """(row, columns, weights) of each row of a CSR matrix, as Python lists."""
+    for a in range(W.shape[0]):
+        span = slice(W.indptr[a], W.indptr[a + 1])
+        yield a, W.indices[span].tolist(), W.data[span].tolist()
+
+
 def write_weight_csv(path, matrix: WeightMatrix) -> None:
-    """Dump nonzero entries as ``row_dyad,col_dyad,weight`` for inspection."""
+    """Dump nonzero entries as ``row_dyad,col_dyad,weight`` for inspection, row by row."""
+    from scipy.sparse import csr_array
+
+    W = csr_array(matrix.entries) if matrix.factors is None else matrix.factors.sparse()
     names = [f"{sender}->{receiver}" for sender, receiver in matrix.index.dyads]
-    rows = [
-        (names[a], names[b], matrix.entries[a, b])
-        for a, b in zip(*np.nonzero(matrix.entries))
-    ]
+    rows = (
+        (names[a], names[b], weight)
+        for a, columns, weights in _rows(W)
+        for b, weight in zip(columns, weights)
+    )
     write_csv(path, ("row_dyad", "col_dyad", "weight"), rows)

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from netdisturb import (
     FlowIndex,
@@ -13,10 +14,12 @@ from netdisturb import (
     NeighborhoodSpec,
     SemProblem,
     SimSpec,
+    build_weight_matrix,
     fit,
     log_flow_vector,
     simulate,
 )
+from netdisturb.weights import DISTANCE_KINDS, KINDS
 
 
 def random_flow_index(rng, max_nodes=8, max_flows=30, period=1) -> FlowIndex:
@@ -47,6 +50,31 @@ def complete_distances(rng, nodes, period=1, scale=5000.0, symmetric=True) -> Dy
         (a, b, period): float(rng.uniform(1.0, scale)) for a, b in _pairs(nodes, symmetric)
     }
     return DyadicSeries(name="distance", symmetric=symmetric, values=values)
+
+
+# Distances are drawn from [1, 5000] km: 0.5 km leaves every neighbourhood
+# empty (an all-zero W), 1e9 km relates every pair of distinct nodes.
+CUTOFFS = st.sampled_from([0.5, 800.0, 2500.0, 1e9])
+
+
+@st.composite
+def weight_matrices(draw):
+    """A built weight matrix of any kind over a random flow set and dyadic series."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(KINDS))
+    symmetric = draw(st.booleans())
+    max_nodes = draw(st.integers(3, 10))
+    max_flows = draw(st.integers(2, 60))
+    rng = np.random.default_rng(seed)
+    index = random_flow_index(rng, max_nodes=max_nodes, max_flows=max_flows)
+    nodes = {node for dyad in index.dyads for node in dyad}
+    dyadic = None
+    if kind.startswith("alliance"):
+        dyadic = complete_alliance(rng, nodes, symmetric=symmetric)
+    elif kind in DISTANCE_KINDS:
+        dyadic = complete_distances(rng, nodes, symmetric=symmetric)
+    cutoff = draw(CUTOFFS) if kind in DISTANCE_KINDS else None
+    return build_weight_matrix(NeighborhoodSpec(kind, cutoff_km=cutoff), index, dyadic)
 
 
 def random_row_normalized_w(rng, n, density=0.4) -> np.ndarray:

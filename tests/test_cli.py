@@ -18,6 +18,7 @@ from netdisturb.cli import (
     parse_grid,
     parse_recipe,
 )
+from netdisturb.weights import WeightFactors
 
 SIM_SPEC = """
 n_nodes = 12
@@ -116,6 +117,21 @@ class TestConfigParsing:
         path.write_text("edges = a\nroster = b\nrecipe = x:sender\ncandidates = rho0\nbogus = 1\n")
         with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
             load_run_config(path)
+
+    def test_unit_rho_interval_loads(self, workspace):
+        tmp_path, config_file = workspace
+        config_file.write_text(config_file.read_text() + "rho_interval = unit\n")
+        assert load_run_config(config_file).candidates
+
+    def test_spectral_rho_interval_was_removed(self, workspace, capsys):
+        tmp_path, config_file = workspace
+        config_file.write_text(config_file.read_text() + "rho_interval = spectral\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(config_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rho_interval 'spectral': the spectral policy was removed")
+        assert "rho is searched over (-1, 1)" in err
+        assert not out.exists()
 
     def test_sim_spec_validation(self, tmp_path):
         path = tmp_path / "sim.cfg"
@@ -288,6 +304,21 @@ class TestPipeline:
             }
         ]
 
+    def test_no_command_forms_the_nonzeros_of_a_built_w(self, workspace, monkeypatch):
+        # Fits, scans and diagnostics read a built W through its factors;
+        # its nonzeros, and the dense entries expanded from them, are only
+        # for inspection.
+        def refuse(self):
+            raise AssertionError("a command formed the nonzeros of a built W")
+
+        monkeypatch.setattr(WeightFactors, "sparse", refuse)
+        tmp_path, config_file = workspace
+        shared = tmp_path / "shared"
+        assert main(["fit", "--config", str(config_file), "--out", str(shared)]) == 0
+        for command in ("select", "scan-cutoff", "diagnose"):
+            for out in (shared, tmp_path / f"fresh-{command}"):
+                assert main([command, "--config", str(config_file), "--out", str(out)]) == 0
+
 
 SELECT_FILES = ("selection.json", "aggregated.csv", "weights.csv", "weights_smoothed.csv")
 SCAN_FILES = ("scan.csv", "scan.json")
@@ -296,6 +327,10 @@ DIAGNOSE_FILES = ("qq.csv", "hist.csv", "kde.csv", "tradecorr.csv")
 
 def refuse_to_fit(*args, **kwargs):
     raise AssertionError("a stored fit was computed again")
+
+
+def refuse_to_load(*args, **kwargs):
+    raise AssertionError("an input was read although the fits are stored")
 
 
 class TestFitReuse:
@@ -329,6 +364,17 @@ class TestFitReuse:
         monkeypatch.setattr("netdisturb.cli.fit_ols", refuse_to_fit)
         for command in ("select", "scan-cutoff", "diagnose"):
             assert main([command, "--config", str(config_file), "--out", str(out)]) == 0
+
+    def test_select_reads_no_input_when_the_fits_are_stored(self, workspace, monkeypatch):
+        tmp_path, config_file = workspace
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["fit", "--config", str(config_file), "--out", str(reused)]) == 0
+        assert main(["select", "--config", str(config_file), "--out", str(fresh)]) == 0
+        for loader in ("load_panel", "load_nodal_csv", "load_dyadic_csv"):
+            monkeypatch.setattr(f"netdisturb.cli.{loader}", refuse_to_load)
+        assert main(["select", "--config", str(config_file), "--out", str(reused)]) == 0
+        for name in SELECT_FILES:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
 
     @pytest.mark.parametrize("edited", ["edges", "config"])
     def test_an_edited_run_computes_its_fits(self, workspace, monkeypatch, edited):
@@ -399,7 +445,9 @@ def run_fresh_interpreter(code, *args):
     return done.stdout.strip()
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special", "scipy.linalg"])
+@pytest.mark.parametrize(
+    "module", ["scipy.stats", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse"]
+)
 def test_cli_import_leaves_scipy_module_out(module):
     # Every CLI command starts a fresh interpreter, and a command pays for
     # each of these imports only where it uses the module.

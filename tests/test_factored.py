@@ -32,39 +32,17 @@ from netdisturb import (
 )
 from netdisturb.weights import DISTANCE_KINDS, KINDS
 
-from conftest import complete_alliance, complete_distances, random_flow_index
+from conftest import complete_alliance, complete_distances, weight_matrices
 
 # Derandomized, so every run of the suite draws the same examples.
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
-# Distances are drawn from [1, 5000] km: 0.5 km leaves every neighbourhood
-# empty (an all-zero W), 1e9 km relates every pair of distinct nodes.
-CUTOFFS = st.sampled_from([0.5, 800.0, 2500.0, 1e9])
 # Besides arbitrary values, the reciprocals where a 1 x 1 or 2 x 2 block of
 # I - rho D+ E is singular for flows with one or two neighbours.
 RHOS = st.one_of(
     st.sampled_from([-0.5, -1.0 / 3.0, -2.0 / 3.0, 0.0]),
     st.floats(-0.99, 0.99, allow_nan=False),
 )
-
-
-@st.composite
-def weight_matrices(draw):
-    seed = draw(st.integers(0, 2**32 - 1))
-    kind = draw(st.sampled_from(KINDS))
-    symmetric = draw(st.booleans())
-    max_nodes = draw(st.integers(3, 10))
-    max_flows = draw(st.integers(2, 60))
-    rng = np.random.default_rng(seed)
-    index = random_flow_index(rng, max_nodes=max_nodes, max_flows=max_flows)
-    nodes = {node for dyad in index.dyads for node in dyad}
-    dyadic = None
-    if kind.startswith("alliance"):
-        dyadic = complete_alliance(rng, nodes, symmetric=symmetric)
-    elif kind in DISTANCE_KINDS:
-        dyadic = complete_distances(rng, nodes, symmetric=symmetric)
-    cutoff = draw(CUTOFFS) if kind in DISTANCE_KINDS else None
-    return build_weight_matrix(NeighborhoodSpec(kind, cutoff_km=cutoff), index, dyadic)
 
 
 def dense_log_det(W, rho):
@@ -102,15 +80,6 @@ def test_fit_on_factors_matches_fit_on_entries(W, seed):
     # about 1e-7 in rho, so two log-determinants that agree to 1e-14 can
     # end the rho search that far apart (the benchmark's reference tolerance).
     assert abs(factored.rho_hat - dense.rho_hat) < 1e-6
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(weight_matrices())
-def test_spectral_interval_reads_entries(W):
-    factored = spectrum(W, interval="spectral")
-    dense = spectrum(W.entries, interval="spectral")
-    assert (factored.rho_lower, factored.rho_upper) == (dense.rho_lower, dense.rho_upper)
-    assert factored.factors is None
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -79,17 +79,6 @@ class TestSpectrum:
             eigenvalues = spectrum(W).eigenvalues
             assert abs(eigenvalues.imag.sum()) < 1e-10
 
-    def test_spectral_interval_policy(self):
-        rng = np.random.default_rng(9)
-        W = random_row_normalized_w(rng, 8)
-        unit = spectrum(W, interval="unit")
-        wide = spectrum(W, interval="spectral")
-        assert wide.rho_lower <= unit.rho_lower < 0 < unit.rho_upper <= wide.rho_upper
-
-    def test_bad_policy(self):
-        with pytest.raises(EstimationError, match="interval policy"):
-            spectrum(SWAP, interval="open")
-
 
 class TestLogDet:
     def test_zero_rho(self):

@@ -1,5 +1,9 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from netdisturb import (
     DyadicSeries,
@@ -9,9 +13,10 @@ from netdisturb import (
     build_weight_matrix,
     neighborhood,
 )
+from netdisturb._serialize import fmt
 from netdisturb.weights import write_weight_csv
 
-from conftest import complete_alliance, complete_distances, random_flow_index
+from conftest import complete_alliance, complete_distances, random_flow_index, weight_matrices
 
 
 def brute_force_neighborhoods(spec, index, dyadic=None):
@@ -247,11 +252,46 @@ def test_structure_ids():
     )
 
 
-def test_debug_csv_export(tmp_path):
-    index = FlowIndex(period=1, dyads=(("A", "B"), ("B", "A")))
-    matrix = build_weight_matrix(NeighborhoodSpec("full_activity"), index)
+PAIR = FlowIndex(period=1, dyads=(("A", "B"), ("B", "A")))
+
+
+@settings(
+    derandomize=True, max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(matrix=weight_matrices())
+@example(matrix=build_weight_matrix(NeighborhoodSpec("full_activity"), PAIR))
+def test_debug_csv_export(tmp_path, matrix):
+    # The rows are the nonzero entries, in row-major order.
     path = tmp_path / "w.csv"
     write_weight_csv(path, matrix)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row_dyad,col_dyad,weight"
-    assert "A->B,B->A,1" in lines[1]
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    names = [f"{sender}->{receiver}" for sender, receiver in matrix.index.dyads]
+    entries = matrix.entries
+    assert header == ["row_dyad", "col_dyad", "weight"]
+    assert rows == [[names[a], names[b], fmt(entries[a, b])] for a, b in zip(*np.nonzero(entries))]
+    if matrix.index is PAIR:
+        assert rows == [["A->B", "B->A", "1"], ["B->A", "A->B", "1"]]
+
+
+@pytest.mark.parametrize("write", [False, True])
+def test_neighbourhoods_and_csv_never_form_entries(tmp_path, write):
+    # About 3000 flows over 200 nodes, the paper's node count: one n x n
+    # float64 is 72 MB.  Both outputs hold O(nnz) items, about 180k here.
+    rng = np.random.default_rng(11)
+    nodes = [f"N{k:03d}" for k in range(200)]
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    chosen = rng.choice(len(pairs), size=3000, replace=False)
+    index = FlowIndex(period=1, dyads=tuple(sorted(pairs[k] for k in chosen)))
+    spec = NeighborhoodSpec("full_activity")
+    tracemalloc.start()
+    try:
+        if write:
+            write_weight_csv(tmp_path / "w.csv", build_weight_matrix(spec, index))
+        else:
+            neighborhood(spec, index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < index.n**2 * 8 / 4
