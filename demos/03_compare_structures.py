@@ -6,8 +6,6 @@ every period, and prints the aggregated AIC table and per-period Akaike
 weights.  The generating structure should win with aggregated delta 0.
 """
 
-import numpy as np
-
 from netdisturb import (
     NeighborhoodSpec,
     SemProblem,
@@ -53,8 +51,7 @@ for period, snapshot in zip(sorted(result.indices), result.panel):
         fits[(period, candidate.structure_id)] = fit(
             SemProblem(y=y, X=design, W=weight)
         )
-    n = index.n
-    fits[(period, "rho0")] = fit_ols(SemProblem(y=y, X=design, W=np.zeros((n, n))))
+    fits[(period, "rho0")] = fit_ols(SemProblem(y=y, X=design))
 
 structures = [c.structure_id for c in CANDIDATES] + ["rho0"]
 report = select(fits, structures=structures)

@@ -55,11 +55,10 @@ for period in range(1, 7):
     keep = rng.uniform(size=len(pairs)) < 0.12
     index = FlowIndex(period=period, dyads=tuple(sorted(p for p, k in zip(pairs, keep) if k)))
     weight = build_weight_matrix(structure, index, distances)
-    u = draw_disturbances(weight.entries, 0.7, 1.0, rng)[0]
+    u = draw_disturbances(weight, 0.7, 1.0, rng)[0]
     X = np.column_stack([np.ones(index.n), rng.standard_normal(index.n)])
     y = X @ np.array([1.0, 1.0]) + u
-    problem = SemProblem(y=y, X=X, W=np.zeros((index.n, index.n)))
-    residuals[period] = fit_ols(problem).u_hat
+    residuals[period] = fit_ols(SemProblem(y=y, X=X)).u_hat
     indices[period] = index
 
 scan = scan_cutoffs(

@@ -40,16 +40,16 @@ recipe                   comma list of [log:]<series>:<role> terms, with
 lag                      covariate lag in periods (default 2)
 candidates               comma list of structure ids; a distance structure
                          carries its cutoff as kind:cutoff_km; `rho0` adds
-                         the independent-errors (OLS) candidate
-alliance_series          dyadic series used by alliance structures
-distance_series          dyadic series used by distance structures and scans
+                         the independent-errors (OLS) candidate.  Alliance
+                         structures read dyadic.alliance, distance
+                         structures and the scan read dyadic.distance
 rho_interval             unit only (default): rho is searched over (-1, 1)
 scan_direction           import | export (default import)
 scan_grid                start:stop:step in km (default 0:20000:100)
 smooth_window            odd moving-average window for weights (default 5;
                          0 disables the smoothed series)
 diagnose_structure       structure id diagnosed by `diagnose`
-out, seed, jobs          defaults for the corresponding flags
+out, seed, jobs          defaults for the corresponding flags (jobs >= 1)
 
 Simulation spec keys: n_nodes, n_periods, density, structure, rho, beta
 (comma list), sigma, seed, lag, alliance_prob, disk_radius_km.
@@ -61,6 +61,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -109,13 +110,7 @@ from .sem import (
     write_fit_json,
 )
 from .simulate import SimSpec, simulate, write_sim_csvs
-from .weights import (
-    ALLIANCE_KINDS,
-    DISTANCE_KINDS,
-    KINDS,
-    NeighborhoodSpec,
-    build_weight_matrix,
-)
+from .weights import DISTANCE_KINDS, KINDS, NeighborhoodSpec, build_weight_matrix
 
 OLS_CANDIDATE = "rho0"
 
@@ -233,8 +228,6 @@ class RunConfig:
     recipe: tuple[CovariateTerm, ...]
     lag: int
     candidates: list
-    alliance_series: str
-    distance_series: str
     out: Path
     seed: int
     jobs: int
@@ -272,9 +265,8 @@ def _parse_bool(text: str) -> bool:
 
 
 KNOWN_SCALAR_KEYS = {
-    "edges", "roster", "recipe", "lag", "candidates", "alliance_series",
-    "distance_series", "rho_interval", "out", "seed", "jobs", "scan_direction",
-    "scan_grid", "smooth_window", "diagnose_structure",
+    "edges", "roster", "recipe", "lag", "candidates", "rho_interval", "out", "seed",
+    "jobs", "scan_direction", "scan_grid", "smooth_window", "diagnose_structure",
 }
 
 
@@ -361,6 +353,10 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
             raise ConfigError("diagnose_structure must be a dependence structure, not rho0")
         diagnose_structure = parsed
 
+    jobs = jobs if jobs is not None else _parse_typed(values, "jobs", int, 1)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+
     config = RunConfig(
         config_path=path,
         config_sha256=_sha256(path),
@@ -371,11 +367,9 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
         recipe=recipe,
         lag=_parse_typed(values, "lag", int, DEFAULT_LAG),
         candidates=candidates,
-        alliance_series=values.get("alliance_series", "alliance"),
-        distance_series=values.get("distance_series", "distance"),
         out=Path(out) if out is not None else resolve(values.get("out", "out")),
         seed=seed if seed is not None else _parse_typed(values, "seed", int, 0),
-        jobs=jobs if jobs is not None else _parse_typed(values, "jobs", int, 1),
+        jobs=jobs,
         scan_direction=scan_direction,
         scan_grid=parse_grid(values["scan_grid"]) if "scan_grid" in values else None,
         smooth_window=smooth_window,
@@ -476,30 +470,25 @@ def _prepare_periods(config, panel, nodal, dyadic_map):
     return prepared, skipped
 
 
-def _structure_context(structure: NeighborhoodSpec, config, dyadic_map):
-    if structure.kind in ALLIANCE_KINDS:
-        name = config.alliance_series
-    elif structure.kind in DISTANCE_KINDS:
-        name = config.distance_series
-    else:
-        return None
-    if name not in dyadic_map:
+def _dyadic_series(reader: str, structure: NeighborhoodSpec, dyadic_map):
+    """The loaded series ``structure`` reads, or None; ConfigError naming ``reader`` if absent."""
+    name = structure.dyadic_series
+    if name is not None and name not in dyadic_map:
         raise ConfigError(
-            f"structure {structure.structure_id} needs dyadic series {name!r}; "
-            f"add a dyadic.{name} entry to the config"
+            f"{reader} needs dyadic series {name!r}; add a dyadic.{name} entry to the config"
         )
-    return dyadic_map[name]
+    return dyadic_map.get(name)
 
 
-def _weight_matrix(config, data: PeriodData, structure, dyadic_map):
-    context = _structure_context(structure, config, dyadic_map)
-    return build_weight_matrix(structure, data.index, context)
+def _weight_matrix(data: PeriodData, structure, dyadic_map):
+    series = _dyadic_series(f"structure {structure.structure_id}", structure, dyadic_map)
+    return build_weight_matrix(structure, data.index, series)
 
 
-def _fit_one(config, data: PeriodData, candidate, dyadic_map):
+def _fit_one(data: PeriodData, candidate, dyadic_map):
     if candidate == OLS_CANDIDATE:
         return fit_ols(SemProblem(y=data.y, X=data.design))
-    weight = _weight_matrix(config, data, candidate, dyadic_map)
+    weight = _weight_matrix(data, candidate, dyadic_map)
     problem = SemProblem(y=data.y, X=data.design, W=weight)
     return fit(problem)
 
@@ -515,7 +504,7 @@ def _run_fits(config, prepared, dyadic_map, candidates):
         period, candidate = task
         cand_id = _candidate_id(candidate)
         try:
-            result = _fit_one(config, prepared[period], candidate, dyadic_map)
+            result = _fit_one(prepared[period], candidate, dyadic_map)
             return period, cand_id, result, None
         except ConfigError:
             raise
@@ -658,11 +647,9 @@ def cmd_select(config: RunConfig) -> int:
 def cmd_scan(config: RunConfig) -> int:
     panel, nodal, dyadic_map = _load_inputs(config)
     prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
-    if config.distance_series not in dyadic_map:
-        raise ConfigError(
-            f"scan needs dyadic series {config.distance_series!r}; add a "
-            f"dyadic.{config.distance_series} entry to the config"
-        )
+    # The scanned kind reads one series at every cutoff; inf only names the kind.
+    scanned = NeighborhoodSpec(f"distance_{config.scan_direction}", cutoff_km=math.inf)
+    distances = _dyadic_series("scan", scanned, dyadic_map)
     fits, failures = _stored_fits(config, [OLS_CANDIDATE], sorted(prepared)) or _run_fits(
         config, prepared, dyadic_map, [OLS_CANDIDATE]
     )
@@ -673,7 +660,7 @@ def cmd_scan(config: RunConfig) -> int:
     scan = scan_cutoffs(
         residuals,
         indices,
-        dyadic_map[config.distance_series],
+        distances,
         direction=config.scan_direction,
         grid=config.scan_grid,
     )
@@ -707,7 +694,7 @@ def cmd_diagnose(config: RunConfig) -> int:
             failures.append({"period": period, "error": "fit did not converge"})
             continue
         data = prepared[period]
-        weight = _weight_matrix(config, data, structure, dyadic_map)
+        weight = _weight_matrix(data, structure, dyadic_map)
         pooled.append(standardized_residuals(result))
         tradecorr_items.append(tradecorr_residuals(result, weight, data.index))
 

@@ -59,9 +59,6 @@ class NodalSeries:
             spans[node] = (min(lo, period), max(hi, period))
         object.__setattr__(self, "_spans", spans)
 
-    def nodes(self) -> set[str]:
-        return set(self._spans)
-
     def lookup(self, node: str, period: int) -> tuple[float, bool]:
         """Value at (node, period); second element flags span extrapolation.
 

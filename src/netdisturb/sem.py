@@ -60,11 +60,10 @@ class SemProblem:
     """One period's estimation problem: y = X beta + u with weights W.
 
     ``X`` may be a :class:`~netdisturb.covariates.DesignMatrix` (its column
-    names are kept) or a plain array.  ``W`` may be a
+    names are kept) or a plain array.  ``W`` may be a built
     :class:`~netdisturb.weights.WeightMatrix`, kept as given so that
-    :func:`fit` can use its factors; a plain array; or None for a problem
-    that only :func:`fit_ols` solves.  Only plain entries are checked for
-    finiteness; a built W is not expanded to its dense entries.
+    :func:`fit` uses its factors; a plain array, the dense oracle, checked
+    for finiteness; or None for a problem that only :func:`fit_ols` solves.
     """
 
     y: np.ndarray
@@ -93,8 +92,7 @@ class SemProblem:
             raise EstimationError(
                 f"need more observations than parameters (n={n}, p={X.shape[1]})"
             )
-        plain = W.entries if isinstance(W, WeightMatrix) and W.factors is None else W
-        finite_w = not isinstance(plain, np.ndarray) or np.all(np.isfinite(plain))
+        finite_w = not isinstance(W, np.ndarray) or np.all(np.isfinite(W))
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X)) and finite_w):
             raise EstimationError("y, X and W must be finite")
         if not names:
@@ -111,10 +109,6 @@ class SemProblem:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-
-def _entries(W) -> np.ndarray:
-    return W.entries if isinstance(W, WeightMatrix) else np.asarray(W, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,15 +128,15 @@ class Spectrum:
 def spectrum(W) -> Spectrum:
     """The admissible rho interval of W and the means to evaluate log_det.
 
-    For a WeightMatrix with factors (row normalized and non-negative, so
-    every |lambda| <= 1) the interval is exactly (-1, 1), and no eigenvalue
-    is computed.  For a plain array W it is (-1, 1) intersected with
+    For a built WeightMatrix (row normalized and non-negative, so every
+    |lambda| <= 1) the interval is exactly (-1, 1), and no eigenvalue is
+    computed.  For a plain array W it is (-1, 1) intersected with
     (1/lambda_min, 1/lambda_max) over W's nonzero real eigenvalues.
     """
-    if isinstance(W, WeightMatrix) and W.factors is not None:
+    if isinstance(W, WeightMatrix):
         return Spectrum(eigenvalues=None, rho_lower=-1.0, rho_upper=1.0, factors=W.factors)
     try:
-        eigenvalues = np.linalg.eigvals(_entries(W))
+        eigenvalues = np.linalg.eigvals(np.asarray(W, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise EstimationError(f"eigenvalue computation failed: {exc}") from None
 
@@ -164,7 +158,7 @@ def log_det(rho: float, spec: Spectrum) -> float:
     conjugate eigenvalue pairs make the imaginary parts cancel exactly.
     The factored form is defined for -1 < rho < 1.
     """
-    if spec.factors is not None:
+    if spec.eigenvalues is None:
         if not -1.0 < rho < 1.0:
             raise EstimationError(f"rho={rho} outside (-1, 1), where the factored log-det holds")
         value = spec.factors.log_det(rho)
@@ -325,7 +319,7 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
 
     cache = _ProfileCache(problem)
     spec = spectrum(problem.W)
-    if not (_entries(problem.W) if spec.factors is None else spec.factors.counts).any():
+    if not (spec.factors.counts if spec.eigenvalues is None else problem.W).any():
         raise EstimationError("rho is not identified: W gives no flow a neighbour")
     lo = spec.rho_lower + BOUNDARY_MARGIN
     hi = spec.rho_upper - BOUNDARY_MARGIN

@@ -45,7 +45,7 @@ from .panel import (
     write_roster_csv,
 )
 from .sem import spectrum
-from .weights import ALLIANCE_KINDS, DISTANCE_KINDS, NeighborhoodSpec, WeightMatrix, build_weight_matrix
+from .weights import NeighborhoodSpec, WeightMatrix, build_weight_matrix
 
 # Re-draw a period's graph at most this many times when it comes out too
 # sparse to fit (fewer flows than parameters plus two).
@@ -114,26 +114,16 @@ def draw_disturbances(
     """Draw `size` disturbance vectors u = (I - rho W)^{-1} eps.
 
     Returns a (size, n) array; this is the exact law the estimator assumes,
-    with covariance sigma^2 (I - rho W)^{-1} (I - rho W')^{-1}.  A built
+    with covariance sigma^2 (I - rho W)^{-1} (I - rho W')^{-1}.  A
     WeightMatrix solves for all draws at once through its factors, with no
-    n x n array; a plain-array W is solved densely.  eps is drawn first, so
-    the random stream does not depend on which.
+    n x n array; a plain-array W, the dense oracle, is solved densely.  eps
+    is drawn first, so the random stream does not depend on which.
     """
     n = W.n if isinstance(W, WeightMatrix) else np.shape(W)[0]
     eps = rng.normal(0.0, sigma, size=(size, n))
-    if isinstance(W, WeightMatrix) and W.factors is not None:
+    if isinstance(W, WeightMatrix):
         return W.factors.solve(rho, eps.T).T
-    entries = np.asarray(W.entries if isinstance(W, WeightMatrix) else W, dtype=float)
-    return np.linalg.solve(np.eye(n) - rho * entries, eps.T).T
-
-
-def _structure_context(spec: SimSpec, dyadic_map):
-    kind = spec.structure.kind
-    if kind in ALLIANCE_KINDS:
-        return dyadic_map["alliance"]
-    if kind in DISTANCE_KINDS:
-        return dyadic_map["distance"]
-    return None
+    return np.linalg.solve(np.eye(n) - rho * np.asarray(W, dtype=float), eps.T).T
 
 
 def simulate(spec: SimSpec) -> SimResult:
@@ -185,8 +175,7 @@ def simulate(spec: SimSpec) -> SimResult:
         DyadicSeries.from_arrays("alliance", True, nodes, first, second, periods, allied.astype(float)),
         DyadicSeries.from_arrays("distance", True, nodes, first, second, periods, distances),
     ]
-    dyadic_map = {series.name: series for series in dyadic}
-    context = _structure_context(spec, dyadic_map)
+    context = {series.name: series for series in dyadic}.get(spec.structure.dyadic_series)
 
     ordered_pairs = [
         (nodes[a], nodes[b])

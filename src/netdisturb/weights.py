@@ -15,7 +15,8 @@ member predicate over another flow (p, q) is
 Each structure is one :class:`AnchorRelation` over a period's flows: the
 roles that anchor a flow (its sender s, its receiver r, or both), a node
 relation C over the anchor nodes, and, for the attached kinds, the reverse
-flow (j, i).  With d the dyadic series' table at the period, C is the
+flow (j, i).  With d the period's table of the dyadic series the kind reads
+(:attr:`NeighborhoodSpec.dyadic_series`: ``alliance`` or ``distance``), C is the
 identity for the activity kinds, d(anchor, partner) != 0 for the alliance
 kinds and d(anchor, partner) < cutoff for the distance kinds; the last two
 are false on the diagonal, as no node is its own ally or close neighbour.
@@ -41,11 +42,12 @@ where E corrects what U C U' counts wrongly:
                                                the reverse flow twice)
 
 :class:`WeightFactors` holds these factors and is the one operator for a
-built W: it evaluates W v in O(n + N^2) per column, and log|det(I - rho W)|
-and (I - rho W)^-1 v in O(n + N^3), with no n x n work.  The neighbour sets
-and the weight CSV read W's nonzeros from the sparse pattern the same
-factors give in O(n + nnz); the dense entries are that pattern expanded,
-formed only when they are asked for.
+built W, which a :class:`WeightMatrix` always holds: it evaluates W v in
+O(n + N^2) per column, and log|det(I - rho W)| and (I - rho W)^-1 v in
+O(n + N^3), with no n x n work.  The neighbour sets and the weight CSV
+read W's nonzeros from the sparse pattern the same factors give in O(n +
+nnz); the dense entries are that pattern expanded, formed only when they
+are asked for.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ _LAYOUT = {
     "distance_export": ("s", "distance", 0, 0),
 }
 KINDS = tuple(_LAYOUT)
-ALLIANCE_KINDS = frozenset({"alliance_import", "alliance_export"})
 DISTANCE_KINDS = frozenset({"distance_import", "distance_export"})
 
 
@@ -99,22 +100,26 @@ class NeighborhoodSpec:
             return f"{self.kind}@{self.cutoff_km:g}"
         return self.kind
 
+    @property
+    def dyadic_series(self) -> str | None:
+        """The dyadic series this structure reads: "alliance", "distance" or None."""
+        relation = _LAYOUT[self.kind][1]
+        return None if relation == "identity" else relation
 
+
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Row-normalized n x n dependence matrix over a flow index.
+    """Row-normalized n x n dependence matrix over a flow index, held as its factors.
 
-    A matrix from :func:`build_weight_matrix` holds its ``factors``: W @ v
-    reads them, and ``entries`` are their sparse pattern expanded on first
-    access and then cached.  A matrix given as plain ``entries`` has
-    ``factors`` None.
+    Built by :func:`build_weight_matrix`.  W @ v reads the ``factors``;
+    ``entries`` are their sparse pattern expanded on first access and then
+    cached, for tests and inspection.  A W given as a plain array is the
+    dense oracle, and is never wrapped in this class.
     """
 
-    def __init__(self, index: FlowIndex, entries, spec: NeighborhoodSpec, factors=None):
-        self.index, self.spec, self.factors, n = index, spec, factors, index.n
-        if factors is None:
-            self.entries = np.asarray(entries, dtype=float)
-            if self.entries.shape != (n, n):
-                raise WeightError(f"weight matrix shape {self.entries.shape}, expected ({n}, {n})")
+    index: FlowIndex
+    spec: NeighborhoodSpec
+    factors: WeightFactors
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -125,7 +130,7 @@ class WeightMatrix:
         return self.index.n
 
     def __matmul__(self, v) -> np.ndarray:
-        return self.entries @ v if self.factors is None else self.factors @ v
+        return self.factors @ v
 
 
 class AnchorRelation:
@@ -404,7 +409,7 @@ def build_weight_matrix(
     elsewhere; a flow with an empty neighbourhood keeps an all-zero row.
     """
     factors = AnchorRelation(spec.kind, index, dyadic).factors(spec.cutoff_km)
-    return WeightMatrix(index=index, entries=None, spec=spec, factors=factors)
+    return WeightMatrix(index=index, spec=spec, factors=factors)
 
 
 def _rows(W):
@@ -416,9 +421,7 @@ def _rows(W):
 
 def write_weight_csv(path, matrix: WeightMatrix) -> None:
     """Dump nonzero entries as ``row_dyad,col_dyad,weight`` for inspection, row by row."""
-    from scipy.sparse import csr_array
-
-    W = csr_array(matrix.entries) if matrix.factors is None else matrix.factors.sparse()
+    W = matrix.factors.sparse()
     names = [f"{sender}->{receiver}" for sender, receiver in matrix.index.dyads]
     rows = (
         (names[a], names[b], weight)

@@ -112,11 +112,44 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="x1.csv"):
             load_run_config(config_file)
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["bogus", "alliance_series", "distance_series"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
-        path.write_text("edges = a\nroster = b\nrecipe = x:sender\ncandidates = rho0\nbogus = 1\n")
-        with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
+        path.write_text(f"edges = a\nroster = b\nrecipe = x:sender\ncandidates = rho0\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             load_run_config(path)
+
+    @pytest.mark.parametrize("where", ["flag", "key"])
+    def test_jobs_below_one_rejected(self, workspace, capsys, where):
+        tmp_path, config_file = workspace
+        argv = ["fit", "--config", str(config_file), "--out", str(tmp_path / "out")]
+        if where == "flag":
+            argv += ["--jobs", "0"]
+        else:
+            config_file.write_text(config_file.read_text() + "jobs = -1\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: jobs must be at least 1, got ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("fit", "structure distance_import@1100 needs dyadic series 'distance'; "
+                    "add a dyadic.distance entry to the config"),
+            ("scan-cutoff", "scan needs dyadic series 'distance'; "
+                            "add a dyadic.distance entry to the config"),
+        ],
+        ids=["fit", "scan-cutoff"],
+    )
+    def test_missing_dyadic_series_named(self, workspace, capsys, command, message):
+        tmp_path, config_file = workspace
+        text = config_file.read_text().replace("dyadic.distance = data/distance.csv\n", "")
+        text = text.replace("candidates = ", "candidates = distance_import:1100, ")
+        config_file.write_text(text)
+        argv = [command, "--config", str(config_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_unit_rho_interval_loads(self, workspace):
         tmp_path, config_file = workspace

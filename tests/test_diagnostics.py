@@ -8,7 +8,7 @@ from netdisturb import (
     NeighborhoodSpec,
     SemFit,
     SemProblem,
-    WeightMatrix,
+    build_weight_matrix,
     fit,
     histogram,
     kde,
@@ -111,13 +111,13 @@ class TestTradecorrResiduals:
         return FlowIndex(period=4, dyads=(("A", "B"), ("B", "A")))
 
     def weights(self):
-        return WeightMatrix(
-            index=self.index(), entries=SWAP, spec=NeighborhoodSpec("full_activity")
-        )
+        return build_weight_matrix(NeighborhoodSpec("full_activity"), self.index())
 
     def test_hand_matrix_vector_product(self):
+        weights = self.weights()
+        np.testing.assert_array_equal(weights.entries, SWAP)
         fitted = make_fit([0.0, 0.0], u=[1.0, -1.0], rho=0.5)
-        result = tradecorr_residuals(fitted, self.weights(), self.index())
+        result = tradecorr_residuals(fitted, weights, self.index())
         np.testing.assert_array_equal(result.values, [-0.5, 0.5])
         assert result.attribution == {"A": [-0.5, 0.5], "B": [-0.5, 0.5]}
         assert result.period == 4
@@ -133,10 +133,7 @@ class TestTradecorrResiduals:
 
         index = random_flow_index(rng, max_nodes=6, max_flows=14)
         n = index.n
-        entries = random_row_normalized_w(rng, n)
-        weights = WeightMatrix(
-            index=index, entries=entries, spec=NeighborhoodSpec("full_activity")
-        )
+        weights = build_weight_matrix(NeighborhoodSpec("full_activity"), index)
         fitted = make_fit(np.zeros(n), u=rng.standard_normal(n), rho=0.3)
         result = tradecorr_residuals(fitted, weights, index)
         assert sum(len(v) for v in result.attribution.values()) == 2 * n
@@ -201,9 +198,8 @@ class TestWriters:
         write_hist_csv(tmp_path / "hist.csv", histogram(values))
         write_kde_csv(tmp_path / "kde.csv", [kde(values, n_grid=16, node_id="A")])
         index = FlowIndex(period=2, dyads=(("A", "B"), ("B", "A")))
-        weights = WeightMatrix(
-            index=index, entries=SWAP, spec=NeighborhoodSpec("full_activity")
-        )
+        weights = build_weight_matrix(NeighborhoodSpec("full_activity"), index)
+        np.testing.assert_array_equal(weights.entries, SWAP)
         fitted = make_fit([0.0, 0.0], u=[1.0, -1.0], rho=0.5)
         write_tradecorr_csv(
             tmp_path / "tradecorr.csv",
