@@ -38,7 +38,6 @@ from .errors import (
 )
 from .moran import CutoffScan, morans_i, scan_cutoffs
 from .panel import (
-    Flow,
     FlowIndex,
     NetworkSnapshot,
     NodeRoster,
@@ -103,7 +102,6 @@ __all__ = [
     "CutoffScan",
     "morans_i",
     "scan_cutoffs",
-    "Flow",
     "FlowIndex",
     "NetworkSnapshot",
     "NodeRoster",

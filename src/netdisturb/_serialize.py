@@ -88,6 +88,24 @@ def read_csv(path, expected_header, error):
     return path, linenos, columns
 
 
+def parse_column(cells, parse, dtype) -> tuple[np.ndarray, int]:
+    """``cells`` parsed into an array, and the position of the first bad cell.
+
+    That position is ``len(cells)`` when every cell parses; otherwise the
+    array holds the cells before it.
+    """
+    try:
+        return np.fromiter(map(parse, cells), dtype, len(cells)), len(cells)
+    except (ValueError, OverflowError):
+        parsed = []
+        for cell in cells:
+            try:
+                parsed.append(np.array(parse(cell), dtype))
+            except (ValueError, OverflowError):
+                break
+        return np.array(parsed, dtype), len(parsed)
+
+
 def json_ready(obj):
     """Recursively convert numpy containers/scalars for json.dump."""
     if isinstance(obj, dict):

@@ -424,7 +424,6 @@ def _write_run_manifest(config: RunConfig, command: str, **fields) -> None:
 
 @dataclass(eq=False)
 class PeriodData:
-    snapshot: object
     index: object
     design: object
     y: np.ndarray
@@ -448,10 +447,6 @@ def _prepare_periods(config, panel, nodal, dyadic_map):
     skipped = []
     dyadic = list(dyadic_map.values())
     for snapshot in panel:
-        if snapshot.n_flows == 0:
-            skipped.append({"period": snapshot.period, "reason": "no flows"})
-            warnings.warn(f"period {snapshot.period} has no flows; skipped")
-            continue
         index = index_flows(snapshot)
         try:
             design = build_design(
@@ -461,28 +456,23 @@ def _prepare_periods(config, panel, nodal, dyadic_map):
             skipped.append({"period": snapshot.period, "reason": str(exc)})
             warnings.warn(f"period {snapshot.period} skipped: {exc}")
             continue
-        prepared[snapshot.period] = PeriodData(
-            snapshot=snapshot,
-            index=index,
-            design=design,
-            y=log_flow_vector(snapshot, index),
-        )
+        prepared[snapshot.period] = PeriodData(index, design, log_flow_vector(snapshot, index))
     return prepared, skipped
 
 
-def _dyadic_series(reader: str, structure: NeighborhoodSpec, dyadic_map):
-    """The loaded series ``structure`` reads, or None; ConfigError naming ``reader`` if absent."""
-    name = structure.dyadic_series
-    if name is not None and name not in dyadic_map:
-        raise ConfigError(
-            f"{reader} needs dyadic series {name!r}; add a dyadic.{name} entry to the config"
-        )
-    return dyadic_map.get(name)
+def _require_series(config, structures, reader=None) -> None:
+    """Reject, before any input is read, a structure whose dyadic series the config lacks."""
+    for structure in structures:
+        name = None if structure == OLS_CANDIDATE else structure.dyadic_series
+        if name is not None and name not in config.dyadic:
+            raise ConfigError(
+                f"{reader or 'structure ' + structure.structure_id} needs dyadic series "
+                f"{name!r}; add a dyadic.{name} entry to the config"
+            )
 
 
 def _weight_matrix(data: PeriodData, structure, dyadic_map):
-    series = _dyadic_series(f"structure {structure.structure_id}", structure, dyadic_map)
-    return build_weight_matrix(structure, data.index, series)
+    return build_weight_matrix(structure, data.index, dyadic_map.get(structure.dyadic_series))
 
 
 def _fit_one(data: PeriodData, candidate, dyadic_map):
@@ -506,8 +496,6 @@ def _run_fits(config, prepared, dyadic_map, candidates):
         try:
             result = _fit_one(prepared[period], candidate, dyadic_map)
             return period, cand_id, result, None
-        except ConfigError:
-            raise
         except NetdisturbError as exc:
             return period, cand_id, None, str(exc)
 
@@ -574,8 +562,10 @@ def candidate_ids(config) -> list[str]:
 
 
 def cmd_fit(config: RunConfig) -> int:
-    # Hash the inputs before reading them, and drop the old report before
-    # any fit file is rewritten, so a report never vouches for other data.
+    # Check the series and hash the inputs before reading them, and drop the
+    # old report before any fit file is rewritten, so a report never vouches
+    # for other data.
+    _require_series(config, config.candidates)
     fingerprint = config.fingerprint
     (config.out / "fit_report.json").unlink(missing_ok=True)
     panel, nodal, dyadic_map = _load_inputs(config)
@@ -616,6 +606,7 @@ def cmd_fit(config: RunConfig) -> int:
 
 def cmd_select(config: RunConfig) -> int:
     # Stored fits need neither the inputs nor the periods' designs.
+    _require_series(config, config.candidates)
     stored = _stored_fits(config, config.candidates)
     if stored is None:
         panel, nodal, dyadic_map = _load_inputs(config)
@@ -645,11 +636,12 @@ def cmd_select(config: RunConfig) -> int:
 
 
 def cmd_scan(config: RunConfig) -> int:
-    panel, nodal, dyadic_map = _load_inputs(config)
-    prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
     # The scanned kind reads one series at every cutoff; inf only names the kind.
     scanned = NeighborhoodSpec(f"distance_{config.scan_direction}", cutoff_km=math.inf)
-    distances = _dyadic_series("scan", scanned, dyadic_map)
+    _require_series(config, [scanned], "scan")
+    panel, nodal, dyadic_map = _load_inputs(config)
+    prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
+    distances = dyadic_map[scanned.dyadic_series]
     fits, failures = _stored_fits(config, [OLS_CANDIDATE], sorted(prepared)) or _run_fits(
         config, prepared, dyadic_map, [OLS_CANDIDATE]
     )
@@ -675,6 +667,7 @@ def cmd_diagnose(config: RunConfig) -> int:
     structure = config.diagnose_structure
     if structure is None:
         raise ConfigError("diagnose needs a 'diagnose_structure' config entry")
+    _require_series(config, [structure])
     panel, nodal, dyadic_map = _load_inputs(config)
     prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
 

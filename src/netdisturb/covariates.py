@@ -18,7 +18,8 @@ A dyadic series is held as arrays (node codes, period, value per record)
 and is read through one node x node table per period, which resolves the
 nearest-period rule for every dyad at once; the design's ``dyadic`` role,
 the alliance and distance weight structures and :meth:`DyadicSeries.lookup`
-all read that table.
+all read that table.  The design reads the flow index's node codes: a
+nodal term looks each node up once and gathers its column by code.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._serialize import csv_writer, fmt, read_csv
+from ._serialize import csv_writer, fmt, parse_column, read_csv
 from .errors import CovariateError
 from .panel import FlowIndex, NetworkSnapshot
 
@@ -397,25 +398,45 @@ def build_design(
     t = snapshot.period - lag
     extrapolated: set[tuple[str, str]] = set()
 
-    def nodal_value(term, node):
-        series = nodal_map.get(term.series)
-        if series is None:
-            raise CovariateError(f"no nodal series named {term.series!r}")
-        value, out_of_span = series.lookup(node, t)
-        if out_of_span:
-            extrapolated.add((term.series, node))
-        return value
-
     def log_error(term, value, who):
         return CovariateError(
             f"log of nonpositive {term.series!r} value {value} for {who} at period {t}"
         )
 
+    def log(col):
+        return np.fromiter(map(math.log, col.tolist()), float, col.size)
+
+    def nodal_column(term):
+        series = nodal_map.get(term.series)
+        if series is None:
+            raise CovariateError(f"no nodal series named {term.series!r}")
+        ends = [index.sender, index.receiver] if term.role == "abs_diff" else [getattr(index, term.role)]
+        # One lookup per node.  A failed one reads NaN, and its error is
+        # raised at the first flow that needs the node.
+        value, errors = np.full(len(index.nodes), math.nan), {}
+        for code in np.unique(np.concatenate(ends)).tolist():
+            try:
+                value[code], out_of_span = series.lookup(index.nodes[code], t)
+            except CovariateError as exc:
+                errors[code], out_of_span = exc, False
+            if out_of_span:
+                extrapolated.add((term.series, index.nodes[code]))
+        col = np.abs(value[ends[0]] - value[ends[1]]) if len(ends) == 2 else value[ends[0]]
+        bad = np.isnan(col) | ((col <= 0) & (term.transform == "log"))
+        if bad.any():
+            a = int(np.argmax(bad))
+            for end in ends:
+                if end[a] in errors:
+                    raise errors[end[a]]
+            raise log_error(term, float(col[a]), index.nodes[ends[-1][a]])
+        return log(col) if term.transform == "log" else col
+
     def dyadic_column(term):
         series = dyadic_map.get(term.series)
         if series is None:
             raise CovariateError(f"no dyadic series named {term.series!r}")
-        col = series.table(t)[series.codes(index.senders), series.codes(index.receivers)]
+        codes = series.codes(index.nodes)
+        col = series.table(t)[codes[index.sender], codes[index.receiver]]
         if term.transform != "log":
             return series.check(col, lambda k: index.dyads[k[0]])
         # A missing pair before the first nonpositive value is reported first.
@@ -423,7 +444,7 @@ def build_design(
         series.check(col[: bad[0] if bad.size else None], lambda k: index.dyads[k[0]])
         if bad.size:
             raise log_error(term, float(col[bad[0]]), "({}, {})".format(*index.dyads[bad[0]]))
-        return np.fromiter(map(math.log, col.tolist()), float, col.size)
+        return log(col)
 
     columns = []
     names = []
@@ -431,24 +452,7 @@ def build_design(
         columns.append(np.ones(index.n))
         names.append("intercept")
     for term in recipe:
-        if term.role == "dyadic":
-            columns.append(dyadic_column(term))
-            names.append(term.column_name)
-            continue
-        col = np.empty(index.n)
-        for a, (sender, receiver) in enumerate(index.dyads):
-            if term.role == "sender":
-                value = nodal_value(term, sender)
-            elif term.role == "receiver":
-                value = nodal_value(term, receiver)
-            else:
-                value = abs(nodal_value(term, sender) - nodal_value(term, receiver))
-            if term.transform == "log":
-                if value <= 0:
-                    raise log_error(term, value, sender if term.role == "sender" else receiver)
-                value = math.log(value)
-            col[a] = value
-        columns.append(col)
+        columns.append(dyadic_column(term) if term.role == "dyadic" else nodal_column(term))
         names.append(term.column_name)
 
     if extrapolated:
@@ -472,24 +476,6 @@ def _value(text: str) -> float:
     if text == "" or text.upper() in ("NA", "NAN"):
         return math.nan
     return float(text)
-
-
-def _parse_column(cells, parse, dtype) -> tuple[np.ndarray, int]:
-    """``cells`` parsed into an array, and the position of the first bad cell.
-
-    That position is ``len(cells)`` when every cell parses; otherwise the
-    array holds the cells before it.
-    """
-    try:
-        return np.fromiter(map(parse, cells), dtype, len(cells)), len(cells)
-    except (ValueError, OverflowError):
-        parsed = []
-        for cell in cells:
-            try:
-                parsed.append(np.array(parse(cell), dtype))
-            except (ValueError, OverflowError):
-                break
-        return np.array(parsed, dtype), len(parsed)
 
 
 def load_nodal_csv(path, name: str) -> NodalSeries:
@@ -528,8 +514,8 @@ def load_dyadic_csv(
     pos = {node: k for k, node in enumerate(nodes)}
     a = np.fromiter(map(pos.__getitem__, col_a), np.int32, n)
     b = np.fromiter(map(pos.__getitem__, col_b), np.int32, n)
-    period, bad_period = _parse_column(col_period, int, np.int64)
-    value, bad_value = _parse_column(col_value, _value, float)
+    period, bad_period = parse_column(col_period, int, np.int64)
+    value, bad_value = parse_column(col_value, _value, float)
     # The first repeat of an (a, b, period) entry among rows with a period.
     order = np.lexsort((period, b[:bad_period], a[:bad_period]))
     key = np.column_stack((a[order], b[order], period[order]))

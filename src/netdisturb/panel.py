@@ -1,23 +1,27 @@
 """Panels of directed, positively weighted networks.
 
-One observation period is a :class:`NetworkSnapshot`: a set of directed
-flows (sender, receiver, value) over a roster of nodes whose existence may
-be limited to a sub-range of periods.  The :class:`FlowIndex` fixes a
-deterministic ordering of a snapshot's flows (lexicographic by sender code,
-then receiver code) and is the coordinate system shared by every vector and
-matrix built downstream: design matrices, weight matrices, residuals.
+One observation period is a :class:`NetworkSnapshot`: a :class:`FlowIndex`
+over the period's directed flows and one value per flow.  Nodes are named
+by opaque, case-sensitive tokens and exist over a roster's period range.
+A flow index holds each flow's sender and receiver as node codes, their
+positions in the sorted node names, and orders the flows by (sender code,
+receiver code), i.e. by name.  It is the coordinate system shared by every
+vector and matrix built downstream (design matrices, weight matrices,
+residuals), and those layers read the codes, not the names.
 
-Node codes are opaque, case-sensitive tokens.  Zero-valued flows do not
-exist by construction; a flow is present only when something was traded.
+Zero-valued flows do not exist by construction; a flow is present only
+when something was traded.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from ._serialize import csv_writer, fmt, read_csv
+from ._serialize import csv_writer, fmt, parse_column, read_csv
 from .errors import PanelError
 
 EDGE_HEADER = ("period", "sender", "receiver", "value")
@@ -52,103 +56,106 @@ class NodeRoster:
             spans[entry.node_id] = (entry.active_from, entry.active_to)
         object.__setattr__(self, "_spans", spans)
 
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._spans
-
     def active(self, node_id: str, period: int) -> bool:
         span = self._spans.get(node_id)
         return span is not None and span[0] <= period <= span[1]
 
 
-@dataclass(frozen=True)
-class Flow:
-    """One directed flow; zero-valued and self-directed flows are invalid."""
+class FlowIndex:
+    """The flows of one period in a fixed order: the coordinates of its vectors.
 
-    sender: str
-    receiver: str
-    value: float
+    ``nodes`` holds sorted names covering every endpoint, and ``sender`` and
+    ``receiver`` each flow's endpoint codes, positions in ``nodes``.
+    ``FlowIndex(period, dyads)`` keeps the order of the (sender, receiver)
+    name pairs given; :meth:`from_codes` takes codes.  Indexes with equal
+    periods and ``dyads`` are equal.  A dyad may appear only once.
+    """
 
-    def __post_init__(self):
-        if self.sender == self.receiver:
-            raise PanelError(f"self-flow {self.sender!r} -> {self.receiver!r}")
-        if not self.value > 0:
-            raise PanelError(
-                f"flow {self.sender!r} -> {self.receiver!r} has nonpositive "
-                f"value {self.value!r}"
-            )
+    def __init__(self, period: int, dyads):
+        nodes, ends = np.unique(np.array(dyads, str).reshape(-1, 2), return_inverse=True)
+        ends = ends.reshape(-1, 2)
+        self._setup(period, tuple(nodes.tolist()), ends[:, 0], ends[:, 1])
+
+    @classmethod
+    def from_codes(cls, period: int, nodes, sender, receiver) -> FlowIndex:
+        """An index over the sorted names ``nodes`` from aligned code arrays."""
+        index = cls.__new__(cls)
+        index._setup(period, tuple(nodes), np.asarray(sender, np.intp), np.asarray(receiver, np.intp))
+        return index
+
+    def _setup(self, period, nodes, sender, receiver) -> None:
+        self.period, self.nodes, self.sender, self.receiver = period, nodes, sender, receiver
+        self.n = sender.size
+        # The sorted keys sender * N + receiver; _order sorts them, None if they are.
+        keys = sender * len(nodes) + receiver
+        self._order = None if np.all(keys[1:] > keys[:-1]) else np.argsort(keys, kind="stable")
+        self._keys = keys if self._order is None else keys[self._order]
+        if np.any(self._keys[1:] == self._keys[:-1]):
+            raise PanelError(f"duplicate dyad in flow index, period {period}")
+
+    @functools.cached_property
+    def dyads(self) -> tuple[tuple[str, str], ...]:
+        name = self.nodes.__getitem__
+        return tuple(zip(map(name, self.sender.tolist()), map(name, self.receiver.tolist())))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FlowIndex) and (self.period, self.dyads) == (other.period, other.dyads)
+
+    def locate(self, sender, receiver) -> np.ndarray:
+        """Position of each flow sender -> receiver, given as codes; -1 where there is none."""
+        query = np.asarray(sender) * len(self.nodes) + np.asarray(receiver)
+        k = np.searchsorted(self._keys, query).clip(0, max(self.n - 1, 0))
+        found = self._keys[k] == query if self.n else np.zeros(query.shape, bool)
+        return np.where(found, k if self._order is None else self._order[k], -1)
+
+    def position(self, dyad: tuple[str, str]) -> int:
+        a = int(self.locate(*map(self.nodes.index, dyad))) if set(dyad) <= set(self.nodes) else -1
+        if a < 0:
+            raise PanelError(f"dyad {dyad[0]} -> {dyad[1]} not in index for period {self.period}")
+        return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSnapshot:
-    """All flows observed in one period."""
+    """All flows observed in one period: a flow index and each flow's value.
 
-    period: int
-    flows: tuple[Flow, ...]
+    The flows are held in :func:`index_flows` order; an index in another
+    order is sorted together with the values.  A self-flow or a value that
+    is not > 0 is rejected.
+    """
+
+    index: FlowIndex
+    values: np.ndarray
 
     def __post_init__(self):
-        values = {}
-        for flow in self.flows:
-            dyad = (flow.sender, flow.receiver)
-            if dyad in values:
-                raise PanelError(
-                    f"duplicate dyad {dyad[0]} -> {dyad[1]} in period {self.period}"
-                )
-            values[dyad] = flow.value
-        object.__setattr__(self, "_values", values)
+        index, values = self.index, np.asarray(self.values, dtype=float)
+        if values.shape != (index.n,):
+            raise PanelError(f"{values.size} values for {index.n} flows in period {index.period}")
+        bad = (index.sender == index.receiver) | ~(values > 0)
+        if bad.any():
+            a = int(np.argmax(bad))
+            sender, receiver = index.dyads[a]
+            if sender == receiver:
+                raise PanelError(f"self-flow {sender!r} -> {receiver!r}")
+            raise PanelError(f"flow {sender!r} -> {receiver!r} has nonpositive value {float(values[a])!r}")
+        order = index._order
+        if order is not None:
+            index = FlowIndex.from_codes(index.period, index.nodes, index.sender[order], index.receiver[order])
+            object.__setattr__(self, "index", index)
+            values = values[order]
+        object.__setattr__(self, "values", values)
+
+    @property
+    def period(self) -> int:
+        return self.index.period
 
     @property
     def n_flows(self) -> int:
-        return len(self.flows)
-
-    def value(self, sender: str, receiver: str) -> float:
-        try:
-            return self._values[(sender, receiver)]
-        except KeyError:
-            raise PanelError(
-                f"no flow {sender} -> {receiver} in period {self.period}"
-            ) from None
-
-
-@dataclass(frozen=True)
-class FlowIndex:
-    """Ordered dyad list fixing the coordinate system for one period."""
-
-    period: int
-    dyads: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_pos", {dyad: a for a, dyad in enumerate(self.dyads)}
-        )
-        if len(self._pos) != len(self.dyads):
-            raise PanelError(f"duplicate dyad in flow index, period {self.period}")
-
-    @property
-    def n(self) -> int:
-        return len(self.dyads)
-
-    def position(self, dyad: tuple[str, str]) -> int:
-        try:
-            return self._pos[dyad]
-        except KeyError:
-            raise PanelError(
-                f"dyad {dyad[0]} -> {dyad[1]} not in index for period {self.period}"
-            ) from None
-
-    def __contains__(self, dyad) -> bool:
-        return dyad in self._pos
-
-    @property
-    def senders(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.dyads)
-
-    @property
-    def receivers(self) -> tuple[str, ...]:
-        return tuple(r for _, r in self.dyads)
+        return self.index.n
 
 
 def index_flows(snapshot: NetworkSnapshot) -> FlowIndex:
-    """Deterministic flow ordering for one snapshot.
+    """Deterministic flow ordering for one snapshot: the snapshot's own index.
 
     Flows are sorted lexicographically by (sender, receiver) code, so the
     index depends only on the flow *set*, never on input file order.
@@ -158,112 +165,113 @@ def index_flows(snapshot: NetworkSnapshot) -> FlowIndex:
     PanelError
         If the snapshot has no flows (nothing to index or fit).
     """
-    if not snapshot.flows:
+    if snapshot.n_flows == 0:
         raise PanelError(f"period {snapshot.period} has no flows to index")
-    dyads = sorted((f.sender, f.receiver) for f in snapshot.flows)
-    return FlowIndex(period=snapshot.period, dyads=tuple(dyads))
+    return snapshot.index
 
 
 def log_flow_vector(snapshot: NetworkSnapshot, index: FlowIndex) -> np.ndarray:
     """Log flow values in index order (the response vector of the model)."""
     if index.period != snapshot.period:
-        raise PanelError(
-            f"index period {index.period} does not match snapshot period "
-            f"{snapshot.period}"
-        )
-    return np.log([snapshot.value(s, r) for s, r in index.dyads])
-
-
-def _parse_int(path, lineno, field, text):
-    try:
-        return int(text)
-    except ValueError:
-        raise PanelError(f"{path}:{lineno}: bad integer {field} {text!r}") from None
-
-
-def _parse_float(path, lineno, field, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise PanelError(f"{path}:{lineno}: bad number {field} {text!r}") from None
+        raise PanelError(f"index period {index.period} does not match snapshot period {snapshot.period}")
+    if index is not snapshot.index and index != snapshot.index:
+        raise PanelError(f"index does not hold the flows of period {snapshot.period}")
+    return np.log(snapshot.values)
 
 
 def load_roster(path) -> NodeRoster:
-    """Read a roster CSV with header ``node,active_from,active_to``."""
-    path, linenos, columns = read_csv(path, ROSTER_HEADER, PanelError)
-    entries = []
-    for lineno, node, frm, to in zip(linenos, *columns):
-        entries.append(
-            RosterEntry(
-                node_id=node,
-                active_from=_parse_int(path, lineno, "active_from", frm),
-                active_to=_parse_int(path, lineno, "active_to", to),
-            )
-        )
-    return NodeRoster(entries=tuple(entries))
+    """Read a roster CSV with header ``node,active_from,active_to``.
+
+    Errors name the first bad row: a bad ``active_from``, a bad
+    ``active_to`` or an inverted span, in this order; a repeated node is
+    reported once every row has parsed.
+    """
+    path, linenos, (nodes, col_from, col_to) = read_csv(path, ROSTER_HEADER, PanelError)
+    active_from, bad_from = parse_column(col_from, int, np.int64)
+    active_to, bad_to = parse_column(col_to, int, np.int64)
+    m = min(bad_from, bad_to)
+    entries = tuple(map(RosterEntry, nodes[:m], active_from[:m].tolist(), active_to[:m].tolist()))
+    if m < len(nodes):
+        field, text = ("active_from", col_from[m]) if m == bad_from else ("active_to", col_to[m])
+        raise PanelError(f"{path}:{linenos[m]}: bad integer {field} {text!r}")
+    return NodeRoster(entries=entries)
 
 
 def load_panel(edge_path, roster_path) -> list[NetworkSnapshot]:
-    """Load an edge list into validated per-period snapshots.
+    """Load an edge list into validated snapshots, one per period, sorted by period.
 
-    Parameters
-    ----------
-    edge_path : path-like
-        CSV with header ``period,sender,receiver,value``, one row per flow.
-        Duplicate (period, sender, receiver) rows are rejected; users must
-        pre-aggregate multiple deliveries within a period.
-    roster_path : path-like
-        CSV with header ``node,active_from,active_to``.  Every endpoint of
-        every flow must be active in its flow's period.
+    ``edge_path`` is a CSV with header ``period,sender,receiver,value`` and
+    one row per flow (users must pre-aggregate multiple deliveries within a
+    period); ``roster_path`` one with header ``node,active_from,active_to``.
+    The snapshots' indexes share one tuple of node names: every endpoint in
+    the file.  The columns are parsed and checked whole.
 
-    Returns
-    -------
-    list of NetworkSnapshot
-        One snapshot per distinct period, sorted by period.
+    Raises
+    ------
+    PanelError
+        Naming the file and line of the first bad row.  A row is checked in
+        this order: its period is an integer; its value is a number, > 0 (so
+        not NaN) and finite; its sender is not its receiver; it does not
+        repeat an earlier (period, sender, receiver) row; its sender, then
+        its receiver, is active in its period.
     """
     roster = load_roster(roster_path)
     path, linenos, columns = read_csv(edge_path, EDGE_HEADER, PanelError)
-    by_period: dict[int, list[Flow]] = {}
-    seen: set[tuple[int, str, str]] = set()
-    for lineno, period_t, sender, receiver, value_t in zip(linenos, *columns):
-        period = _parse_int(path, lineno, "period", period_t)
-        value = _parse_float(path, lineno, "value", value_t)
-        if value <= 0:
-            raise PanelError(
-                f"{path}:{lineno}: nonpositive value {value_t} for "
-                f"{sender} -> {receiver} in period {period}"
-            )
-        if sender == receiver:
-            raise PanelError(f"{path}:{lineno}: self-flow {sender} -> {receiver}")
-        key = (period, sender, receiver)
-        if key in seen:
-            raise PanelError(
-                f"{path}:{lineno}: duplicate dyad {sender} -> {receiver} "
-                f"in period {period}"
-            )
-        seen.add(key)
-        for node in (sender, receiver):
-            if not roster.active(node, period):
-                raise PanelError(
-                    f"{path}:{lineno}: node {node!r} not active in period {period}"
-                )
-        by_period.setdefault(period, []).append(
-            Flow(sender=sender, receiver=receiver, value=value)
-        )
-    return [
-        NetworkSnapshot(period=period, flows=tuple(by_period[period]))
-        for period in sorted(by_period)
-    ]
+    col_period, col_sender, col_receiver, col_value = columns
+    period, bad_period = parse_column(col_period, int, np.int64)
+    value, bad_value = parse_column(col_value, float, float)
+    m = min(bad_period, bad_value)  # the rows before m parse
+    nodes = tuple(sorted(set(col_sender).union(col_receiver)))
+    code = {node: k for k, node in enumerate(nodes)}
+    sender = np.fromiter(map(code.__getitem__, col_sender[:m]), np.intp, m)
+    receiver = np.fromiter(map(code.__getitem__, col_receiver[:m]), np.intp, m)
+    period, value = period[:m], value[:m]
+
+    # One stable sort by (period, sender, receiver): a repeated row follows
+    # its first occurrence, and each period's flows come out in index order.
+    order = np.lexsort((receiver, sender, period))
+    repeat = np.zeros(m, bool)
+    repeat[order[1:][np.all(np.diff(np.stack([period, sender, receiver])[:, order]) == 0, axis=0)]] = True
+    # Each node's active span; a node the roster lacks is never active.
+    spans = np.array([roster._spans.get(node, (1, 0)) for node in nodes], np.int64).reshape(-1, 2)
+    checks = {  # in the order a row is checked, after its period and value parse
+        "nonpositive value {v} for {s} -> {r} in period {t}": ~(value > 0),
+        "non-finite value {v} for {s} -> {r} in period {t}": ~np.isfinite(value),
+        "self-flow {s} -> {r}": sender == receiver,
+        "duplicate dyad {s} -> {r} in period {t}": repeat,
+        "node {s!r} not active in period {t}": (period < spans[sender, 0]) | (period > spans[sender, 1]),
+        "node {r!r} not active in period {t}": (period < spans[receiver, 0]) | (period > spans[receiver, 1]),
+    }
+    first = int(np.argmax(np.append(np.logical_or.reduce(list(checks.values())), True)))
+    if first < len(linenos):
+        fields = {"t": col_period[first], "s": col_sender[first], "r": col_receiver[first], "v": col_value[first]}
+        if first == m:
+            message = "bad integer period {t!r}" if m == bad_period else "bad number value {v!r}"
+        else:
+            fields["t"] = int(period[first])
+            message = next(text for text, rows in checks.items() if rows[first])
+        raise PanelError(f"{path}:{linenos[first]}: " + message.format(**fields))
+
+    periods, starts = np.unique(period[order], return_index=True)
+    snapshots = []
+    for t, lo, hi in zip(periods.tolist(), starts.tolist(), starts[1:].tolist() + [m]):
+        rows = order[lo:hi]
+        index = FlowIndex.from_codes(t, nodes, sender[rows], receiver[rows])
+        snapshots.append(NetworkSnapshot(index, value[rows]))
+    return snapshots
 
 
 def write_edge_csv(path, snapshots) -> None:
     """Write snapshots back to the edge CSV format (exact round-trip)."""
     with csv_writer(path, EDGE_HEADER) as writer:
         for snapshot in snapshots:
-            for flow in snapshot.flows:
-                writer.writerow(
-                    [snapshot.period, flow.sender, flow.receiver, fmt(flow.value)]
-                )
+            name = snapshot.index.nodes.__getitem__
+            writer.writerows(zip(
+                repeat(snapshot.period),
+                map(name, snapshot.index.sender.tolist()),
+                map(name, snapshot.index.receiver.tolist()),
+                map(fmt, snapshot.values.tolist()),
+            ))
 
 
 def write_roster_csv(path, roster: NodeRoster) -> None:

@@ -1,8 +1,9 @@
 """Synthetic panels drawn from the exact generative model.
 
-Each period realizes a directed Erdos-Renyi graph over the node roster,
-builds the declared dependence structure's weight matrix W over the
-resulting flows, draws eps ~ N(0, sigma^2 I), solves
+Each period realizes a directed Erdos-Renyi graph over the node roster, a
+mask over the ordered node pairs that gives the flow index's node codes,
+builds the declared dependence structure's weight matrix W over those
+flows, draws eps ~ N(0, sigma^2 I), solves
 
     u = (I - rho W)^{-1} eps,    y = X beta + u,    flows = exp(y)
 
@@ -36,7 +37,6 @@ from .covariates import (
 )
 from .errors import NetdisturbError
 from .panel import (
-    Flow,
     FlowIndex,
     NetworkSnapshot,
     NodeRoster,
@@ -177,12 +177,13 @@ def simulate(spec: SimSpec) -> SimResult:
     ]
     context = {series.name: series for series in dyadic}.get(spec.structure.dyadic_series)
 
-    ordered_pairs = [
-        (nodes[a], nodes[b])
-        for a in range(spec.n_nodes)
-        for b in range(spec.n_nodes)
-        if a != b
-    ]
+    # Every ordered pair a != b as a * n + b, in the order the graph draws
+    # use.  Index codes are ranks among the sorted names (N1000 sorts
+    # before N101).
+    n = spec.n_nodes
+    pairs = np.flatnonzero(~np.eye(n, dtype=bool))
+    names = sorted(nodes)
+    code = np.argsort(np.argsort(nodes, kind="stable"))
     min_flows = p + 2
 
     panel = []
@@ -191,26 +192,20 @@ def simulate(spec: SimSpec) -> SimResult:
     weight_mats = {}
     truth_periods = {}
     for period in range(first_period, spec.n_periods + 1):
-        dyads = None
         for _ in range(MAX_GRAPH_RETRIES):
-            keep = rng.uniform(size=len(ordered_pairs)) < spec.density
-            candidate = [pair for pair, k in zip(ordered_pairs, keep) if k]
-            if len(candidate) >= min_flows:
-                dyads = candidate
+            keep = rng.uniform(size=pairs.size) < spec.density
+            if np.count_nonzero(keep) >= min_flows:
                 break
-        if dyads is None:
+        else:
             raise NetdisturbError(
                 f"period {period}: could not realize at least {min_flows} flows "
                 f"at density {spec.density}; increase density or n_nodes"
             )
-        index = FlowIndex(period=period, dyads=tuple(sorted(dyads)))
-        provisional = NetworkSnapshot(
-            period=period,
-            flows=tuple(Flow(sender=s, receiver=r, value=1.0) for s, r in index.dyads),
-        )
-        design = build_design(
-            provisional, index, nodal, dyadic, recipe=recipe, lag=spec.lag
-        )
+        drawn = pairs[keep]
+        keys = np.sort(code[drawn // n] * n + code[drawn % n])
+        index = FlowIndex.from_codes(period, names, keys // n, keys % n)
+        flows = NetworkSnapshot(index, np.ones(index.n))  # the flows, before their values
+        design = build_design(flows, index, nodal, dyadic, recipe=recipe, lag=spec.lag)
         W = build_weight_matrix(spec.structure, index, context)
         spect = spectrum(W)
         if not spect.rho_lower < spec.rho < spect.rho_upper:
@@ -228,14 +223,7 @@ def simulate(spec: SimSpec) -> SimResult:
                 f"period {period}: log flows reach |y|={np.abs(y).max():.3g}, "
                 f"beyond exp() range; reduce |rho| or sigma"
             )
-        snapshot = NetworkSnapshot(
-            period=period,
-            flows=tuple(
-                Flow(sender=s, receiver=r, value=float(math.exp(y[a])))
-                for a, (s, r) in enumerate(index.dyads)
-            ),
-        )
-        panel.append(snapshot)
+        panel.append(NetworkSnapshot(index, np.fromiter(map(math.exp, y.tolist()), float, y.size)))
         indices[period] = index
         designs[period] = design
         weight_mats[period] = W

@@ -12,20 +12,20 @@ member predicate over another flow (p, q) is
     distance_import     q != j and d(j, q) < cutoff
     distance_export     p != i and d(i, p) < cutoff
 
-Each structure is one :class:`AnchorRelation` over a period's flows: the
-roles that anchor a flow (its sender s, its receiver r, or both), a node
-relation C over the anchor nodes, and, for the attached kinds, the reverse
-flow (j, i).  With d the period's table of the dyadic series the kind reads
-(:attr:`NeighborhoodSpec.dyadic_series`: ``alliance`` or ``distance``), C is the
-identity for the activity kinds, d(anchor, partner) != 0 for the alliance
-kinds and d(anchor, partner) < cutoff for the distance kinds; the last two
-are false on the diagonal, as no node is its own ally or close neighbour.
-Flow b neighbours flow a when C[x(a), y(b)] holds for some roles x and y,
-or when b is a's reverse flow.  A flow is never its own neighbour (a
-nonzero diagonal would break the disturbance model).  Weights are uniform
-within a neighbourhood: W[a, b] = 1/|N(a)| for neighbours, 0 otherwise,
-so each row sums to 1, or to 0 when the neighbourhood is empty (such flows
-receive no spillover).
+Each structure is one :class:`AnchorRelation` over a period's flows, read
+from the flow index's node codes: the roles that anchor a flow (its sender
+s, its receiver r, or both), a node relation C over the anchor nodes, and,
+for the attached kinds, the reverse flow (j, i).  With d the period's table
+of the dyadic series the kind reads (:attr:`NeighborhoodSpec.dyadic_series`:
+``alliance`` or ``distance``), C is the identity for the activity kinds,
+d(anchor, partner) != 0 for the alliance kinds and d(anchor, partner) <
+cutoff for the distance kinds; the last two are false on the diagonal, as no
+node is its own ally or close neighbour.  Flow b neighbours flow a when
+C[x(a), y(b)] holds for some roles x and y, or when b is a's reverse flow.
+A flow is never its own neighbour (a nonzero diagonal would break the
+disturbance model).  Weights are uniform within a neighbourhood: W[a, b] =
+1/|N(a)| for neighbours, 0 otherwise, so each row sums to 1, or to 0 when
+the neighbourhood is empty (such flows receive no spillover).
 
 The same relation factors W exactly.  With U the n x N sum over the roles
 of each flow's one-hot anchor position, C the thresholded node relation,
@@ -137,25 +137,26 @@ class AnchorRelation:
     """One period's flows grouped by anchor node, related through the nodes.
 
     ``anchors`` holds, per role, each flow's anchor as a position in the
-    period's sorted anchor nodes: U's nonzero columns.  ``table`` is N x N
-    over those nodes: the identity, or the dyadic series' table for the
-    period (:meth:`DyadicSeries.table`) taken at (anchor, partner), with a
-    diagonal of 0 for alliances and infinity for distances, so no node
-    relates to itself.  The table is read once and thresholded per cutoff,
-    so the Moran scan reuses one relation along its grid.
-    ``partner`` maps each flow to its reverse flow where E holds R (the
-    attached kinds and full_activity), else to itself, and ``paired``
-    marks the flows that have one; ``correction`` is E's (self, reverse)
-    coefficients.  Building it raises WeightError when dyadic data misses
-    a needed pair.
+    period's sorted anchor nodes (the index's codes, renumbered): U's
+    nonzero columns.  ``table`` is N x N over those nodes: the identity, or
+    the dyadic series' table for the period (:meth:`DyadicSeries.table`)
+    taken at (anchor, partner), with a diagonal of 0 for alliances and
+    infinity for distances, so no node relates to itself.  The table is
+    read once and thresholded per cutoff, so the Moran scan reuses one
+    relation along its grid.  ``partner`` maps each flow to its reverse
+    flow (:meth:`FlowIndex.locate`) where E holds R (the attached kinds and
+    full_activity), else to itself, and ``paired`` marks the flows that
+    have one; ``correction`` is E's (self, reverse) coefficients.  Building
+    it raises WeightError when dyadic data misses a needed pair.
     """
 
     def __init__(self, kind: str, index: FlowIndex, dyadic: DyadicSeries | None = None):
         roles, relation, *self.correction = _LAYOUT[kind]
-        ends = {"s": index.senders, "r": index.receivers}
-        nodes = sorted({node for role in roles for node in ends[role]})
-        pos = {node: k for k, node in enumerate(nodes)}
-        self.anchors = [np.array([pos[node] for node in ends[role]]) for role in roles]
+        ends = {"s": index.sender, "r": index.receiver}
+        # Codes follow sorted names, so the anchor nodes come out sorted.
+        codes, anchors = np.unique(np.concatenate([ends[role] for role in roles]), return_inverse=True)
+        self.anchors = np.split(anchors, len(roles))
+        nodes = [index.nodes[code] for code in codes.tolist()]
         if relation == "identity":
             self.table = np.eye(len(nodes))
         elif dyadic is None:
@@ -168,9 +169,8 @@ class AnchorRelation:
                 dyadic.check(self.table, lambda xy: (nodes[xy[0]], nodes[xy[1]]))
             except CovariateError as exc:
                 raise WeightError(str(exc)) from None
-        rows = [a for a, (i, j) in enumerate(index.dyads) if self.correction[1] and (j, i) in index]
-        self.partner = np.arange(index.n)
-        self.partner[rows] = [index.position(index.dyads[a][::-1]) for a in rows]
+        reverse = index.locate(index.receiver, index.sender) if self.correction[1] else np.full(index.n, -1)
+        self.partner = np.where(reverse >= 0, reverse, np.arange(index.n))
         self.paired = self.partner != np.arange(index.n)
 
     def factors(self, cutoff: float | None = None) -> WeightFactors:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from netdisturb import (
     FlowIndex,
     DyadicSeries,
+    NetworkSnapshot,
     NeighborhoodSpec,
     SemProblem,
     SimSpec,
@@ -20,6 +21,12 @@ from netdisturb import (
     simulate,
 )
 from netdisturb.weights import DISTANCE_KINDS, KINDS
+
+
+def snapshot_of(period, triples) -> NetworkSnapshot:
+    """A snapshot from (sender, receiver, value) triples, in any order."""
+    index = FlowIndex(period=period, dyads=[(s, r) for s, r, _ in triples])
+    return NetworkSnapshot(index, np.array([v for *_, v in triples], dtype=float))
 
 
 def random_flow_index(rng, max_nodes=8, max_flows=30, period=1) -> FlowIndex:

@@ -151,6 +151,30 @@ class TestConfigParsing:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["fit", "select", "scan-cutoff", "diagnose"])
+    def test_missing_dyadic_series_checked_before_input(self, workspace, capsys, command):
+        # The edges file is broken too: the series check must come first,
+        # and fit must not have dropped the stored report.
+        tmp_path, config_file = workspace
+        text = config_file.read_text().replace("dyadic.distance = data/distance.csv\n", "")
+        text = text.replace("candidates = ", "candidates = distance_import:1100, ")
+        text = text.replace("diagnose_structure = full_activity", "diagnose_structure = distance_import:1100")
+        config_file.write_text(text)
+        with open(tmp_path / "data" / "edges.csv", "a", encoding="utf-8") as fh:
+            fh.write("x,N000,N001,1\n")
+        report = tmp_path / "out" / "fit_report.json"
+        report.parent.mkdir()
+        report.write_text("{}\n")
+        argv = [command, "--config", str(config_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        reader = "scan" if command == "scan-cutoff" else "structure distance_import@1100"
+        assert capsys.readouterr().err == (
+            f"config error: {reader} needs dyadic series 'distance'; "
+            f"add a dyadic.distance entry to the config\n"
+        )
+        assert report.read_text() == "{}\n"
+        assert sorted(path.name for path in report.parent.iterdir()) == ["fit_report.json"]
+
     def test_unit_rho_interval_loads(self, workspace):
         tmp_path, config_file = workspace
         config_file.write_text(config_file.read_text() + "rho_interval = unit\n")

@@ -7,8 +7,6 @@ from netdisturb import (
     CovariateError,
     CovariateTerm,
     DyadicSeries,
-    Flow,
-    NetworkSnapshot,
     NodalSeries,
     build_design,
     impute_linear,
@@ -17,6 +15,8 @@ from netdisturb import (
     load_nodal_csv,
 )
 from netdisturb.covariates import write_dyadic_csv, write_nodal_csv
+
+from conftest import snapshot_of
 
 
 class TestImputeLinear:
@@ -122,7 +122,7 @@ def recipe_fixture():
 
 class TestBuildDesign:
     def test_hand_computed_row(self):
-        snapshot = NetworkSnapshot(period=10, flows=(Flow("A", "B", 5.0),))
+        snapshot = snapshot_of(10, [("A", "B", 5.0)])
         index = index_flows(snapshot)
         t = 8  # period 10, lag 2
         nodal = [
@@ -143,7 +143,7 @@ class TestBuildDesign:
         )
 
     def test_lag_zero_is_direct_lookup(self):
-        snapshot = NetworkSnapshot(period=3, flows=(Flow("A", "B", 5.0),))
+        snapshot = snapshot_of(3, [("A", "B", 5.0)])
         index = index_flows(snapshot)
         nodal = [NodalSeries("gdp", {("A", 3): 7.0, ("B", 3): 9.0})]
         design = build_design(
@@ -152,7 +152,7 @@ class TestBuildDesign:
         assert design.rows[0, 1] == 7.0
 
     def test_alliance_carried_forward_past_series_end(self):
-        snapshot = NetworkSnapshot(period=20, flows=(Flow("A", "B", 5.0),))
+        snapshot = snapshot_of(20, [("A", "B", 5.0)])
         index = index_flows(snapshot)
         dyadic = [DyadicSeries("alliance", True, {("A", "B", 12): 1.0})]
         design = build_design(
@@ -161,7 +161,7 @@ class TestBuildDesign:
         assert design.rows[0, 1] == 1.0
 
     def test_log_of_nonpositive_rejected(self):
-        snapshot = NetworkSnapshot(period=2, flows=(Flow("A", "B", 5.0),))
+        snapshot = snapshot_of(2, [("A", "B", 5.0)])
         index = index_flows(snapshot)
         nodal = [NodalSeries("gdp", {("A", 2): -1.0, ("B", 2): 1.0})]
         with pytest.raises(CovariateError, match="log of nonpositive 'gdp'.*A"):
@@ -171,7 +171,7 @@ class TestBuildDesign:
             )
 
     def test_unknown_series_rejected(self):
-        snapshot = NetworkSnapshot(period=2, flows=(Flow("A", "B", 5.0),))
+        snapshot = snapshot_of(2, [("A", "B", 5.0)])
         index = index_flows(snapshot)
         with pytest.raises(CovariateError, match="no nodal series named 'gdp'"):
             build_design(
@@ -179,9 +179,7 @@ class TestBuildDesign:
             )
 
     def test_symmetric_dyadic_same_both_directions(self):
-        snapshot = NetworkSnapshot(
-            period=1, flows=(Flow("A", "B", 1.0), Flow("B", "A", 2.0))
-        )
+        snapshot = snapshot_of(1, [("A", "B", 1.0), ("B", "A", 2.0)])
         index = index_flows(snapshot)
         dyadic = [DyadicSeries("distance", True, {("A", "B", 1): 750.0})]
         design = build_design(
@@ -190,24 +188,24 @@ class TestBuildDesign:
         assert design.rows[0, 1] == design.rows[1, 1] == 750.0
 
     def test_rows_follow_index_not_input_order(self):
-        flows = [Flow("B", "A", 1.0), Flow("A", "B", 2.0)]
+        flows = [("B", "A", 1.0), ("A", "B", 2.0)]
         nodal = [NodalSeries("gdp", {("A", 1): 1.0, ("B", 1): 2.0})]
         recipe = (CovariateTerm("gdp", "sender"),)
         one = build_design(
-            NetworkSnapshot(period=1, flows=tuple(flows)),
-            index_flows(NetworkSnapshot(period=1, flows=tuple(flows))),
+            snapshot_of(1, flows),
+            index_flows(snapshot_of(1, flows)),
             nodal, [], recipe, lag=0,
         )
         other = build_design(
-            NetworkSnapshot(period=1, flows=tuple(reversed(flows))),
-            index_flows(NetworkSnapshot(period=1, flows=tuple(reversed(flows)))),
+            snapshot_of(1, flows[::-1]),
+            index_flows(snapshot_of(1, flows[::-1])),
             nodal, [], recipe, lag=0,
         )
         np.testing.assert_array_equal(one.rows, other.rows)
         assert one.index.dyads == other.index.dyads
 
     def test_extrapolation_warns(self):
-        snapshot = NetworkSnapshot(period=9, flows=(Flow("A", "B", 5.0),))
+        snapshot = snapshot_of(9, [("A", "B", 5.0)])
         index = index_flows(snapshot)
         nodal = [NodalSeries("gdp", {("A", 1): 1.0, ("B", 1): 1.0})]
         with pytest.warns(UserWarning, match="outside the observed span"):
@@ -216,7 +214,7 @@ class TestBuildDesign:
             )
 
     def test_no_intercept(self):
-        snapshot = NetworkSnapshot(period=1, flows=(Flow("A", "B", 5.0),))
+        snapshot = snapshot_of(1, [("A", "B", 5.0)])
         index = index_flows(snapshot)
         nodal = [NodalSeries("gdp", {("A", 1): 3.0, ("B", 1): 1.0})]
         design = build_design(
@@ -373,7 +371,7 @@ class TestLoaderMessages:
         series = load_dyadic_csv(path, "distance", symmetric=True)
         assert error_text(series.lookup, "A", "Z", 1) == "series 'distance' has no data for pair (A, Z)"
         assert error_text(series.lookup, "Z", "Y", 1) == "series 'distance' has no data for pair (Z, Y)"
-        snapshot = NetworkSnapshot(period=1, flows=(Flow("A", "B", 1.0), Flow("Z", "A", 1.0)))
+        snapshot = snapshot_of(1, [("A", "B", 1.0), ("Z", "A", 1.0)])
         message = error_text(
             build_design, snapshot, index_flows(snapshot), [], [series],
             (CovariateTerm("distance", "dyadic"),), lag=0,
@@ -385,7 +383,7 @@ class TestLoaderMessages:
         series = load_dyadic_csv(path, "alliance", symmetric=True, default=0.0)
         assert series.lookup("A", "Z", 1) == 0.0
         assert series.lookup("Z", "Y", 7) == 0.0
-        snapshot = NetworkSnapshot(period=3, flows=(Flow("A", "B", 1.0), Flow("Z", "A", 1.0)))
+        snapshot = snapshot_of(3, [("A", "B", 1.0), ("Z", "A", 1.0)])
         design = build_design(
             snapshot, index_flows(snapshot), [], [series], (CovariateTerm("alliance", "dyadic"),), lag=0
         )
@@ -393,7 +391,7 @@ class TestLoaderMessages:
 
     def test_log_error_before_later_missing_pair(self):
         series = DyadicSeries("trade", False, {("A", "B", 1): -2.0})
-        snapshot = NetworkSnapshot(period=1, flows=(Flow("A", "B", 1.0), Flow("B", "A", 1.0)))
+        snapshot = snapshot_of(1, [("A", "B", 1.0), ("B", "A", 1.0)])
         message = error_text(
             build_design, snapshot, index_flows(snapshot), [], [series],
             (CovariateTerm("trade", "dyadic", "log"),), lag=0,

@@ -61,8 +61,8 @@ class OracleDyadicSeries:
 
 def oracle_table(kind, index, series):
     """The N x N relation table as the per-pair loop filled it."""
-    ends = index.receivers if kind.endswith("import") else index.senders
-    nodes = sorted(set(ends))
+    end = 1 if kind.endswith("import") else 0
+    nodes = sorted({dyad[end] for dyad in index.dyads})
     table = np.full((len(nodes), len(nodes)), np.inf if kind.startswith("distance") else 0.0)
     for x, anchor in enumerate(nodes):
         for y, partner in enumerate(nodes):

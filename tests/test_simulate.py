@@ -41,7 +41,7 @@ class TestSimulate:
     def test_different_seed_differs(self):
         a = simulate(base_spec())
         b = simulate(base_spec(seed=100))
-        assert a.panel[0].flows != b.panel[0].flows
+        assert (a.panel[0].index, a.panel[0].values.tolist()) != (b.panel[0].index, b.panel[0].values.tolist())
 
     def test_emitted_csvs_reload_cleanly(self, tmp_path):
         result = simulate(base_spec())
@@ -49,9 +49,7 @@ class TestSimulate:
         panel = load_panel(paths["edges"], paths["roster"])
         assert [s.period for s in panel] == [1, 2, 3]
         for original, loaded in zip(result.panel, panel):
-            assert sorted(f.value for f in loaded.flows) == pytest.approx(
-                sorted(f.value for f in original.flows)
-            )
+            assert sorted(loaded.values) == pytest.approx(sorted(original.values))
         for name in ("x1", "x2"):
             load_nodal_csv(paths[name], name)
         load_dyadic_csv(paths["alliance"], "alliance", symmetric=True)
@@ -59,6 +57,16 @@ class TestSimulate:
         truth = json.loads(paths["truth"].read_text())
         assert truth["structure"] == "full_activity"
         assert truth["beta"] == [1.0, 2.0, -1.0]
+
+    def test_codes_follow_sorted_names_past_1000_nodes(self):
+        # N1000 sorts between N100 and N101: the index must order by name.
+        result = simulate(base_spec(n_nodes=1002, n_periods=1, density=1e-3, seed=5))
+        index = result.indices[1]
+        assert list(index.nodes) == sorted(f"N{k:03d}" for k in range(1002))
+        assert {"N1000", "N1001"} <= {node for dyad in index.dyads for node in dyad}
+        assert list(index.dyads) == sorted(index.dyads)
+        assert [index.nodes[code] for code in index.sender] == [s for s, _ in index.dyads]
+        assert result.panel[0].index is index
 
     def test_flows_are_exp_of_model(self):
         result = simulate(base_spec())
