@@ -1,12 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netdisturb import (
     CovariateError,
     CovariateTerm,
     DyadicSeries,
+    FlowIndex,
+    NetworkSnapshot,
     NodalSeries,
     build_design,
     impute_linear,
@@ -213,6 +218,26 @@ class TestBuildDesign:
                 snapshot, index, nodal, [], (CovariateTerm("gdp", "sender"),), lag=0
             )
 
+    def test_abs_diff_names_the_sender_first(self):
+        snapshot = snapshot_of(1, [("A", "B", 1.0)])
+        nodal = [NodalSeries("g", {("C", 1): 1.0})]
+        message = error_text(
+            build_design, snapshot, index_flows(snapshot), nodal, [], (CovariateTerm("g", "abs_diff"),), lag=0
+        )
+        assert message == "series 'g' has no observations for node 'A'"
+
+    def test_first_failing_flow_wins(self):
+        snapshot = snapshot_of(1, [("A", "B", 1.0), ("C", "A", 1.0)])
+        recipe = (CovariateTerm("g", "sender", "log"),)
+        # A log error at flow (A, B) comes before a missing node at (C, A) ...
+        nodal = [NodalSeries("g", {("A", 1): -1.0})]
+        message = error_text(build_design, snapshot, index_flows(snapshot), nodal, [], recipe, lag=0)
+        assert message == "log of nonpositive 'g' value -1.0 for A at period 1"
+        # ... and a missing node at (A, B) before a log error at (C, A).
+        nodal = [NodalSeries("g", {("C", 1): -1.0})]
+        message = error_text(build_design, snapshot, index_flows(snapshot), nodal, [], recipe, lag=0)
+        assert message == "series 'g' has no observations for node 'A'"
+
     def test_no_intercept(self):
         snapshot = snapshot_of(1, [("A", "B", 5.0)])
         index = index_flows(snapshot)
@@ -397,3 +422,98 @@ class TestLoaderMessages:
             (CovariateTerm("trade", "dyadic", "log"),), lag=0,
         )
         assert message == "log of nonpositive 'trade' value -2.0 for (A, B) at period 1"
+
+
+def loop_design(index, nodal, recipe, t):
+    """The nodal columns as the per-flow loop built them: (columns, warning) or error text.
+
+    The reference for build_design's gather by node code.
+    """
+    nodal_map = {series.name: series for series in nodal}
+    extrapolated = set()
+
+    def nodal_value(term, node):
+        series = nodal_map.get(term.series)
+        if series is None:
+            raise CovariateError(f"no nodal series named {term.series!r}")
+        value, out_of_span = series.lookup(node, t)
+        if out_of_span:
+            extrapolated.add((term.series, node))
+        return value
+
+    columns = []
+    try:
+        for term in recipe:
+            col = np.empty(index.n)
+            for a, (sender, receiver) in enumerate(index.dyads):
+                if term.role == "sender":
+                    value = nodal_value(term, sender)
+                elif term.role == "receiver":
+                    value = nodal_value(term, receiver)
+                else:
+                    value = abs(nodal_value(term, sender) - nodal_value(term, receiver))
+                if term.transform == "log":
+                    if value <= 0:
+                        who = sender if term.role == "sender" else receiver
+                        raise CovariateError(
+                            f"log of nonpositive {term.series!r} value {value} for {who} at period {t}"
+                        )
+                    value = math.log(value)
+                col[a] = value
+            columns.append(col)
+    except CovariateError as exc:
+        return str(exc)
+    warning = None
+    if extrapolated:
+        sample = ", ".join(f"{s}:{n}" for s, n in sorted(extrapolated)[:5])
+        warning = (
+            f"period {t}: {len(extrapolated)} covariate lookups fell outside the observed "
+            f"span and used the nearest value ({sample}{', ...' if len(extrapolated) > 5 else ''})"
+        )
+    return columns, warning
+
+
+NODES = ("A", "B", "C", "D", "E", "F", "G")
+
+
+@st.composite
+def nodal_cases(draw):
+    """A flow index, two nodal series (a node may lack one), a nodal recipe and a period."""
+    pairs = [(a, b) for a in NODES for b in NODES if a != b]
+    dyads = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=15, unique=True))
+    nodal = []
+    for name in ("g", "h"):
+        values = {}
+        for node in draw(st.lists(st.sampled_from(NODES), min_size=len(NODES) - 2, unique=True)):
+            first = draw(st.integers(1, 4))
+            for period in range(first, draw(st.integers(first, 4)) + 1):
+                values[(node, period)] = draw(
+                    st.sampled_from([-2.0, 0.0, 0.5, 1.5, 2.5, 3.0, 4.0, 6.0, 8.0, math.nan] + [7.0] * 10)
+                )
+        nodal.append(NodalSeries(name, values))
+    recipe = draw(st.lists(st.builds(
+        CovariateTerm,
+        st.sampled_from(["g", "h"] * 6 + ["zz"]),
+        st.sampled_from(["sender", "receiver", "abs_diff"]),
+        st.sampled_from(["none", "log"]),
+    ), min_size=1, max_size=3))
+    return FlowIndex(period=draw(st.integers(0, 5)), dyads=dyads), nodal, tuple(recipe)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodal_cases())
+def test_build_design_matches_flow_loop(case):
+    index, nodal, recipe = case
+    expected = loop_design(index, nodal, recipe, index.period)
+    snapshot = NetworkSnapshot(index, np.ones(index.n))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            design = build_design(snapshot, index, nodal, [], recipe, lag=0, intercept=False)
+        except CovariateError as exc:
+            assert str(exc) == expected
+            return
+    assert not isinstance(expected, str), expected
+    columns, warning = expected
+    np.testing.assert_array_equal(design.rows, np.column_stack(columns))
+    assert [str(w.message) for w in caught] == ([warning] if warning else [])
