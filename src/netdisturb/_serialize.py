@@ -1,21 +1,27 @@
 """Shared CSV/JSON reading and writing helpers.
 
-Floats are written with 17 significant digits in CSV artifacts, which is
-enough to round-trip any IEEE double exactly.  JSON artifacts go through
-:func:`json_ready` so numpy scalars/arrays become plain Python values and
-NaN becomes ``null`` (strict JSON has no NaN literal).
+Every CSV artifact is written by :func:`write_csv` from columns, and every
+CSV input is read by :func:`read_csv` into columns.  Floats are written
+with 17 significant digits, which is enough to round-trip any IEEE double
+exactly; every other cell is quoted as ``csv.writer`` quotes it.  JSON
+artifacts go through :func:`json_ready` so numpy scalars/arrays become
+plain Python values and NaN becomes ``null`` (strict JSON has no NaN
+literal).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from array import array
-from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
+
+CHUNK = 4096  # array cells turned into Python values, and rows written, at a time
 
 
 def fmt(value) -> str:
@@ -25,28 +31,48 @@ def fmt(value) -> str:
     return str(value)
 
 
-@contextmanager
-def open_text(path):
-    """A new UTF-8 text file at `path` (parents created), newlines untranslated."""
+def _chunked(values: np.ndarray):
+    """The cells of `values` as Python values, converted a chunk at a time."""
+    for start in range(0, values.size, CHUNK):
+        yield from values[start : start + CHUNK].tolist()
+
+
+class _Quoted(dict):
+    """Cell text -> the cell as ``csv.writer`` writes it in a row, quoted on first use."""
+
+    def __init__(self, pad):
+        self.pad = pad  # ("",) for rows of several cells: csv.writer writes a lone empty cell as ""
+
+    def __missing__(self, text):
+        buffer = io.StringIO()  # with the row's line terminator, which takes part in quoting
+        csv.writer(buffer, lineterminator="\n").writerow((text, *self.pad))
+        self[text] = cell = buffer.getvalue()[: buffer.tell() - len(self.pad) - 1]
+        return cell
+
+
+def write_csv(path, header, columns) -> None:
+    """Write `header`, then one row per position of the equal-length `columns`.
+
+    A column is any iterable, an iterator included.  Float and integer
+    ndarrays are written a chunk at a time with ``%.17g`` (the digits of
+    :func:`fmt`) and ``%d``.  Any other cell is rendered by :func:`fmt` and
+    quoted once per distinct text, not value (True == 1, -0.0 == 0).
+    """
+    quoted = _Quoted(("",) * (len(columns) > 1))
+    cells, template = [], []
+    for column in columns:
+        kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+        values = column if kind is None else _chunked(column)
+        spec = {"f": "%.17g", "i": "%d", "u": "%d"}.get(kind)
+        cells.append(values if spec else map(quoted.__getitem__, map(fmt, values)))
+        template.append(spec or "%s")
+    rows = map((",".join(template) + "\n").__mod__, zip(*cells))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        yield fh
-
-
-@contextmanager
-def csv_writer(path, header):
-    """A csv.writer on a new file at `path` (parents created), header written."""
-    with open_text(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        yield writer
-
-
-def write_csv(path, header, rows) -> None:
-    with csv_writer(path, header) as writer:
-        for row in rows:
-            writer.writerow([fmt(cell) for cell in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        while block := "".join(islice(rows, CHUNK)):
+            fh.write(block)
 
 
 def read_csv(path, expected_header, error):

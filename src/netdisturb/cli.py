@@ -92,7 +92,7 @@ from .diagnostics import (
     write_qq_csv,
     write_tradecorr_csv,
 )
-from .errors import ConfigError, NetdisturbError
+from .errors import ConfigError, NetdisturbError, WeightError
 from .moran import scan_cutoffs, write_scan_csv, write_scan_json
 from .panel import index_flows, load_panel, log_flow_vector
 from .selection import (
@@ -168,6 +168,8 @@ def parse_candidate(token: str):
             return NeighborhoodSpec(kind, cutoff_km=float(cutoff))
         except ValueError:
             raise ConfigError(f"candidate {token!r}: bad cutoff {cutoff!r}") from None
+        except WeightError as exc:
+            raise ConfigError(f"candidate {token!r}: {exc}") from None
     if cutoff:
         raise ConfigError(f"candidate {token!r}: only distance kinds take a cutoff")
     return NeighborhoodSpec(kind)
@@ -203,6 +205,8 @@ def parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"scan_grid {text!r}: bad number") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"scan_grid {text!r}: bad number")
     if step <= 0 or stop < start:
         raise ConfigError(f"scan_grid {text!r}: need stop >= start and step > 0")
     return np.arange(start, stop + step / 2.0, step)

@@ -33,7 +33,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._serialize import csv_writer, fmt, parse_column, read_csv
+from ._serialize import parse_column, read_csv, write_csv
 from .errors import CovariateError
 from .panel import FlowIndex, NetworkSnapshot
 
@@ -473,52 +473,35 @@ def build_design(
 
 def _value(text: str) -> float:
     """A value cell: empty, ``NA`` or ``NaN`` (any case) mark a missing value."""
-    if text == "" or text.upper() in ("NA", "NAN"):
-        return math.nan
-    return float(text)
+    return math.nan if text == "" or text.upper() in ("NA", "NAN") else float(text)
 
 
-def load_nodal_csv(path, name: str) -> NodalSeries:
-    """Read a nodal series CSV with header ``node,period,value``."""
-    path, linenos, columns = read_csv(path, NODAL_HEADER, CovariateError)
-    values = {}
-    for lineno, node, period, value in zip(linenos, *columns):
-        try:
-            t = int(period)
-        except ValueError:
-            raise CovariateError(f"{path}:{lineno}: bad period {period!r}") from None
-        key = (node, t)
-        if key in values:
-            raise CovariateError(f"{path}:{lineno}: duplicate entry for {key}")
-        try:
-            values[key] = _value(value)
-        except ValueError:
-            raise CovariateError(f"{path}:{lineno}: bad value {value!r}") from None
-    return NodalSeries(name=name, values=values)
+def _finite_value(text: str) -> float:
+    """A nodal value cell: a missing marker or a finite number."""
+    if math.isinf(value := _value(text)):
+        raise ValueError(text)
+    return value
 
 
-def load_dyadic_csv(
-    path, name: str, symmetric: bool, default: float | None = None
-) -> DyadicSeries:
-    """Read a dyadic series CSV with header ``node_a,node_b,period,value``.
+def _read_records(path, header, parse_value):
+    """A covariate CSV's sorted node names, and its node codes, periods and values.
 
-    The columns are parsed whole into arrays.  Errors name the first bad
-    row, and on one row a bad period before a repeated (node_a, node_b,
-    period) entry before a bad value.
+    ``header`` ends with ``period,value``; each column before those holds
+    node names and is returned as one array of positions in the sorted
+    names.  The columns are parsed whole.  Errors name the first bad row,
+    and on one row a bad period before a repeat of an earlier row's nodes
+    and period before a bad value (``parse_value`` fails).
     """
-    path, linenos, (col_a, col_b, col_period, col_value) = read_csv(
-        path, DYADIC_HEADER, CovariateError
-    )
+    path, linenos, (*names, col_period, col_value) = read_csv(path, header, CovariateError)
     n = len(linenos)
-    nodes = sorted(set(col_a).union(col_b))
+    nodes = sorted(set().union(*names))
     pos = {node: k for k, node in enumerate(nodes)}
-    a = np.fromiter(map(pos.__getitem__, col_a), np.int32, n)
-    b = np.fromiter(map(pos.__getitem__, col_b), np.int32, n)
+    codes = [np.fromiter(map(pos.__getitem__, col), np.int32, n) for col in names]
     period, bad_period = parse_column(col_period, int, np.int64)
-    value, bad_value = parse_column(col_value, _value, float)
-    # The first repeat of an (a, b, period) entry among rows with a period.
-    order = np.lexsort((period, b[:bad_period], a[:bad_period]))
-    key = np.column_stack((a[order], b[order], period[order]))
+    values, bad_value = parse_column(col_value, parse_value, float)
+    # The first repeat of an entry among rows with a period.
+    order = np.lexsort((period, *(c[:bad_period] for c in reversed(codes))))
+    key = np.column_stack([c[order] for c in codes] + [period[order]])
     repeats = order[1:][(key[1:] == key[:-1]).all(axis=1)]
     duplicate = int(repeats.min()) if repeats.size else n
     first = min(bad_period, duplicate, bad_value)
@@ -527,26 +510,47 @@ def load_dyadic_csv(
         if first == bad_period:
             raise CovariateError(f"{path}:{lineno}: bad period {col_period[first]!r}")
         if first == duplicate:
-            key = (col_a[first], col_b[first], int(period[first]))
+            key = (*(col[first] for col in names), int(period[first]))
             raise CovariateError(f"{path}:{lineno}: duplicate entry for {key}")
         raise CovariateError(f"{path}:{lineno}: bad value {col_value[first]!r}")
+    return nodes, codes, period, values
+
+
+def load_nodal_csv(path, name: str) -> NodalSeries:
+    """Read a nodal series CSV with header ``node,period,value``.
+
+    Rows are checked as :func:`load_dyadic_csv` checks them, except that a
+    value must be finite or missing: ``inf`` is a bad value.
+    """
+    nodes, (node,), period, value = _read_records(path, NODAL_HEADER, _finite_value)
+    keys = zip(map(nodes.__getitem__, node.tolist()), period.tolist())
+    return NodalSeries(name=name, values=dict(zip(keys, value.tolist())))
+
+
+def load_dyadic_csv(path, name: str, symmetric: bool, default: float | None = None) -> DyadicSeries:
+    """Read a dyadic series CSV with header ``node_a,node_b,period,value``.
+
+    The columns are parsed whole.  Errors name the first bad row, and on
+    one row a bad period before a repeated (node_a, node_b, period) entry
+    before a bad value.  A value may be ``±inf``, or missing (empty, ``NA``
+    or ``NaN``).
+    """
+    nodes, (a, b), period, value = _read_records(path, DYADIC_HEADER, _value)
     return DyadicSeries.from_arrays(name, symmetric, nodes, a, b, period, value, default)
 
 
 def write_nodal_csv(path, series: NodalSeries) -> None:
-    with csv_writer(path, NODAL_HEADER) as writer:
-        for (node, period), value in sorted(series.values.items()):
-            writer.writerow([node, period, fmt(value)])
+    items = sorted(series.values.items())
+    write_csv(path, NODAL_HEADER, ([n for (n, _), _ in items], [t for (_, t), _ in items], [v for _, v in items]))
 
 
 def write_dyadic_csv(path, series: DyadicSeries) -> None:
     """Write the records sorted by (node_a, node_b, period), NaN ones included."""
     order = np.lexsort((series.period, series.node_b, series.node_a))
     name = series.nodes.__getitem__
-    with csv_writer(path, DYADIC_HEADER) as writer:
-        writer.writerows(zip(
-            map(name, series.node_a[order].tolist()),
-            map(name, series.node_b[order].tolist()),
-            series.period[order].tolist(),
-            map(fmt, series.value[order].tolist()),
-        ))
+    write_csv(path, DYADIC_HEADER, (
+        map(name, series.node_a[order].tolist()),
+        map(name, series.node_b[order].tolist()),
+        series.period[order],
+        series.value[order],
+    ))

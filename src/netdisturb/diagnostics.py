@@ -8,19 +8,18 @@ u_hat, each flow's value attributed to both of its endpoint nodes.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 # scipy.special is imported inside the functions that use it, so that a
 # CLI command that never reaches them does not pay for the import.
 
-from ._serialize import open_text, write_csv
+from ._serialize import write_csv
 from .errors import EstimationError
-from .panel import FlowIndex
+from .panel import FlowIndex, write_edge_csv
 from .sem import DEGENERATE_SIGMA2, SemFit
 from .weights import WeightMatrix
 
@@ -150,41 +149,25 @@ def kde(values, n_grid: int = 512, node_id: str = "") -> DensityCurve:
 
 
 def write_qq_csv(path, theoretical, empirical) -> None:
-    write_csv(path, ("theoretical", "empirical"), zip(theoretical, empirical))
+    write_csv(path, ("theoretical", "empirical"), (theoretical, empirical))
 
 
 def write_hist_csv(path, hist: HistogramData) -> None:
-    rows = [
-        (hist.bin_edges[k], hist.bin_edges[k + 1], int(hist.counts[k]), hist.normal_ref[k])
-        for k in range(hist.counts.size)
-    ]
-    write_csv(path, ("bin_left", "bin_right", "count", "normal_ref"), rows)
+    edges = hist.bin_edges
+    columns = (edges[:-1], edges[1:], hist.counts, hist.normal_ref)
+    write_csv(path, ("bin_left", "bin_right", "count", "normal_ref"), columns)
 
 
 def write_kde_csv(path, curves) -> None:
-    """`node,x,density` rows, written curve by curve with 17 significant digits.
-
-    Each curve's rows come from one format string: its node cell, quoted
-    once by csv.writer exactly as a row would quote it, then ``%.17g`` (the
-    digits write_csv gives a float) for x and density.
-    """
-    cell = io.StringIO()
-    quote = csv.writer(cell, lineterminator="\n")
-    with open_text(path) as fh:
-        fh.write("node,x,density\n")
-        for curve in curves:
-            cell.seek(0)
-            cell.truncate()
-            quote.writerow((curve.node_id, ""))  # "<node cell>,\n"
-            row = cell.getvalue()[:-1].replace("%", "%%") + "%.17g,%.17g\n"
-            pairs = zip(curve.grid.tolist(), curve.density.tolist())
-            fh.write("".join(map(row.__mod__, pairs)))
+    """`node,x,density` rows, curve by curve."""
+    curves = list(curves)
+    write_csv(path, ("node", "x", "density"), (
+        chain.from_iterable(repeat(curve.node_id, curve.grid.size) for curve in curves),
+        np.concatenate([np.empty(0), *(curve.grid for curve in curves)]),
+        np.concatenate([np.empty(0), *(curve.density for curve in curves)]),
+    ))
 
 
 def write_tradecorr_csv(path, items) -> None:
-    """`period,sender,receiver,value` rows from TradecorrResiduals objects."""
-    rows = []
-    for item in items:
-        for a, (sender, receiver) in enumerate(item.index.dyads):
-            rows.append((item.period, sender, receiver, item.values[a]))
-    write_csv(path, ("period", "sender", "receiver", "value"), rows)
+    """`period,sender,receiver,value` rows from TradecorrResiduals objects: the edge CSV format."""
+    write_edge_csv(path, items)

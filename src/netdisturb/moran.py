@@ -151,11 +151,8 @@ def scan_cutoffs(
 
 def write_scan_csv(path, scan: CutoffScan) -> None:
     """`cutoff_km,morans_i,defined` rows over the grid."""
-    rows = [
-        (scan.grid[g], scan.moran_values[g], int(scan.defined[g]))
-        for g in range(scan.grid.size)
-    ]
-    write_csv(path, ("cutoff_km", "morans_i", "defined"), rows)
+    columns = (scan.grid, scan.moran_values, scan.defined.astype(int))
+    write_csv(path, ("cutoff_km", "morans_i", "defined"), columns)
 
 
 def write_scan_json(path, scan: CutoffScan) -> None:

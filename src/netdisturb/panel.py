@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
-from ._serialize import csv_writer, fmt, parse_column, read_csv
+from ._serialize import parse_column, read_csv, write_csv
 from .errors import PanelError
 
 EDGE_HEADER = ("period", "sender", "receiver", "value")
@@ -262,19 +262,21 @@ def load_panel(edge_path, roster_path) -> list[NetworkSnapshot]:
 
 
 def write_edge_csv(path, snapshots) -> None:
-    """Write snapshots back to the edge CSV format (exact round-trip)."""
-    with csv_writer(path, EDGE_HEADER) as writer:
-        for snapshot in snapshots:
-            name = snapshot.index.nodes.__getitem__
-            writer.writerows(zip(
-                repeat(snapshot.period),
-                map(name, snapshot.index.sender.tolist()),
-                map(name, snapshot.index.receiver.tolist()),
-                map(fmt, snapshot.values.tolist()),
-            ))
+    """Write snapshots back to the edge CSV format (exact round-trip).
+
+    Any item with a ``period``, an ``index`` and per-flow ``values`` will do.
+    """
+    snapshots = list(snapshots)
+    write_csv(path, EDGE_HEADER, (
+        np.repeat([s.period for s in snapshots], [s.index.n for s in snapshots]),
+        chain.from_iterable(map(s.index.nodes.__getitem__, s.index.sender.tolist()) for s in snapshots),
+        chain.from_iterable(map(s.index.nodes.__getitem__, s.index.receiver.tolist()) for s in snapshots),
+        np.concatenate([np.empty(0), *(s.values for s in snapshots)]),
+    ))
 
 
 def write_roster_csv(path, roster: NodeRoster) -> None:
-    with csv_writer(path, ROSTER_HEADER) as writer:
-        for entry in roster.entries:
-            writer.writerow([entry.node_id, entry.active_from, entry.active_to])
+    entries = roster.entries
+    write_csv(path, ROSTER_HEADER, (
+        [e.node_id for e in entries], [e.active_from for e in entries], [e.active_to for e in entries]
+    ))

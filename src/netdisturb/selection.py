@@ -197,11 +197,8 @@ def write_report_json(path, report: SelectionReport) -> None:
 
 def write_aggregated_csv(path, report: SelectionReport) -> None:
     """`structure,aic_sum,delta` rows, one per candidate."""
-    rows = [
-        (structure, report.aggregated_aic[k], report.aggregated_delta[k])
-        for k, structure in enumerate(report.structures)
-    ]
-    write_csv(path, ("structure", "aic_sum", "delta"), rows)
+    columns = (report.structures, report.aggregated_aic, report.aggregated_delta)
+    write_csv(path, ("structure", "aic_sum", "delta"), columns)
 
 
 def write_weights_csv(path, report: SelectionReport, smoothed_window: int | None = None) -> None:
@@ -209,9 +206,6 @@ def write_weights_csv(path, report: SelectionReport, smoothed_window: int | None
     values = (
         report.weight if smoothed_window is None else smooth_weights(report, smoothed_window)
     )
-    rows = [
-        (period, structure, values[t, k])
-        for t, period in enumerate(report.periods)
-        for k, structure in enumerate(report.structures)
-    ]
-    write_csv(path, ("period", "structure", "weight"), rows)
+    k = len(report.structures)
+    columns = (np.repeat(report.periods, k), report.structures * len(report.periods), values.ravel())
+    write_csv(path, ("period", "structure", "weight"), columns)

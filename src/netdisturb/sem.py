@@ -493,25 +493,18 @@ def write_fit_json(path, result: SemFit) -> None:
     write_json(path, fit_to_dict(result))
 
 
-def coefficient_rows(period, structure: str, result: SemFit):
-    """Rows for the coefficients CSV: beta terms first, then rho."""
-    rows = []
-    for k, name in enumerate(result.column_names):
-        rows.append(
-            (period, structure, name, result.beta_hat[k], result.se_beta[k],
-             result.p_values[k])
-        )
-    se_rho = math.nan if result.se_rho is None else result.se_rho
-    rows.append((period, structure, "rho", result.rho_hat, se_rho, result.p_values[-1]))
-    return rows
-
-
 def write_coefficients_csv(path, entries) -> None:
-    """Write ``period,structure,term,estimate,se,p_value`` rows.
+    """Write ``period,structure,term,estimate,se,p_value`` rows: each fit's beta terms, then rho.
 
     ``entries`` is an iterable of (period, structure_id, SemFit).
     """
-    rows = []
+    periods, structures, terms, estimates, ses, p_values = columns = ([], [], [], [], [], [])
     for period, structure, result in entries:
-        rows.extend(coefficient_rows(period, structure, result))
-    write_csv(path, ("period", "structure", "term", "estimate", "se", "p_value"), rows)
+        p = len(result.column_names)
+        periods += [period] * (p + 1)
+        structures += [structure] * (p + 1)
+        terms += [*result.column_names, "rho"]
+        estimates += [*result.beta_hat[:p], result.rho_hat]
+        ses += [*result.se_beta[:p], math.nan if result.se_rho is None else result.se_rho]
+        p_values += [*result.p_values[:p], result.p_values[-1]]
+    write_csv(path, ("period", "structure", "term", "estimate", "se", "p_value"), columns)

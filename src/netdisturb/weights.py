@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -395,7 +396,8 @@ def neighborhood(
     """
     W = build_weight_matrix(spec, index, dyadic).factors.sparse()
     dyads = index.dyads
-    return {dyads[a]: frozenset(dyads[b] for b in columns) for a, columns, _ in _rows(W)}
+    columns = np.split(W.indices, W.indptr[1:-1])
+    return {dyad: frozenset(map(dyads.__getitem__, c.tolist())) for dyad, c in zip(dyads, columns)}
 
 
 def build_weight_matrix(
@@ -412,20 +414,13 @@ def build_weight_matrix(
     return WeightMatrix(index=index, spec=spec, factors=factors)
 
 
-def _rows(W):
-    """(row, columns, weights) of each row of a CSR matrix, as Python lists."""
-    for a in range(W.shape[0]):
-        span = slice(W.indptr[a], W.indptr[a + 1])
-        yield a, W.indices[span].tolist(), W.data[span].tolist()
-
-
 def write_weight_csv(path, matrix: WeightMatrix) -> None:
     """Dump nonzero entries as ``row_dyad,col_dyad,weight`` for inspection, row by row."""
     W = matrix.factors.sparse()
     names = [f"{sender}->{receiver}" for sender, receiver in matrix.index.dyads]
-    rows = (
-        (names[a], names[b], weight)
-        for a, columns, weights in _rows(W)
-        for b, weight in zip(columns, weights)
+    columns = (
+        chain.from_iterable(map(repeat, names, np.diff(W.indptr).tolist())),
+        map(names.__getitem__, W.indices),
+        W.data,
     )
-    write_csv(path, ("row_dyad", "col_dyad", "weight"), rows)
+    write_csv(path, ("row_dyad", "col_dyad", "weight"), columns)

@@ -106,6 +106,57 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="start:stop:step"):
             parse_grid("0:1000")
 
+    @pytest.mark.parametrize("cutoff", ["-5", "0", "nan", "-inf"])
+    def test_nonpositive_cutoff(self, cutoff):
+        token = f"distance_import:{cutoff}"
+        with pytest.raises(ConfigError) as info:
+            parse_candidate(token)
+        assert str(info.value) == (
+            f"candidate {token!r}: distance_import needs a positive cutoff_km, got {float(cutoff)!r}"
+        )
+
+    @pytest.mark.parametrize("text", ["nan:100:10", "0:inf:10", "0:100:nan", "-inf:0:1"])
+    def test_grid_numbers_must_be_finite(self, text):
+        with pytest.raises(ConfigError) as info:
+            parse_grid(text)
+        assert str(info.value) == f"scan_grid {text!r}: bad number"
+
+    @pytest.mark.parametrize("cutoff", ["-5", "0", "nan"])
+    @pytest.mark.parametrize("key", ["candidates", "diagnose_structure", "structure"])
+    def test_bad_cutoff_exits_2(self, workspace, capsys, key, cutoff):
+        tmp_path, config_file = workspace
+        token = f"distance_import:{cutoff}"
+        if key == "structure":
+            spec_file = tmp_path / "sim.cfg"
+            spec_file.write_text(SIM_SPEC.replace("structure = full_activity", f"structure = {token}"))
+            argv = ["simulate", "--spec", str(spec_file), "--out", str(tmp_path / "data2")]
+        else:
+            old = "candidates = " if key == "candidates" else "diagnose_structure = full_activity"
+            new = f"candidates = {token}, " if key == "candidates" else f"diagnose_structure = {token}"
+            config_file.write_text(config_file.read_text().replace(old, new))
+            command = "fit" if key == "candidates" else "diagnose"
+            argv = [command, "--config", str(config_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        message = f"candidate {token!r}: distance_import needs a positive cutoff_km, got {float(cutoff)!r}"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists() and not (tmp_path / "data2").exists()
+
+    def test_nonfinite_grid_exits_2(self, workspace, capsys):
+        tmp_path, config_file = workspace
+        text = config_file.read_text().replace("scan_grid = 200:3000:200", "scan_grid = nan:100:10")
+        config_file.write_text(text)
+        assert main(["scan-cutoff", "--config", str(config_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: scan_grid 'nan:100:10': bad number\n"
+
+    def test_nonfinite_nodal_value_exits_with_its_file_and_line(self, workspace, capsys):
+        tmp_path, config_file = workspace
+        x1 = tmp_path / "data" / "x1.csv"
+        lines = x1.read_text().splitlines(keepends=True)
+        node, period, _ = lines[3].split(",")
+        x1.write_text("".join(lines[:3] + [f"{node},{period},inf\n"] + lines[4:]))
+        assert main(["fit", "--config", str(config_file), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {x1}:4: bad value 'inf'\n"
+
     def test_missing_covariate_file_named(self, workspace):
         tmp_path, config_file = workspace
         (tmp_path / "data" / "x1.csv").unlink()

@@ -1,3 +1,4 @@
+import csv
 import math
 import warnings
 
@@ -19,7 +20,8 @@ from netdisturb import (
     load_dyadic_csv,
     load_nodal_csv,
 )
-from netdisturb.covariates import write_dyadic_csv, write_nodal_csv
+from netdisturb._serialize import read_csv
+from netdisturb.covariates import NODAL_HEADER, _value, write_dyadic_csv, write_nodal_csv
 
 from conftest import snapshot_of
 
@@ -302,10 +304,64 @@ def dyadic_file(tmp_path, body, name="alliance.csv"):
     return path
 
 
+def nodal_file(tmp_path, body):
+    path = tmp_path / "gdp.csv"
+    path.write_text("node,period,value\n" + body, encoding="utf-8")
+    return path
+
+
 def error_text(call, *args, **kwargs):
     with pytest.raises(CovariateError) as info:
         call(*args, **kwargs)
     return str(info.value)
+
+
+def nodal_row_loop(path):
+    """`load_nodal_csv`'s values as its former loop over rows read them."""
+    path, linenos, columns = read_csv(path, NODAL_HEADER, CovariateError)
+    values = {}
+    for lineno, node, period, value in zip(linenos, *columns):
+        try:
+            t = int(period)
+        except ValueError:
+            raise CovariateError(f"{path}:{lineno}: bad period {period!r}") from None
+        key = (node, t)
+        if key in values:
+            raise CovariateError(f"{path}:{lineno}: duplicate entry for {key}")
+        try:
+            values[key] = _value(value)
+        except ValueError:
+            raise CovariateError(f"{path}:{lineno}: bad value {value!r}") from None
+    return values
+
+
+NODAL_ROW = st.tuples(
+    st.sampled_from(["A", "B", " C", "a,b"]),
+    st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["x", "1.5", "", "+2", "0_1"])),
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["NA", "", "nan", "NaN", "x", "1..5", "2e3", " 7 "]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NODAL_ROW, max_size=10))
+def test_nodal_loader_matches_row_loop(tmp_path_factory, rows):
+    # Finite values only: the row loop accepted inf, which is now a bad value.
+    path = tmp_path_factory.mktemp("nodal") / "g.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([NODAL_HEADER, *rows])
+
+    def outcome(load):
+        """The error text, or the values in file order with NaN as None."""
+        try:
+            values = load(path)
+        except CovariateError as exc:
+            return str(exc)
+        return [(key, None if math.isnan(v) else v) for key, v in values.items()]
+
+    assert outcome(lambda p: load_nodal_csv(p, "g").values) == outcome(nodal_row_loop)
 
 
 class TestLoaderMessages:
@@ -340,6 +396,47 @@ class TestLoaderMessages:
         path = tmp_path / "gdp.csv"
         path.write_text("node,period,value\nA,1,1\nA,2,1..5\n", encoding="utf-8")
         assert error_text(load_nodal_csv, path, "gdp") == f"{path}:3: bad value '1..5'"
+
+    def test_duplicate_nodal_entry(self, tmp_path):
+        path = nodal_file(tmp_path, "A,1,1\nB,1,2\n A ,1,3\n")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:4: duplicate entry for ('A', 1)"
+
+    def test_nodal_checks_on_one_row(self, tmp_path):
+        # A bad period before a duplicate before a bad value.
+        path = nodal_file(tmp_path, "A,1,1\nA,y,x\n")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:3: bad period 'y'"
+        path = nodal_file(tmp_path, "A,1,1\nA,1,x\n")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:3: duplicate entry for ('A', 1)"
+
+    def test_nodal_first_bad_row_wins(self, tmp_path):
+        # Row 3 has a bad value, row 4 a bad period and row 5 repeats row 2.
+        path = nodal_file(tmp_path, "A,1,1\nB,1,x\nC,y,1\nA,1,1\n")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:3: bad value 'x'"
+        path = nodal_file(tmp_path, "A,1,1\nC,y,1\nB,1,x\nA,1,1\n")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:3: bad period 'y'"
+        path = nodal_file(tmp_path, "A,1,1\nA,1,1\nC,y,1\nB,1,x\n")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:3: duplicate entry for ('A', 1)"
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "+Infinity", "1e400", "-1e999"])
+    def test_nodal_value_must_be_finite(self, tmp_path, text):
+        path = nodal_file(tmp_path, f"A,2,NA\nA,3,{text}\nA,4,1\n")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:3: bad value {text!r}"
+
+    def test_nonfinite_nodal_value_keeps_first_bad_row_precedence(self, tmp_path):
+        path = nodal_file(tmp_path, "A,1,inf\nA,x,1\n")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:2: bad value 'inf'"
+        path = nodal_file(tmp_path, "A,x,1\nA,1,inf\n")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:2: bad period 'x'"
+        path = nodal_file(tmp_path, "A,1,1\nA,1,inf\n")
+        assert error_text(load_nodal_csv, path, "gdp") == f"{path}:3: duplicate entry for ('A', 1)"
+
+    def test_nodal_markers_and_syntax(self, tmp_path):
+        path = nodal_file(tmp_path, "A,1,NA\nA,2,\nA,3,nan\n B , +4 , 1_0.5 \nB,0_5,-2e3\n")
+        values = load_nodal_csv(path, "gdp").values
+        assert list(values)[:3] == [("A", 1), ("A", 2), ("A", 3)]
+        assert all(math.isnan(values[("A", t)]) for t in (1, 2, 3))
+        assert values[("B", 4)] == 10.5
+        assert values[("B", 5)] == -2000.0
 
     def test_first_bad_row_wins(self, tmp_path):
         # Row 3 has a bad value, row 4 a bad period and row 5 repeats row 2.
