@@ -1,12 +1,12 @@
 """Shared CSV/JSON reading and writing helpers.
 
-Every CSV artifact is written by :func:`write_csv` from columns, and every
-CSV input is read by :func:`read_csv` into columns.  Floats are written
-with 17 significant digits, which is enough to round-trip any IEEE double
-exactly; every other cell is quoted as ``csv.writer`` quotes it.  JSON
-artifacts go through :func:`json_ready` so numpy scalars/arrays become
-plain Python values and NaN becomes ``null`` (strict JSON has no NaN
-literal).
+Every CSV artifact is written from columns by :func:`write_csv` (or
+:func:`write_blocks`, block by block), and every CSV input is read by
+:func:`read_csv` into columns.  Floats are written with 17 significant
+digits, which is enough to round-trip any IEEE double exactly, and every
+other cell is quoted as ``csv.writer`` quotes it.  JSON artifacts go through
+:func:`json_ready` so numpy scalars/arrays become plain Python values and
+NaN becomes ``null`` (strict JSON has no NaN literal).
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ import io
 import json
 import math
 from array import array
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-CHUNK = 4096  # array cells turned into Python values, and rows written, at a time
+CHUNK = 4096  # array cells turned into Python values at a time
 
 
 def fmt(value) -> str:
@@ -38,41 +37,59 @@ def _chunked(values: np.ndarray):
 
 
 class _Quoted(dict):
-    """Cell text -> the cell as ``csv.writer`` writes it in a row, quoted on first use."""
+    """Cell text -> the cell as ``csv.writer`` writes it in a row of `width` cells.
 
-    def __init__(self, pad):
-        self.pad = pad  # ("",) for rows of several cells: csv.writer writes a lone empty cell as ""
+    Each distinct text is quoted once.  ``csv.writer`` writes a row that is
+    one empty cell as ``""``, so the cell of a one-cell row is quoted alone.
+    """
+
+    def __init__(self, width: int):
+        self.pad = ("",) * (width > 1)
 
     def __missing__(self, text):
         buffer = io.StringIO()  # with the row's line terminator, which takes part in quoting
         csv.writer(buffer, lineterminator="\n").writerow((text, *self.pad))
-        self[text] = cell = buffer.getvalue()[: buffer.tell() - len(self.pad) - 1]
+        self[text] = cell = buffer.getvalue()[: -1 - len(self.pad)]
         return cell
+
+
+def _cells(column, quoted: _Quoted):
+    """A column's cells for a ``%`` row template, and the template field that takes them."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return _chunked(column), "%.17g"
+    if kind in ("i", "u"):
+        return _chunked(column), "%d"
+    return map(quoted.__getitem__, map(fmt, column)), "%s"
 
 
 def write_csv(path, header, columns) -> None:
     """Write `header`, then one row per position of the equal-length `columns`.
 
     A column is any iterable, an iterator included.  Float and integer
-    ndarrays are written a chunk at a time with ``%.17g`` (the digits of
-    :func:`fmt`) and ``%d``.  Any other cell is rendered by :func:`fmt` and
-    quoted once per distinct text, not value (True == 1, -0.0 == 0).
+    ndarrays are read a chunk at a time and written with ``%.17g`` (the
+    digits of :func:`fmt`) and ``%d``.  Any other cell is rendered by
+    :func:`fmt` and quoted as ``csv.writer`` quotes it.  The bytes are those
+    ``csv.writer`` writes for rows of :func:`fmt` cells, but each row costs
+    one ``%`` of a template instead of a pass through ``csv.writer``.
     """
-    quoted = _Quoted(("",) * (len(columns) > 1))
-    cells, template = [], []
-    for column in columns:
-        kind = column.dtype.kind if isinstance(column, np.ndarray) else None
-        values = column if kind is None else _chunked(column)
-        spec = {"f": "%.17g", "i": "%d", "u": "%d"}.get(kind)
-        cells.append(values if spec else map(quoted.__getitem__, map(fmt, values)))
-        template.append(spec or "%s")
-    rows = map((",".join(template) + "\n").__mod__, zip(*cells))
+    write_blocks(path, header, [columns])
+
+
+def write_blocks(path, header, blocks) -> None:
+    """Write `header`, then the rows of each block of columns in turn, as :func:`write_csv`.
+
+    `blocks` may be a generator, so that only one block's columns exist at a time.
+    """
+    quoted = _Quoted(len(header))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        while block := "".join(islice(rows, CHUNK)):
-            fh.write(block)
+        for columns in blocks:
+            cells = [_cells(column, quoted) for column in columns]
+            row = ",".join(field for _, field in cells) + "\n"
+            fh.writelines(map(row.__mod__, zip(*(values for values, _ in cells))))
 
 
 def read_csv(path, expected_header, error):

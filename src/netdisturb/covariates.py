@@ -473,7 +473,9 @@ def build_design(
 
 def _value(text: str) -> float:
     """A value cell: empty, ``NA`` or ``NaN`` (any case) mark a missing value."""
-    return math.nan if text == "" or text.upper() in ("NA", "NAN") else float(text)
+    if text == "" or text.upper() in ("NA", "NAN"):
+        return math.nan
+    return float(text)
 
 
 def _finite_value(text: str) -> float:
@@ -527,7 +529,9 @@ def load_nodal_csv(path, name: str) -> NodalSeries:
     return NodalSeries(name=name, values=dict(zip(keys, value.tolist())))
 
 
-def load_dyadic_csv(path, name: str, symmetric: bool, default: float | None = None) -> DyadicSeries:
+def load_dyadic_csv(
+    path, name: str, symmetric: bool, default: float | None = None
+) -> DyadicSeries:
     """Read a dyadic series CSV with header ``node_a,node_b,period,value``.
 
     The columns are parsed whole.  Errors name the first bad row, and on
@@ -541,7 +545,11 @@ def load_dyadic_csv(path, name: str, symmetric: bool, default: float | None = No
 
 def write_nodal_csv(path, series: NodalSeries) -> None:
     items = sorted(series.values.items())
-    write_csv(path, NODAL_HEADER, ([n for (n, _), _ in items], [t for (_, t), _ in items], [v for _, v in items]))
+    write_csv(path, NODAL_HEADER, (
+        [node for (node, _), _ in items],
+        [period for (_, period), _ in items],
+        [value for _, value in items],
+    ))
 
 
 def write_dyadic_csv(path, series: DyadicSeries) -> None:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
 # scipy.special is imported inside the functions that use it, so that a
 # CLI command that never reaches them does not pay for the import.
 
-from ._serialize import write_csv
+from ._serialize import write_blocks, write_csv
 from .errors import EstimationError
 from .panel import FlowIndex, write_edge_csv
 from .sem import DEGENERATE_SIGMA2, SemFit
@@ -160,11 +160,8 @@ def write_hist_csv(path, hist: HistogramData) -> None:
 
 def write_kde_csv(path, curves) -> None:
     """`node,x,density` rows, curve by curve."""
-    curves = list(curves)
-    write_csv(path, ("node", "x", "density"), (
-        chain.from_iterable(repeat(curve.node_id, curve.grid.size) for curve in curves),
-        np.concatenate([np.empty(0), *(curve.grid for curve in curves)]),
-        np.concatenate([np.empty(0), *(curve.density for curve in curves)]),
+    write_blocks(path, ("node", "x", "density"), (
+        (repeat(curve.node_id, curve.grid.size), curve.grid, curve.density) for curve in curves
     ))
 
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from ._serialize import parse_column, read_csv, write_csv
+from ._serialize import parse_column, read_csv, write_blocks, write_csv
 from .errors import PanelError
 
 EDGE_HEADER = ("period", "sender", "receiver", "value")
@@ -262,21 +261,25 @@ def load_panel(edge_path, roster_path) -> list[NetworkSnapshot]:
 
 
 def write_edge_csv(path, snapshots) -> None:
-    """Write snapshots back to the edge CSV format (exact round-trip).
+    """Write snapshots back to the edge CSV format (exact round-trip), one at a time.
 
     Any item with a ``period``, an ``index`` and per-flow ``values`` will do.
     """
-    snapshots = list(snapshots)
-    write_csv(path, EDGE_HEADER, (
-        np.repeat([s.period for s in snapshots], [s.index.n for s in snapshots]),
-        chain.from_iterable(map(s.index.nodes.__getitem__, s.index.sender.tolist()) for s in snapshots),
-        chain.from_iterable(map(s.index.nodes.__getitem__, s.index.receiver.tolist()) for s in snapshots),
-        np.concatenate([np.empty(0), *(s.values for s in snapshots)]),
+    write_blocks(path, EDGE_HEADER, (
+        (
+            np.full(s.index.n, s.period),
+            map(s.index.nodes.__getitem__, s.index.sender.tolist()),
+            map(s.index.nodes.__getitem__, s.index.receiver.tolist()),
+            s.values,
+        )
+        for s in snapshots
     ))
 
 
 def write_roster_csv(path, roster: NodeRoster) -> None:
     entries = roster.entries
     write_csv(path, ROSTER_HEADER, (
-        [e.node_id for e in entries], [e.active_from for e in entries], [e.active_to for e in entries]
+        [e.node_id for e in entries],
+        [e.active_from for e in entries],
+        [e.active_to for e in entries],
     ))

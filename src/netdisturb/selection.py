@@ -206,6 +206,8 @@ def write_weights_csv(path, report: SelectionReport, smoothed_window: int | None
     values = (
         report.weight if smoothed_window is None else smooth_weights(report, smoothed_window)
     )
-    k = len(report.structures)
-    columns = (np.repeat(report.periods, k), report.structures * len(report.periods), values.ravel())
-    write_csv(path, ("period", "structure", "weight"), columns)
+    write_csv(path, ("period", "structure", "weight"), (
+        np.repeat(report.periods, len(report.structures)),
+        report.structures * len(report.periods),
+        values.ravel(),
+    ))

@@ -1,4 +1,4 @@
-"""`write_csv` writes the bytes of the per-row csv.writer it replaced."""
+"""`write_csv` and `write_blocks` write the bytes of the per-row csv.writer they replaced."""
 
 import csv
 import math
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdisturb._serialize import CHUNK, fmt, write_csv
+from netdisturb._serialize import CHUNK, fmt, write_blocks, write_csv
 
 
 def row_writer(path, header, rows):
@@ -106,3 +106,31 @@ def test_float_arrays_use_the_digits_of_fmt():
 def test_no_rows(tmp_path, columns):
     header = tuple("ab"[: len(columns)])
     assert_same_bytes(tmp_path, header, columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=4), st.data())
+def test_blocks_are_the_rows_of_each_block_in_turn(tmp_path_factory, sizes, data):
+    kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))
+    blocks = [tuple(data.draw(column(kind, size)) for kind in kinds) for size in sizes]
+    tmp_path = tmp_path_factory.mktemp("blocks")
+    header = tuple(kinds)
+    write_blocks(tmp_path / "blocks.csv", header, iter(blocks))
+    row_writer(tmp_path / "rows.csv", header, (row for columns in blocks for row in zip(*columns)))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_blocks_are_made_one_at_a_time(tmp_path):
+    made = []
+
+    def cells(k):
+        assert len(made) == k + 1  # the next block is not made before this one is written
+        yield k
+
+    def blocks():
+        for k in range(3):
+            made.append(k)
+            yield (cells(k),)
+
+    write_blocks(tmp_path / "lazy.csv", ("k",), blocks())
+    assert (tmp_path / "lazy.csv").read_text() == "k\n0\n1\n2\n"
