@@ -16,11 +16,12 @@ import io
 import json
 import math
 from array import array
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
 
-CHUNK = 4096  # array cells turned into Python values at a time
+CHUNK = 4096  # array cells turned into Python values, or CSV rows read, at a time
 
 
 def fmt(value) -> str:
@@ -99,6 +100,11 @@ def read_csv(path, expected_header, error):
     the file line of each row.  Blank lines are skipped and cells stripped.
     ``error`` is the exception class raised for an unreadable or empty
     file, a wrong header or a row with the wrong number of fields.
+
+    Rows are read ``CHUNK`` at a time and each chunk is transposed whole,
+    unless it holds a row with the wrong number of fields or a first cell
+    that strips to nothing (as every blank row's does): such a chunk goes
+    row by row, so that errors name the same line either way.
     """
     path = Path(path)
     try:
@@ -119,15 +125,26 @@ def read_csv(path, expected_header, error):
                 f"{path}: expected header {','.join(expected_header)!r}, "
                 f"got {','.join(header)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            cells = [cell.strip() for cell in row]
-            if not any(cells):
-                continue
-            if len(cells) != width:
-                raise error(f"{path}:{lineno}: expected {width} fields, got {len(cells)}")
-            for column, cell in zip(columns, cells):
-                column.append(cell)
-            linenos.append(lineno)
+        for start in count(2, CHUNK):
+            chunk = list(islice(reader, CHUNK))
+            if not chunk:
+                break
+            if set(map(len, chunk)) == {width}:
+                stripped = [list(map(str.strip, cells)) for cells in zip(*chunk)]
+                if "" not in stripped[0]:
+                    for column, cells in zip(columns, stripped):
+                        column += cells
+                    linenos.extend(range(start, start + len(chunk)))
+                    continue
+            for lineno, row in enumerate(chunk, start=start):
+                cells = [cell.strip() for cell in row]
+                if not any(cells):
+                    continue
+                if len(cells) != width:
+                    raise error(f"{path}:{lineno}: expected {width} fields, got {len(cells)}")
+                for column, cell in zip(columns, cells):
+                    column.append(cell)
+                linenos.append(lineno)
     return path, linenos, columns
 
 

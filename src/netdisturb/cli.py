@@ -433,7 +433,14 @@ class PeriodData:
     y: np.ndarray
 
 
-def _load_inputs(config):
+def _load_inputs(config, structures):
+    """The panel, every nodal series, and the dyadic series read by ``structures`` or the recipe.
+
+    ``input_sha256`` still hashes every input; a dyadic entry that neither
+    reads is not loaded.
+    """
+    read = {term.series for term in config.recipe if term.role == "dyadic"}
+    read.update(s.dyadic_series for s in structures if s != OLS_CANDIDATE)
     panel = load_panel(config.edges, config.roster)
     nodal = [
         impute_linear(load_nodal_csv(path, name))
@@ -442,6 +449,7 @@ def _load_inputs(config):
     dyadic = [
         load_dyadic_csv(entry.path, name, entry.symmetric, entry.default)
         for name, entry in sorted(config.dyadic.items())
+        if name in read
     ]
     return panel, nodal, {series.name: series for series in dyadic}
 
@@ -572,7 +580,7 @@ def cmd_fit(config: RunConfig) -> int:
     _require_series(config, config.candidates)
     fingerprint = config.fingerprint
     (config.out / "fit_report.json").unlink(missing_ok=True)
-    panel, nodal, dyadic_map = _load_inputs(config)
+    panel, nodal, dyadic_map = _load_inputs(config, config.candidates)
     prepared, skipped = _prepare_periods(config, panel, nodal, dyadic_map)
     fits, failures = _run_fits(config, prepared, dyadic_map, config.candidates)
 
@@ -613,7 +621,7 @@ def cmd_select(config: RunConfig) -> int:
     _require_series(config, config.candidates)
     stored = _stored_fits(config, config.candidates)
     if stored is None:
-        panel, nodal, dyadic_map = _load_inputs(config)
+        panel, nodal, dyadic_map = _load_inputs(config, config.candidates)
         prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
         stored = _run_fits(config, prepared, dyadic_map, config.candidates)
     fits, failures = stored
@@ -643,7 +651,7 @@ def cmd_scan(config: RunConfig) -> int:
     # The scanned kind reads one series at every cutoff; inf only names the kind.
     scanned = NeighborhoodSpec(f"distance_{config.scan_direction}", cutoff_km=math.inf)
     _require_series(config, [scanned], "scan")
-    panel, nodal, dyadic_map = _load_inputs(config)
+    panel, nodal, dyadic_map = _load_inputs(config, [scanned])
     prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
     distances = dyadic_map[scanned.dyadic_series]
     fits, failures = _stored_fits(config, [OLS_CANDIDATE], sorted(prepared)) or _run_fits(
@@ -672,7 +680,7 @@ def cmd_diagnose(config: RunConfig) -> int:
     if structure is None:
         raise ConfigError("diagnose needs a 'diagnose_structure' config entry")
     _require_series(config, [structure])
-    panel, nodal, dyadic_map = _load_inputs(config)
+    panel, nodal, dyadic_map = _load_inputs(config, [structure])
     prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
 
     fits, fit_failures = _stored_fits(config, [structure], sorted(prepared)) or _run_fits(

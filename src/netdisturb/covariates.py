@@ -46,7 +46,13 @@ TRANSFORMS = ("none", "log")
 
 @dataclass(frozen=True)
 class NodalSeries:
-    """One named per-node time series; NaN entries mark missing values."""
+    """One named per-node time series; NaN entries mark missing values.
+
+    Raises
+    ------
+    CovariateError
+        For a value of +-inf, naming the series, the node and the period.
+    """
 
     name: str
     values: dict[tuple[str, int], float]
@@ -56,6 +62,10 @@ class NodalSeries:
         for (node, period), value in self.values.items():
             if math.isnan(value):
                 continue
+            if math.isinf(value):
+                raise CovariateError(
+                    f"series {self.name!r} has non-finite value {value!r} for ({node}, {period})"
+                )
             lo, hi = spans.get(node, (period, period))
             spans[node] = (min(lo, period), max(hi, period))
         object.__setattr__(self, "_spans", spans)

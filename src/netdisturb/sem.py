@@ -23,7 +23,8 @@ real part of sum_i log(1 - rho lambda_i) (complex eigenvalues of the
 asymmetric W pair up, so the imaginary parts cancel), and (-1, 1) is
 narrowed to the reciprocals of W's extreme real eigenvalues where they fall
 inside it.  rho is searched in two steps: the profile on a coarse grid
-over the interval, then scipy's bounded Brent method between the best grid
+over the interval, then Brent's bounded method (:func:`_bounded_brent`, a
+port of scipy's ``minimize_scalar(method="bounded")``) between the best grid
 point's two neighbours.  W y, W X and W u_hat are taken as ``W @ v``, from
 the factors of a built W, so a fit never forms its n x n entries.
 """
@@ -36,9 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# scipy is imported inside the functions that use it: every CLI command is
-# a fresh interpreter, and importing scipy.optimize and scipy.special would
-# cost one that never fits several times what numpy costs it.
+# Every CLI command is a fresh interpreter, and importing scipy.optimize and
+# scipy.special would cost it more than numpy does.  So the rho search and
+# the normal tail run here, and scipy.linalg is imported only for a
+# rank-deficient design.
 
 from ._serialize import write_csv, write_json
 from .covariates import DesignMatrix
@@ -273,13 +275,87 @@ class SemFit:
 
 
 def _two_sided_p(estimate, se):
-    from scipy.special import ndtr
-
+    """2 P(Z > |estimate| / se) for standard normal Z, as erfc(z / sqrt 2), entry by entry."""
     if se is None or not np.all(np.isfinite(np.atleast_1d(se))):
         return np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.abs(estimate) / se
-    return 2.0 * ndtr(-z)
+        scaled = np.atleast_1d(np.abs(estimate) / se) * math.sqrt(0.5)
+    return np.fromiter(map(math.erfc, scaled.tolist()), float, scaled.size)
+
+
+def _bounded_brent(func, a: float, b: float, xatol: float, maxfun: int):
+    """Minimize ``func`` over [a, b] by Brent's bounded method; ``(x, fun, converged)``.
+
+    This is fminbound (Brent 1973, ch. 5): golden-section steps, replaced
+    by a parabola through the three best points whenever that falls inside
+    the bracket.  It stops once the bracket around the best point ``x`` is
+    within ``xatol`` (plus a relative sqrt(eps) |x|), or after ``maxfun``
+    evaluations, and then ``converged`` is False; it is False too when
+    ``func`` gave NaN.  The steps are scipy's ``minimize_scalar(method=
+    "bounded")`` with ``xatol`` and ``maxiter=maxfun``, operation for
+    operation, so ``x`` and ``fun`` are that method's to the bit.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    # xf is the best point so far, nfc the second best, fulc the previous nfc.
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            return xf, fx, False
+    return xf, fx, not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
 
 
 def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemFit:
@@ -287,8 +363,8 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
 
     The profile is evaluated at ``GRID_POINTS`` evenly spaced points over
     the rho interval of :func:`spectrum` kept ``BOUNDARY_MARGIN`` inside
-    its ends, (-1, 1) for a built W; scipy's
-    bounded Brent method then refines the best of them between its two
+    its ends, (-1, 1) for a built W; Brent's bounded method
+    (:func:`_bounded_brent`) then refines the best of them between its two
     neighbours, and the grid point is kept unless Brent beats it (so an
     optimum at an interval end lands exactly on it).  Standard errors for
     beta come from sigma^2 ((AX)'(AX))^{-1} at the optimum; the one for rho
@@ -299,9 +375,12 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
     ----------
     problem : SemProblem
     xtol : float
-        Absolute tolerance on rho for the Brent step (scipy's ``xatol``).
+        Absolute tolerance on rho for the Brent step: it stops once the
+        bracket around its best rho is within ``xtol`` plus sqrt(eps) |rho|
+        (scipy's ``xatol`` for ``minimize_scalar(method="bounded")``).
     max_iter : int
-        Cap on the Brent step's profile evaluations (scipy's ``maxiter``).
+        Cap on the Brent step's profile evaluations, the first included
+        (that method's ``maxiter``).
 
     Returns
     -------
@@ -315,8 +394,6 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
         Among others when W has no nonzero entry: the profile is then flat
         and rho is not identified.
     """
-    from scipy.optimize import minimize_scalar
-
     cache = _ProfileCache(problem)
     spec = spectrum(problem.W)
     if not (spec.factors.counts if spec.eigenvalues is None else problem.W).any():
@@ -334,14 +411,14 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
     grid = np.linspace(lo, hi, GRID_POINTS)
     values = [objective(rho) for rho in grid]
     best = int(np.argmax(values))
-    result = minimize_scalar(
+    brent_rho, brent_min, converged = _bounded_brent(
         lambda rho: -objective(rho),
-        bounds=(grid[max(best - 1, 0)], grid[min(best + 1, GRID_POINTS - 1)]),
-        method="bounded",
-        options={"xatol": xtol, "maxiter": max_iter},
+        float(grid[max(best - 1, 0)]),
+        float(grid[min(best + 1, GRID_POINTS - 1)]),
+        xtol,
+        max_iter,
     )
-    rho_hat = float(result.x) if -result.fun > values[best] else float(grid[best])
-    converged = bool(result.success)
+    rho_hat = brent_rho if -brent_min > values[best] else float(grid[best])
 
     at_optimum = cache.point(rho_hat, spec)
     beta = at_optimum.beta

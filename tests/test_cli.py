@@ -544,6 +544,43 @@ class TestFitReuse:
         assert errors[0].startswith("error: design matrix is rank deficient; collinear columns:")
 
 
+@pytest.mark.parametrize(
+    "command, dyadic_term, loaded",
+    [
+        ("fit", "", ["alliance"]),
+        ("select", "", ["alliance"]),
+        ("scan-cutoff", "", ["distance"]),
+        ("diagnose", "", []),
+        ("scan-cutoff", ", alliance:dyadic", ["alliance", "distance"]),
+        ("diagnose", ", alliance:dyadic", ["alliance"]),
+    ],
+    ids=["fit", "select", "scan-cutoff", "diagnose", "scan-cutoff-term", "diagnose-term"],
+)
+def test_a_command_loads_only_the_dyadic_series_it_reads(
+    workspace, monkeypatch, command, dyadic_term, loaded
+):
+    # The candidates read alliance, the scan distance, full_activity neither.
+    tmp_path, config_file = workspace
+    text = config_file.read_text().replace(
+        "candidates = sender_attached, receiver_attached, full_activity, rho0",
+        "candidates = alliance_import, full_activity, rho0",
+    )
+    text = text.replace("x2:receiver", "x2:receiver" + dyadic_term)
+    config_file.write_text(text, encoding="utf-8")
+    names = []
+    original = netdisturb.cli.load_dyadic_csv
+
+    def recording(path, name, *args):
+        names.append(name)
+        return original(path, name, *args)
+
+    monkeypatch.setattr("netdisturb.cli.load_dyadic_csv", recording)
+    assert main([command, "--config", str(config_file), "--out", str(tmp_path / "out")]) == 0
+    assert names == loaded
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert {"dyadic.alliance", "dyadic.distance"} <= set(manifest["input_sha256"])
+
+
 def run_fresh_interpreter(code, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(netdisturb.__file__).parents[1]))
     done = subprocess.run(
@@ -553,9 +590,12 @@ def run_fresh_interpreter(code, *args):
     return done.stdout.strip()
 
 
-@pytest.mark.parametrize(
-    "module", ["scipy.stats", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse"]
+SCIPY_SUBMODULES = (
+    "scipy.stats", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse",
 )
+
+
+@pytest.mark.parametrize("module", SCIPY_SUBMODULES)
 def test_cli_import_leaves_scipy_module_out(module):
     # Every CLI command starts a fresh interpreter, and a command pays for
     # each of these imports only where it uses the module.
@@ -563,19 +603,32 @@ def test_cli_import_leaves_scipy_module_out(module):
     assert run_fresh_interpreter(code) == "False"
 
 
-@pytest.mark.parametrize("command", ["simulate", "select", "scan-cutoff"])
-def test_a_command_that_does_not_fit_leaves_scipy_fitting_modules_out(workspace, command):
+@pytest.mark.parametrize(
+    "command, stored",
+    [
+        ("simulate", False),
+        ("fit", False),
+        ("select", True),
+        ("scan-cutoff", True),
+        ("diagnose", True),
+        ("diagnose", False),
+    ],
+)
+def test_every_command_leaves_scipy_submodules_out(workspace, command, stored):
+    # The rho search, the p-values and the normal quantiles all run in the
+    # package; ``stored`` runs `fit` first, so that the command reuses its fits.
     tmp_path, config_file = workspace
     if command == "simulate":
         argv = ["simulate", "--spec", str(tmp_path / "sim.cfg"), "--out", str(tmp_path / "d2")]
     else:
         out = tmp_path / "out"
-        assert main(["fit", "--config", str(config_file), "--out", str(out)]) == 0
+        if stored:
+            assert main(["fit", "--config", str(config_file), "--out", str(out)]) == 0
         argv = [command, "--config", str(config_file), "--out", str(out)]
     code = (
         "import sys\n"
         "from netdisturb.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
-        "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])"
+        f"print([m for m in {SCIPY_SUBMODULES!r} if m in sys.modules])"
     )
     assert run_fresh_interpreter(code, *argv).splitlines()[-1] == "[]"

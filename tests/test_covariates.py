@@ -65,6 +65,14 @@ class TestImputeLinear:
         assert filled.values[("A", 3)] == 5.0
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_nodal_series_rejects_an_infinite_value(value):
+    values = {("A", 1): 1.0, ("A", 2): math.nan, ("B", 3): value}
+    with pytest.raises(CovariateError) as info:
+        NodalSeries("gdp", values)
+    assert str(info.value) == f"series 'gdp' has non-finite value {value!r} for (B, 3)"
+
+
 class TestNodalLookup:
     def test_out_of_span_extrapolates(self):
         series = impute_linear(NodalSeries("gdp", {("A", 2): 5.0, ("A", 3): 7.0}))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from netdisturb import (
     EstimationError,
@@ -90,6 +91,12 @@ class TestQQ:
         with pytest.raises(ValueError, match="no values"):
             qq_pairs([])
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 150_000])
+    def test_quantiles_match_ndtri(self, n):
+        theoretical, _ = qq_pairs(np.zeros(n))
+        probs = (np.arange(1, n + 1) - 0.5) / n
+        np.testing.assert_allclose(theoretical, ndtri(probs), rtol=0.0, atol=1e-14)
+
 
 class TestHistogram:
     def test_counts_and_reference(self):
@@ -104,6 +111,15 @@ class TestHistogram:
     def test_needs_two_values(self):
         with pytest.raises(ValueError, match="at least two"):
             histogram([1.0])
+
+    @pytest.mark.parametrize("scale", [1.0, 8.0, 40.0])
+    def test_reference_masses_match_ndtr(self, scale):
+        # Wide samples put bin edges deep in both tails.
+        values = scale * np.random.default_rng(34).standard_normal(3000)
+        hist = histogram(values)
+        edges = hist.bin_edges
+        mass = ndtr(edges[1:]) - ndtr(edges[:-1])
+        np.testing.assert_allclose(hist.normal_ref / values.size, mass, rtol=0.0, atol=1e-14)
 
 
 class TestTradecorrResiduals:

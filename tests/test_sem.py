@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.optimize import minimize_scalar
+from scipy.special import ndtr
 
 from netdisturb import (
     EstimationError,
@@ -19,7 +22,16 @@ from netdisturb import (
     simulate,
     spectrum,
 )
-from netdisturb.sem import BOUNDARY_MARGIN, LOG_2PI, fit_from_dict, write_fit_json
+from netdisturb.sem import (
+    BOUNDARY_MARGIN,
+    GRID_POINTS,
+    LOG_2PI,
+    _bounded_brent,
+    _ProfileCache,
+    _two_sided_p,
+    fit_from_dict,
+    write_fit_json,
+)
 
 from conftest import RECOVERY_TRUTH, random_row_normalized_w
 
@@ -303,6 +315,88 @@ class TestFit:
     def test_recovery_mean_rho(self, recovery_study):
         mean_rho = recovery_study["rho_hats"].mean()
         assert abs(mean_rho - RECOVERY_TRUTH["rho"]) < 0.05
+
+
+def objective_of(shape, c1, c2, c3, k):
+    """A test objective: smooth, kinked, stepped, or smooth with NaN or -inf past c1."""
+
+    def smooth(x):
+        return c1 * x + c2 * x * x + c3 * math.sin(k * x)
+
+    return {
+        "smooth": smooth,
+        "kink": lambda x: abs(x - c1) + c2 * x,
+        "step": lambda x: math.floor(k * x) + c1 * x,
+        "nan": lambda x: math.nan if x > c1 else smooth(x),
+        "inf": lambda x: -math.inf if x > c1 else smooth(x),
+    }[shape]
+
+
+def bits(*values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+class TestBoundedBrent:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        shape=st.sampled_from(["smooth", "kink", "step", "nan", "inf"]),
+        coefficients=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+        k=st.floats(0.0, 20.0),
+        a=st.floats(-10.0, 10.0),
+        width=st.floats(0.0, 10.0),
+        xatol=st.floats(1e-14, 1.0),
+        maxfun=st.integers(1, 500),
+    )
+    def test_matches_scipy_bounded_method(self, shape, coefficients, k, a, width, xatol, maxfun):
+        func = objective_of(shape, *coefficients, k)
+        b = a + width
+        with np.errstate(invalid="ignore"):  # scipy's numpy scalars warn on inf - inf
+            expected = minimize_scalar(
+                func, bounds=(a, b), method="bounded", options={"xatol": xatol, "maxiter": maxfun}
+            )
+        x, fun, converged = _bounded_brent(func, a, b, xatol, maxfun)
+        assert bits(x, fun) == bits(expected.x, expected.fun)
+        assert converged == expected.success
+
+    def test_a_run_stopped_at_the_cap_matches_scipy(self):
+        func = objective_of("smooth", 0.3, 1.0, 0.5, 7.0)
+        expected = minimize_scalar(
+            func, bounds=(-2.0, 2.0), method="bounded", options={"xatol": 1e-14, "maxiter": 3}
+        )
+        assert not expected.success
+        assert _bounded_brent(func, -2.0, 2.0, 1e-14, 3) == (expected.x, expected.fun, False)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_profile_search_matches_scipy(self, seed):
+        # The Brent step of fit: the bracket around the best coarse grid point.
+        problem = random_problem(np.random.default_rng(seed), n=60, rho=0.6)
+        spec = spectrum(problem.W)
+        cache = _ProfileCache(problem)
+        grid = np.linspace(spec.rho_lower + BOUNDARY_MARGIN, spec.rho_upper - BOUNDARY_MARGIN,
+                           GRID_POINTS)
+        best = int(np.argmax([cache.point(rho, spec).loglik for rho in grid]))
+        a, b = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, GRID_POINTS - 1)])
+
+        def negative(rho):
+            return -cache.point(rho, spec).loglik
+
+        expected = minimize_scalar(
+            negative, bounds=(a, b), method="bounded", options={"xatol": 1e-8, "maxiter": 500}
+        )
+        x, fun, converged = _bounded_brent(negative, a, b, 1e-8, 500)
+        assert bits(x, fun) == bits(expected.x, expected.fun)
+        assert converged and expected.success
+        assert fit(problem).rho_hat == x
+
+
+def test_p_values_match_the_normal_tail():
+    z = np.linspace(0.0, 37.0, 20_001)
+    expected = 2.0 * ndtr(-z)
+    np.testing.assert_allclose(_two_sided_p(z, 1.0), expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(_two_sided_p(-3.0 * z, 3.0), expected, rtol=1e-12, atol=0.0)
+    undefined, certain = _two_sided_p(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+    assert math.isnan(undefined) and certain == 0.0
+    assert math.isnan(_two_sided_p(1.0, None))
 
 
 class TestFitOls:

@@ -1,4 +1,5 @@
-"""`write_csv` and `write_blocks` write the bytes of the per-row csv.writer they replaced."""
+"""`write_csv` and `write_blocks` write the bytes of the per-row csv.writer they replaced,
+and `read_csv` reads what its per-row loop read."""
 
 import csv
 import math
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdisturb._serialize import CHUNK, fmt, write_blocks, write_csv
+from netdisturb import _serialize
+from netdisturb._serialize import CHUNK, fmt, read_csv, write_blocks, write_csv
 
 
 def row_writer(path, header, rows):
@@ -134,3 +136,63 @@ def test_blocks_are_made_one_at_a_time(tmp_path):
 
     write_blocks(tmp_path / "lazy.csv", ("k",), blocks())
     assert (tmp_path / "lazy.csv").read_text() == "k\n0\n1\n2\n"
+
+
+def read_csv_row_loop(path, expected_header, error):
+    """The body rows as `read_csv` read them in one loop over rows, or the error text."""
+    linenos, columns = [], tuple([] for _ in expected_header)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            if len(cells) != len(expected_header):
+                return f"{path}:{lineno}: expected {len(expected_header)} fields, got {len(cells)}"
+            for column, cell in zip(columns, cells):
+                column.append(cell)
+            linenos.append(lineno)
+    return linenos, columns
+
+
+def read_csv_outcome(path, header):
+    try:
+        _, linenos, columns = read_csv(path, header, ValueError)
+    except ValueError as exc:
+        return str(exc)
+    return linenos.tolist(), columns
+
+
+CELL = st.sampled_from(["", " ", "a", " b ", "1", "x,y", '"q"'])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.lists(CELL, max_size=4), max_size=14),
+    chunk=st.integers(1, 5),
+)
+def test_chunked_read_matches_the_row_loop(tmp_path_factory, rows, chunk):
+    # Small chunks put blank rows, short rows and long rows at every
+    # position of a chunk and across chunk boundaries.
+    header = ("a", "b", "c")
+    path = tmp_path_factory.mktemp("read") / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_serialize, "CHUNK", chunk)
+        assert read_csv_outcome(path, header) == read_csv_row_loop(path, header, ValueError)
+
+
+@pytest.mark.parametrize("bad_line", [None, 5000, CHUNK + 1, 3 * CHUNK])
+def test_read_across_full_chunks(tmp_path, bad_line):
+    # Blank lines in the first and third chunks; a short row at bad_line.
+    n = 3 * CHUNK + 5
+    lines = [f" n{k % 7} ,{k}, {k / 3!r}" for k in range(n)]
+    lines[10] = lines[2 * CHUNK + 9] = ", ,"
+    if bad_line is not None:
+        lines[bad_line - 2] = "x,1"
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    header = ("a", "b", "c")
+    assert read_csv_outcome(path, header) == read_csv_row_loop(path, header, ValueError)
