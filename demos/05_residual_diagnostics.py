@@ -16,6 +16,7 @@ from netdisturb import (
     histogram,
     kde,
     log_flow_vector,
+    node_values,
     qq_pairs,
     simulate,
     standardized_residuals,
@@ -66,15 +67,12 @@ for k in range(hist.counts.size):
         f"{hist.counts[k]:>4} (ref {hist.normal_ref[k]:6.1f})"
     )
 
-by_node = {}
-for item in spillovers:
-    for node, values in item.attribution.items():
-        by_node.setdefault(node, []).extend(values)
+by_node = node_values(spillovers)
 
 print("\nspillover residuals by node (top 8 by |mean|):")
 ranked = sorted(by_node, key=lambda n: -abs(np.mean(by_node[n])))[:8]
 for node in ranked:
-    values = np.asarray(by_node[node])
+    values = by_node[node]
     curve = kde(values)
     peak = curve.grid[np.argmax(curve.density)]
     print(

@@ -24,6 +24,7 @@ from .diagnostics import (
     TradecorrResiduals,
     histogram,
     kde,
+    node_values,
     qq_pairs,
     standardized_residuals,
     tradecorr_residuals,
@@ -90,6 +91,7 @@ __all__ = [
     "TradecorrResiduals",
     "histogram",
     "kde",
+    "node_values",
     "qq_pairs",
     "standardized_residuals",
     "tradecorr_residuals",

@@ -11,22 +11,24 @@ simulate     generate a synthetic panel from a spec file
 Runs are driven by a flat ``key = value`` config file (``#`` starts a
 comment; relative paths resolve against the config file's directory), with
 ``--out``, ``--seed`` and ``--jobs`` flags overriding the file.  Every run
-writes a ``manifest.json`` recording the config hash, package and library
+writes a ``manifest.json`` recording the config hash, the package and numpy
 versions, and the seed; the fit/select/scan-cutoff/diagnose manifests also
 record the SHA-256 of every input file under its config key, so a manifest
 identifies the data as well as the config.  Reruns with the same config,
 inputs and seed produce byte-identical artifacts.
 
-`fit` stores every fit under ``--out``, and its ``fit_report.json`` carries
-a ``fingerprint`` of the run: the package version, the config's SHA-256
-and the same ``input_sha256`` the manifest records.  `select`,
-`scan-cutoff` (the ``rho0`` residuals) and `diagnose` read the fits they
-need from there when that fingerprint matches their own run, the report
-lists the same periods and every candidate they need, and each stored fit
-reads back; a pair the report lists as failed stays failed.  `select` only
-hashes the input files, and parses none, when the fits are stored.
-Otherwise they compute the fits as `fit` does, so every command also runs
-on its own, with the same output either way.
+Each run command walks the prepared periods once, in period order.  `fit`
+writes each fit under ``--out`` as soon as it returns, then each
+structure's ``coefficients.csv``, and last a ``fit_report.json`` carrying a
+``fingerprint`` of the run: the package version, the config's SHA-256 and
+the same ``input_sha256`` the manifest records.  `select`, `scan-cutoff`
+(the ``rho0`` residuals) and `diagnose` read the fits they need from there
+when that fingerprint matches their own run, the report lists every
+candidate they need, and each stored fit reads back; a pair the report
+lists as failed stays failed, and a period it does not list is fit anew.
+`select` only hashes the input files, and parses none, when the fits are
+stored.  Otherwise they compute the fits as `fit` does, so every command
+also runs on its own, with the same output either way.
 
 Config keys (run commands)
 --------------------------
@@ -49,7 +51,8 @@ scan_grid                start:stop:step in km (default 0:20000:100)
 smooth_window            odd moving-average window for weights (default 5;
                          0 disables the smoothed series)
 diagnose_structure       structure id diagnosed by `diagnose`
-out, seed, jobs          defaults for the corresponding flags (jobs >= 1)
+out, seed                defaults for the corresponding flags
+jobs                     1 only (default): fits run one at a time, in one thread
 
 Simulation spec keys: n_nodes, n_periods, density, structure, rho, beta
 (comma list), sigma, seed, lag, alliance_prob, disk_radius_km.
@@ -64,12 +67,10 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._serialize import write_json
@@ -84,6 +85,7 @@ from .covariates import (
 from .diagnostics import (
     histogram,
     kde,
+    node_values,
     qq_pairs,
     standardized_residuals,
     tradecorr_residuals,
@@ -234,7 +236,6 @@ class RunConfig:
     candidates: list
     out: Path
     seed: int
-    jobs: int
     scan_direction: str
     scan_grid: np.ndarray
     smooth_window: int
@@ -358,8 +359,8 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
         diagnose_structure = parsed
 
     jobs = jobs if jobs is not None else _parse_typed(values, "jobs", int, 1)
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1, got {jobs}: fits run one at a time, in one thread")
 
     config = RunConfig(
         config_path=path,
@@ -373,7 +374,6 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
         candidates=candidates,
         out=Path(out) if out is not None else resolve(values.get("out", "out")),
         seed=seed if seed is not None else _parse_typed(values, "seed", int, 0),
-        jobs=jobs,
         scan_direction=scan_direction,
         scan_grid=parse_grid(values["scan_grid"]) if "scan_grid" in values else None,
         smooth_window=smooth_window,
@@ -410,7 +410,6 @@ def _write_manifest(
         "config_sha256": config_sha256,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         **fields,
     }
     write_json(out / "manifest.json", manifest)
@@ -420,7 +419,7 @@ def _write_run_manifest(config: RunConfig, command: str, **fields) -> None:
     """A run command's manifest, with the SHA-256 of every input file."""
     _write_manifest(
         config.out, command, config.config_path, config.config_sha256,
-        seed=config.seed, jobs=config.jobs,
+        seed=config.seed,
         input_sha256=config.fingerprint["input_sha256"],
         **fields,
     )
@@ -428,16 +427,23 @@ def _write_run_manifest(config: RunConfig, command: str, **fields) -> None:
 
 @dataclass(eq=False)
 class PeriodData:
+    """One prepared period, with the dyadic series its command loaded."""
+
+    period: int
     index: object
     design: object
     y: np.ndarray
+    dyadic: dict
 
 
-def _load_inputs(config, structures):
-    """The panel, every nodal series, and the dyadic series read by ``structures`` or the recipe.
+def _periods(config, structures, skipped=None):
+    """Yield each prepared period in period order.
 
-    ``input_sha256`` still hashes every input; a dyadic entry that neither
-    reads is not loaded.
+    Reads the panel, every nodal series, and the dyadic series read by
+    ``structures`` or the recipe; ``input_sha256`` still hashes every
+    input, but a dyadic entry that neither reads is not loaded.  A period
+    whose design fails is warned about, listed in ``skipped`` and passed
+    over.
     """
     read = {term.series for term in config.recipe if term.role == "dyadic"}
     read.update(s.dyadic_series for s in structures if s != OLS_CANDIDATE)
@@ -446,30 +452,24 @@ def _load_inputs(config, structures):
         impute_linear(load_nodal_csv(path, name))
         for name, path in sorted(config.nodal.items())
     ]
-    dyadic = [
-        load_dyadic_csv(entry.path, name, entry.symmetric, entry.default)
+    dyadic = {
+        name: load_dyadic_csv(entry.path, name, entry.symmetric, entry.default)
         for name, entry in sorted(config.dyadic.items())
         if name in read
-    ]
-    return panel, nodal, {series.name: series for series in dyadic}
-
-
-def _prepare_periods(config, panel, nodal, dyadic_map):
-    prepared: dict[int, PeriodData] = {}
-    skipped = []
-    dyadic = list(dyadic_map.values())
+    }
     for snapshot in panel:
         index = index_flows(snapshot)
         try:
             design = build_design(
-                snapshot, index, nodal, dyadic, recipe=config.recipe, lag=config.lag
+                snapshot, index, nodal, list(dyadic.values()), recipe=config.recipe,
+                lag=config.lag,
             )
         except NetdisturbError as exc:
-            skipped.append({"period": snapshot.period, "reason": str(exc)})
+            if skipped is not None:
+                skipped.append({"period": snapshot.period, "reason": str(exc)})
             warnings.warn(f"period {snapshot.period} skipped: {exc}")
             continue
-        prepared[snapshot.period] = PeriodData(index, design, log_flow_vector(snapshot, index))
-    return prepared, skipped
+        yield PeriodData(snapshot.period, index, design, log_flow_vector(snapshot, index), dyadic)
 
 
 def _require_series(config, structures, reader=None) -> None:
@@ -483,86 +483,50 @@ def _require_series(config, structures, reader=None) -> None:
             )
 
 
-def _weight_matrix(data: PeriodData, structure, dyadic_map):
-    return build_weight_matrix(structure, data.index, dyadic_map.get(structure.dyadic_series))
+def _outcome(data: PeriodData, candidate, stored=None):
+    """The fit of ``candidate`` to one period, or the text of the error that stopped it.
 
-
-def _fit_one(data: PeriodData, candidate, dyadic_map):
-    if candidate == OLS_CANDIDATE:
-        return fit_ols(SemProblem(y=data.y, X=data.design))
-    weight = _weight_matrix(data, candidate, dyadic_map)
-    problem = SemProblem(y=data.y, X=data.design, W=weight)
-    return fit(problem)
-
-
-def _run_fits(config, prepared, dyadic_map, candidates):
-    """Fit every (period, candidate); returns (fits, failures).
-
-    Each weight matrix is dropped once its fit returns.
+    ``stored`` (from :func:`_stored_fits`) gives the outcome where it holds
+    the pair; the weight matrix is dropped once the fit returns.
     """
-    tasks = [(period, candidate) for period in sorted(prepared) for candidate in candidates]
-
-    def run(task):
-        period, candidate = task
-        cand_id = _candidate_id(candidate)
-        try:
-            result = _fit_one(prepared[period], candidate, dyadic_map)
-            return period, cand_id, result, None
-        except NetdisturbError as exc:
-            return period, cand_id, None, str(exc)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(task) for task in tasks]
-
-    fits = {}
-    failures = []
-    for period, cand_id, result, error in outcomes:
-        if error is not None:
-            failures.append({"period": period, "structure": cand_id, "error": error})
-            continue
-        fits[(period, cand_id)] = result
-    return fits, failures
+    key = (data.period, _candidate_id(candidate))
+    if stored is not None and key in stored:
+        return stored[key]
+    try:
+        if candidate == OLS_CANDIDATE:
+            return fit_ols(SemProblem(y=data.y, X=data.design))
+        weight = build_weight_matrix(candidate, data.index, data.dyadic.get(candidate.dyadic_series))
+        return fit(SemProblem(y=data.y, X=data.design, W=weight))
+    except NetdisturbError as exc:
+        return str(exc)
 
 
-def _stored_fits(config, candidates, periods=None):
-    """The (fits, failures) `fit` stored in ``config.out`` for this run, or None.
+def _stored_fits(config, candidates):
+    """The outcomes `fit` stored in ``config.out`` for this run, or None.
 
-    None unless ``fit_report.json`` carries this run's fingerprint, lists
-    ``periods`` (any periods when None: the fingerprint vouches for the
-    ones the report lists) and every one of ``candidates``, and each stored
-    fit of theirs reads back.  Only the candidates' own files are read.
-    Where it gives fits, :func:`_run_fits` gives the same fits and the
-    same failure texts.
+    A mapping (period, candidate id) -> SemFit or error text over the
+    periods the report lists, in period order, as :func:`_outcome` gives
+    them.  None unless ``fit_report.json`` carries this run's fingerprint
+    and lists every one of ``candidates``, and each stored fit of theirs
+    reads back.  Only the candidates' own files are read.
     """
     ids = [_candidate_id(candidate) for candidate in candidates]
     try:
         report = json.loads((config.out / "fit_report.json").read_text(encoding="utf-8"))
-        if periods is None:
-            periods = report["periods_fitted"]
-        if (
-            report["fingerprint"] != config.fingerprint
-            or report["periods_fitted"] != periods
-            or not set(ids) <= set(report["candidates"])
-        ):
+        if report["fingerprint"] != config.fingerprint or not set(ids) <= set(report["candidates"]):
             return None
         failed = {(f["period"], f["structure"]): f["error"] for f in report["failures"]}
-        fits, failures = {}, []
-        for period in periods:
+        outcomes = {}
+        for period in report["periods_fitted"]:
             for cand_id in ids:
                 if (period, cand_id) in failed:
-                    failures.append(
-                        {"period": period, "structure": cand_id, "error": failed[period, cand_id]}
-                    )
+                    outcomes[period, cand_id] = failed[period, cand_id]
                     continue
                 path = config.out / "fits" / cand_id / f"period_{period}.json"
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                fits[period, cand_id] = fit_from_dict(payload)
+                outcomes[period, cand_id] = fit_from_dict(json.loads(path.read_text(encoding="utf-8")))
     except (OSError, ValueError, LookupError, TypeError):
         return None
-    return fits, failures
+    return outcomes
 
 
 def _candidate_id(candidate) -> str:
@@ -580,29 +544,29 @@ def cmd_fit(config: RunConfig) -> int:
     _require_series(config, config.candidates)
     fingerprint = config.fingerprint
     (config.out / "fit_report.json").unlink(missing_ok=True)
-    panel, nodal, dyadic_map = _load_inputs(config, config.candidates)
-    prepared, skipped = _prepare_periods(config, panel, nodal, dyadic_map)
-    fits, failures = _run_fits(config, prepared, dyadic_map, config.candidates)
-
-    for cand_id in candidate_ids(config):
-        directory = config.out / "fits" / cand_id
-        entries = []
-        for period in sorted(prepared):
-            result = fits.get((period, cand_id))
-            if result is None:
+    ids = candidate_ids(config)
+    entries = {cand_id: [] for cand_id in ids}
+    periods, skipped, failures = [], [], []
+    for data in _periods(config, config.candidates, skipped):
+        periods.append(data.period)
+        for candidate, cand_id in zip(config.candidates, ids):
+            outcome = _outcome(data, candidate)
+            if isinstance(outcome, str):
+                failures.append({"period": data.period, "structure": cand_id, "error": outcome})
                 continue
-            write_fit_json(directory / f"period_{period}.json", result)
-            entries.append((period, cand_id, result))
-        if entries:
-            write_coefficients_csv(directory / "coefficients.csv", entries)
+            write_fit_json(config.out / "fits" / cand_id / f"period_{data.period}.json", outcome)
+            entries[cand_id].append((data.period, cand_id, outcome))
+    for cand_id, rows in entries.items():
+        if rows:
+            write_coefficients_csv(config.out / "fits" / cand_id / "coefficients.csv", rows)
 
     write_json(
         config.out / "fit_report.json",
         {
-            "periods_fitted": sorted(prepared),
+            "periods_fitted": periods,
             "skipped_periods": skipped,
             "failures": failures,
-            "candidates": candidate_ids(config),
+            "candidates": ids,
             "fingerprint": fingerprint,
         },
     )
@@ -619,14 +583,16 @@ def cmd_fit(config: RunConfig) -> int:
 def cmd_select(config: RunConfig) -> int:
     # Stored fits need neither the inputs nor the periods' designs.
     _require_series(config, config.candidates)
-    stored = _stored_fits(config, config.candidates)
-    if stored is None:
-        panel, nodal, dyadic_map = _load_inputs(config, config.candidates)
-        prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
-        stored = _run_fits(config, prepared, dyadic_map, config.candidates)
-    fits, failures = stored
+    outcomes = _stored_fits(config, config.candidates)
+    if outcomes is None:
+        outcomes = {
+            (data.period, _candidate_id(candidate)): _outcome(data, candidate)
+            for data in _periods(config, config.candidates)
+            for candidate in config.candidates
+        }
+    fits = {key: o for key, o in outcomes.items() if not isinstance(o, str)}
+    failed = {key: o for key, o in outcomes.items() if isinstance(o, str)}
     try:
-        failed = {(f["period"], f["structure"]): f["error"] for f in failures}
         report = select(fits, structures=candidate_ids(config), failures=failed)
     except ValueError as exc:
         raise NetdisturbError(str(exc)) from None
@@ -642,8 +608,8 @@ def cmd_select(config: RunConfig) -> int:
     print(f"winner: {report.winner}")
     for structure, delta in zip(report.structures, report.aggregated_delta):
         print(f"  {structure}: aggregated delta {delta:.3f}")
-    if failures:
-        print(f"{len(failures)} fit failure(s); see stderr", file=sys.stderr)
+    if failed:
+        print(f"{len(failed)} fit failure(s); see stderr", file=sys.stderr)
     return 0
 
 
@@ -651,16 +617,14 @@ def cmd_scan(config: RunConfig) -> int:
     # The scanned kind reads one series at every cutoff; inf only names the kind.
     scanned = NeighborhoodSpec(f"distance_{config.scan_direction}", cutoff_km=math.inf)
     _require_series(config, [scanned], "scan")
-    panel, nodal, dyadic_map = _load_inputs(config, [scanned])
-    prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
-    distances = dyadic_map[scanned.dyadic_series]
-    fits, failures = _stored_fits(config, [OLS_CANDIDATE], sorted(prepared)) or _run_fits(
-        config, prepared, dyadic_map, [OLS_CANDIDATE]
-    )
-    if failures:
-        raise NetdisturbError(failures[0]["error"])
-    residuals = {t: fits[t, OLS_CANDIDATE].u_hat for t in prepared}
-    indices = {t: d.index for t, d in prepared.items()}
+    stored = _stored_fits(config, [OLS_CANDIDATE])
+    residuals, indices, distances = {}, {}, None
+    for data in _periods(config, [scanned]):
+        outcome = _outcome(data, OLS_CANDIDATE, stored)
+        if isinstance(outcome, str):
+            raise NetdisturbError(outcome)
+        residuals[data.period], indices[data.period] = outcome.u_hat, data.index
+        distances = data.dyadic[scanned.dyadic_series]
     scan = scan_cutoffs(
         residuals,
         indices,
@@ -680,26 +644,19 @@ def cmd_diagnose(config: RunConfig) -> int:
     if structure is None:
         raise ConfigError("diagnose needs a 'diagnose_structure' config entry")
     _require_series(config, [structure])
-    panel, nodal, dyadic_map = _load_inputs(config, [structure])
-    prepared, _ = _prepare_periods(config, panel, nodal, dyadic_map)
-
-    fits, fit_failures = _stored_fits(config, [structure], sorted(prepared)) or _run_fits(
-        config, prepared, dyadic_map, [structure]
-    )
-    failed = {f["period"]: f["error"] for f in fit_failures}
+    stored = _stored_fits(config, [structure])
     pooled = []
     tradecorr_items = []
     failures = []
-    for period in sorted(prepared):
-        if period in failed:
-            failures.append({"period": period, "error": failed[period]})
+    for data in _periods(config, [structure]):
+        result = _outcome(data, structure, stored)
+        if isinstance(result, str):
+            failures.append({"period": data.period, "error": result})
             continue
-        result = fits[period, structure.structure_id]
         if not result.converged or result.degenerate:
-            failures.append({"period": period, "error": "fit did not converge"})
+            failures.append({"period": data.period, "error": "fit did not converge"})
             continue
-        data = prepared[period]
-        weight = _weight_matrix(data, structure, dyadic_map)
+        weight = build_weight_matrix(structure, data.index, data.dyadic.get(structure.dyadic_series))
         pooled.append(standardized_residuals(result))
         tradecorr_items.append(tradecorr_residuals(result, weight, data.index))
 
@@ -711,16 +668,11 @@ def cmd_diagnose(config: RunConfig) -> int:
     write_hist_csv(config.out / "hist.csv", histogram(standardized))
     write_tradecorr_csv(config.out / "tradecorr.csv", tradecorr_items)
 
-    by_node: dict[str, list[float]] = {}
-    for item in tradecorr_items:
-        for node, values in item.attribution.items():
-            by_node.setdefault(node, []).extend(values)
-    curves = []
-    for node in sorted(by_node):
-        values = np.asarray(by_node[node])
-        if np.unique(values).size < 2:
-            continue
-        curves.append(kde(values, node_id=node))
+    curves = [
+        kde(values, node_id=node)
+        for node, values in node_values(tradecorr_items).items()
+        if np.unique(values).size >= 2
+    ]
     write_kde_csv(config.out / "kde.csv", curves)
     _write_run_manifest(
         config, "diagnose", structure=structure.structure_id, failures=failures
@@ -793,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="run config file")
         cmd.add_argument("--out", help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, help="seed recorded in the manifest")
-        cmd.add_argument("--jobs", type=int, help="parallel fit workers")
+        cmd.add_argument("--jobs", type=int, help="fit workers: 1 only")
         return cmd
 
     add_run_command("fit", "fit every candidate structure per period")

@@ -79,34 +79,46 @@ def histogram(values) -> HistogramData:
 
 @dataclass(frozen=True, eq=False)
 class TradecorrResiduals:
-    """Per-flow spillover residuals rho_hat * W u_hat for one period.
-
-    ``attribution`` maps each node to the values of the flows it sends or
-    receives, so every flow's value appears in exactly two lists.
-    """
+    """Per-flow spillover residuals rho_hat * W u_hat for one period."""
 
     period: int
     values: np.ndarray
-    attribution: dict[str, list[float]]
     index: FlowIndex
 
 
 def tradecorr_residuals(
     fit: SemFit, weights: WeightMatrix, index: FlowIndex
 ) -> TradecorrResiduals:
-    """Spillover residuals with sender/receiver attribution."""
+    """Spillover residuals of one period's flows, in the order of ``index``."""
     if not fit.converged:
         raise EstimationError("cannot compute spillover residuals of a non-converged fit")
     if weights.index is not index and weights.index.dyads != index.dyads:
         raise EstimationError("weight matrix and flow index do not match")
     values = fit.rho_hat * (weights @ fit.u_hat)
-    attribution: dict[str, list[float]] = {}
-    for a, (sender, receiver) in enumerate(index.dyads):
-        attribution.setdefault(sender, []).append(float(values[a]))
-        attribution.setdefault(receiver, []).append(float(values[a]))
-    return TradecorrResiduals(
-        period=index.period, values=values, attribution=attribution, index=index
-    )
+    return TradecorrResiduals(period=index.period, values=values, index=index)
+
+
+def node_values(items) -> dict[str, np.ndarray]:
+    """The spillover residuals of ``items`` grouped by node, in sorted node order.
+
+    Each flow's value is attributed to both its sender and its receiver, so
+    it appears under two nodes.  A node's values keep the order of
+    ``items``, then of the flows, the sender's copy before the receiver's.
+    """
+    items = list(items)
+    if not items:
+        return {}
+    nodes = np.unique(np.concatenate([np.asarray(item.index.nodes, str) for item in items]))
+    codes = np.concatenate([
+        np.searchsorted(nodes, np.asarray(item.index.nodes, str))[
+            np.column_stack((item.index.sender, item.index.receiver)).ravel()
+        ]
+        for item in items
+    ])
+    order = np.argsort(codes, kind="stable")
+    present, starts = np.unique(codes[order], return_index=True)
+    values = np.concatenate([np.repeat(item.values, 2) for item in items])[order]
+    return dict(zip(nodes[present].tolist(), np.split(values, starts[1:])))
 
 
 @dataclass(frozen=True, eq=False)

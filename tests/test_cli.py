@@ -180,7 +180,23 @@ class TestConfigParsing:
             config_file.write_text(config_file.read_text() + "jobs = -1\n")
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: jobs must be at least 1, got ")
+        assert err.startswith("config error: jobs must be 1, got ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "key"])
+    def test_jobs_above_one_rejected(self, workspace, capsys, where):
+        # Fits run one at a time; the flag and key stay, and accept only 1.
+        tmp_path, config_file = workspace
+        argv = ["fit", "--config", str(config_file), "--out", str(tmp_path / "out")]
+        if where == "flag":
+            argv += ["--jobs", "2"]
+        else:
+            config_file.write_text(config_file.read_text() + "jobs = 2\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: jobs must be 1, got 2: fits run one at a time, in one thread\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -311,21 +327,38 @@ class TestPipeline:
         qq = (out / "qq.csv").read_text().splitlines()
         assert qq[0] == "theoretical,empirical"
 
-    def test_jobs_flag_keeps_output_identical(self, workspace):
+    def test_jobs_one_runs(self, workspace):
         tmp_path, config_file = workspace
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert main(["select", "--config", str(config_file), "--out", str(serial)]) == 0
-        code = main(
-            ["select", "--config", str(config_file), "--out", str(parallel), "--jobs", "4"]
-        )
-        assert code == 0
-        assert (serial / "aggregated.csv").read_bytes() == (
-            parallel / "aggregated.csv"
-        ).read_bytes()
-        # jobs is recorded in the manifest, which is allowed to differ
-        m1 = json.loads((serial / "manifest.json").read_text())
-        m2 = json.loads((parallel / "manifest.json").read_text())
-        assert m1["config_sha256"] == m2["config_sha256"]
+        plain, one = tmp_path / "plain", tmp_path / "one"
+        assert main(["select", "--config", str(config_file), "--out", str(plain)]) == 0
+        argv = ["select", "--config", str(config_file), "--out", str(one), "--jobs", "1"]
+        assert main(argv) == 0
+        for name in SELECT_FILES + ("manifest.json",):
+            assert (plain / name).read_bytes() == (one / name).read_bytes(), name
+
+    def test_fit_writes_each_fit_as_it_returns(self, workspace, monkeypatch):
+        # Every fit file of a period is written before the next period's
+        # design is built.
+        tmp_path, config_file = workspace
+        events = []
+        for name in ("build_design", "write_fit_json"):
+            original = getattr(netdisturb.cli, name)
+
+            def recording(*args, _name=name, _original=original, **kwargs):
+                events.append((_name, args[0]))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(f"netdisturb.cli.{name}", recording)
+        assert main(["fit", "--config", str(config_file), "--out", str(tmp_path / "out")]) == 0
+        designs = [k for k, (name, _) in enumerate(events) if name == "build_design"]
+        assert [events[k][1].period for k in designs] == [1, 2, 3, 4]
+        for period, (start, end) in enumerate(zip(designs, designs[1:] + [len(events)]), 1):
+            written = sorted(Path(path).relative_to(tmp_path / "out" / "fits").as_posix()
+                             for _, path in events[start + 1 : end])
+            assert written == sorted(
+                f"{structure}/period_{period}.json"
+                for structure in ("sender_attached", "receiver_attached", "full_activity", "rho0")
+            ), period
 
     def test_simulate_deterministic(self, tmp_path):
         spec_file = tmp_path / "sim.cfg"
@@ -352,6 +385,7 @@ class TestPipeline:
         assert manifest["config_file"] == "run.cfg"
         assert manifest["seed"] == 7
         assert len(manifest["config_sha256"]) == 64
+        assert "jobs" not in manifest and "scipy_version" not in manifest
 
     def test_manifest_identifies_the_input_data(self, workspace):
         tmp_path, config_file = workspace
@@ -595,10 +629,11 @@ SCIPY_SUBMODULES = (
 )
 
 
-@pytest.mark.parametrize("module", SCIPY_SUBMODULES)
+@pytest.mark.parametrize("module", SCIPY_SUBMODULES + ("scipy", "concurrent.futures"))
 def test_cli_import_leaves_scipy_module_out(module):
     # Every CLI command starts a fresh interpreter, and a command pays for
-    # each of these imports only where it uses the module.
+    # each of these imports only where it uses the module; no stage uses
+    # the bare scipy package or a thread pool.
     code = f"import sys, netdisturb.cli; print({module!r} in sys.modules)"
     assert run_fresh_interpreter(code) == "False"
 

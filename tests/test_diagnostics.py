@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
@@ -9,10 +10,12 @@ from netdisturb import (
     NeighborhoodSpec,
     SemFit,
     SemProblem,
+    TradecorrResiduals,
     build_weight_matrix,
     fit,
     histogram,
     kde,
+    node_values,
     qq_pairs,
     standardized_residuals,
     tradecorr_residuals,
@@ -135,7 +138,8 @@ class TestTradecorrResiduals:
         fitted = make_fit([0.0, 0.0], u=[1.0, -1.0], rho=0.5)
         result = tradecorr_residuals(fitted, weights, self.index())
         np.testing.assert_array_equal(result.values, [-0.5, 0.5])
-        assert result.attribution == {"A": [-0.5, 0.5], "B": [-0.5, 0.5]}
+        by_node = {node: values.tolist() for node, values in node_values([result]).items()}
+        assert by_node == {"A": [-0.5, 0.5], "B": [-0.5, 0.5]}
         assert result.period == 4
 
     def test_zero_rho_gives_zeros(self):
@@ -152,7 +156,9 @@ class TestTradecorrResiduals:
         weights = build_weight_matrix(NeighborhoodSpec("full_activity"), index)
         fitted = make_fit(np.zeros(n), u=rng.standard_normal(n), rho=0.3)
         result = tradecorr_residuals(fitted, weights, index)
-        assert sum(len(v) for v in result.attribution.values()) == 2 * n
+        by_node = node_values([result])
+        assert sum(v.size for v in by_node.values()) == 2 * n
+        assert list(by_node) == sorted(by_node)
 
     def test_linear_in_u(self):
         index = self.index()
@@ -167,6 +173,47 @@ class TestTradecorrResiduals:
         fitted = make_fit([0.0, 0.0], u=[1.0, -1.0])
         with pytest.raises(EstimationError, match="do not match"):
             tradecorr_residuals(fitted, self.weights(), other)
+
+
+def values_by_flow(items):
+    """The per-flow loop node_values replaced, kept as its oracle."""
+    by_node: dict[str, list[float]] = {}
+    for item in items:
+        for a, (sender, receiver) in enumerate(item.index.dyads):
+            by_node.setdefault(sender, []).append(float(item.values[a]))
+            by_node.setdefault(receiver, []).append(float(item.values[a]))
+    return by_node
+
+
+@st.composite
+def spillover_items(draw):
+    """Periods over differing node sets, each naming nodes that send and receive
+    nothing, with the flows in no particular order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = np.array([f"N{k:02d}" for k in range(12)])
+    items = []
+    for period in range(draw(st.integers(1, 4))):
+        nodes = np.sort(rng.choice(names, int(rng.integers(2, 13)), replace=False))
+        pairs = [(a, b) for a in range(nodes.size) for b in range(nodes.size) if a != b]
+        picked = rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs) + 1))]
+        sender, receiver = np.array([pairs[k] for k in picked]).T
+        index = FlowIndex.from_codes(period, nodes.tolist(), sender, receiver)
+        items.append(TradecorrResiduals(period, rng.standard_normal(sender.size), index))
+    return items
+
+
+class TestNodeValues:
+    @settings(max_examples=200, deadline=None)
+    @given(spillover_items())
+    def test_matches_the_per_flow_loop(self, items):
+        expected = values_by_flow(items)
+        got = node_values(items)
+        assert list(got) == sorted(expected)
+        for node, values in got.items():
+            assert values.tolist() == expected[node], node
+
+    def test_no_items(self):
+        assert node_values([]) == {}
 
 
 class TestKde:
