@@ -14,19 +14,31 @@ e = A(y - X beta(rho)), and the profiled log-likelihood is
 The Jacobian term log|det(I - rho W)| of a weight matrix from
 :func:`~netdisturb.weights.build_weight_matrix` comes exactly from its
 factors W = D+ (U C U' + E) (see :class:`~netdisturb.weights.WeightFactors`):
-a block-diagonal term plus one determinant over the N anchor nodes, O(n +
-N^3) per evaluation with no n x n eigen-decomposition.  Such a W is row
+a block-diagonal term plus one determinant over the N anchor nodes, with
+no n x n work.  That determinant is taken by the cheapest exact
+factorization its core allows: where E = 0 (the alliance and distance
+kinds) the core does not depend on rho, and its N eigenvalues, taken once,
+give log|det(I - rho W)| = sum log|1 - rho lambda_k| (Ord 1975); an
+activity kind's core is factored at each rho, by Cholesky where it is
+positive definite and by LU where flows border it.  Such a W is row
 normalized and non-negative, so every eigenvalue has modulus at most 1 and
 rho is searched over (-1, 1) (LeSage & Pace 2009, section 4).  A W given as
-a plain array uses its eigenvalues instead: log|det(I - rho W)| is then the
-real part of sum_i log(1 - rho lambda_i) (complex eigenvalues of the
-asymmetric W pair up, so the imaginary parts cancel), and (-1, 1) is
+a plain array uses its own eigenvalues by the same formula (complex
+eigenvalues of an asymmetric W pair up, so the sum is real), and (-1, 1) is
 narrowed to the reciprocals of W's extreme real eigenvalues where they fall
-inside it.  rho is searched in two steps: the profile on a coarse grid
-over the interval, then Brent's bounded method (:func:`_bounded_brent`, a
-port of scipy's ``minimize_scalar(method="bounded")``) between the best grid
-point's two neighbours.  W y, W X and W u_hat are taken as ``W @ v``, from
-the factors of a built W, so a fit never forms its n x n entries.
+inside it.
+
+rho is searched in two steps: the profile on a coarse grid over the
+interval, then Brent's bounded method (:func:`_bounded_brent`, a port of
+scipy's ``minimize_scalar(method="bounded")``) between the best grid
+point's two neighbours.  The search evaluates the profile in (p+1) x (p+1)
+algebra (LeSage & Pace 2009, ch. 4): with Z = [y X], the cross-products
+Z'Z, Z'WZ + (WZ)'Z and (WZ)'(WZ) are formed once, (AZ)'(AZ) is a quadratic
+in rho, and beta(rho) and e'e come from a p x p solve, so no evaluation
+touches the n flows.  The reported fit at the optimum is recomputed by
+least squares on A y and A X (the normal equations square the condition
+number).  W y, W X and W u_hat are taken as ``W @ v``, from the factors of
+a built W, so a fit never forms its n x n entries.
 """
 
 from __future__ import annotations
@@ -39,13 +51,12 @@ import numpy as np
 
 # Every CLI command is a fresh interpreter, and importing scipy.optimize and
 # scipy.special would cost it more than numpy does.  So the rho search and
-# the normal tail run here, and scipy.linalg is imported only for a
-# rank-deficient design.
+# the normal tail run here, and this module imports no scipy.
 
 from ._serialize import write_csv, write_json
 from .covariates import DesignMatrix
 from .errors import EstimationError
-from .weights import WeightFactors, WeightMatrix
+from .weights import WeightFactors, WeightMatrix, eigenvalue_log_det
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -131,9 +142,11 @@ def spectrum(W) -> Spectrum:
     """The admissible rho interval of W and the means to evaluate log_det.
 
     For a built WeightMatrix (row normalized and non-negative, so every
-    |lambda| <= 1) the interval is exactly (-1, 1), and no eigenvalue is
-    computed.  For a plain array W it is (-1, 1) intersected with
-    (1/lambda_min, 1/lambda_max) over W's nonzero real eigenvalues.
+    |lambda| <= 1) the interval is exactly (-1, 1), and nothing is computed
+    here: the factors prepare their core, and the eigenvalues of a fixed
+    one, on the first :func:`log_det`.  For a plain array W it is (-1, 1)
+    intersected with (1/lambda_min, 1/lambda_max) over W's nonzero real
+    eigenvalues, which are computed here.
     """
     if isinstance(W, WeightMatrix):
         return Spectrum(eigenvalues=None, rho_lower=-1.0, rho_upper=1.0, factors=W.factors)
@@ -153,25 +166,33 @@ def spectrum(W) -> Spectrum:
     return Spectrum(eigenvalues=eigenvalues, rho_lower=lower, rho_upper=upper)
 
 
-def log_det(rho: float, spec: Spectrum) -> float:
-    """log|det(I - rho W)| from W's factors or from its eigenvalues.
+def log_det(rho, spec: Spectrum):
+    """log|det(I - rho W)| from W's factors or from its eigenvalues, at a float or an array of rho.
 
-    From eigenvalues it is the real part of ``sum(log(1 - rho * lambda_i))``;
-    conjugate eigenvalue pairs make the imaginary parts cancel exactly.
-    The factored form is defined for -1 < rho < 1.
+    From eigenvalues it is ``sum(log|1 - rho * lambda_i|)``
+    (:func:`~netdisturb.weights.eigenvalue_log_det`); the factors choose
+    their own factorization (:meth:`~netdisturb.weights.WeightFactors.log_det`)
+    and hold for -1 < rho < 1.  A float gives a float, an array an array.
     """
+    rhos = np.asarray(rho, dtype=float)
     if spec.eigenvalues is None:
-        if not -1.0 < rho < 1.0:
-            raise EstimationError(f"rho={rho} outside (-1, 1), where the factored log-det holds")
-        value = spec.factors.log_det(rho)
-        if not math.isfinite(value):
-            raise EstimationError(f"rho={rho} sits on a pole of the log-determinant")
-        return value
-    factors = 1.0 - rho * spec.eigenvalues
-    magnitudes = np.abs(factors)
-    if np.any(magnitudes == 0.0):
-        raise EstimationError(f"rho={rho} sits on a pole of the log-determinant")
-    return float(np.sum(np.log(magnitudes)))
+        outside = rhos[~((-1.0 < rhos) & (rhos < 1.0))]
+        if outside.size:
+            raise EstimationError(
+                f"rho={outside.flat[0]} outside (-1, 1), where the factored log-det holds"
+            )
+        values = spec.factors.log_det(rhos)
+    else:
+        values = eigenvalue_log_det(rhos, spec.eigenvalues)
+    poles = rhos[~np.isfinite(values)]
+    if poles.size:
+        raise EstimationError(f"rho={poles.flat[0]} sits on a pole of the log-determinant")
+    return float(values) if values.ndim == 0 else values
+
+
+def log_det_path(spec: Spectrum) -> str:
+    """The factorization :func:`log_det` uses: "eigenvalues", "cholesky" or "lu"."""
+    return "eigenvalues" if spec.eigenvalues is not None else spec.factors.log_det_path
 
 
 class ProfilePoint(NamedTuple):
@@ -181,23 +202,28 @@ class ProfilePoint(NamedTuple):
 
 
 def _require_full_rank(problem: SemProblem) -> None:
-    """Raise EstimationError naming the collinear columns of a rank-deficient X."""
+    """Raise EstimationError naming the collinear columns of a rank-deficient X.
+
+    Those are the columns that do not raise the rank of the ones kept
+    before them, taken left to right.
+    """
     X = problem.X
     if np.linalg.matrix_rank(X) == problem.p:
         return
-    from scipy.linalg import qr
-
-    # Pivoted QR: columns past the numerical rank are the dependent ones.
-    _, R, piv = qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = diag.max(initial=0.0) * max(X.shape) * np.finfo(float).eps
-    rank = int(np.sum(diag > tol))
-    bad = [problem.column_names[k] for k in sorted(piv[rank:])]
+    kept, bad = [], []
+    for k, name in enumerate(problem.column_names):
+        if np.linalg.matrix_rank(X[:, kept + [k]]) > len(kept):
+            kept.append(k)
+        else:
+            bad.append(name)
     raise EstimationError(f"design matrix is rank deficient; collinear columns: {bad}")
 
 
 class _ProfileCache:
-    """Precomputed W y and W X so repeated profile evaluations stay cheap."""
+    """W y, W X and the cross-products of [y X] and W [y X], so profile evaluations stay cheap.
+
+    ``evaluations`` counts the rho values the profile was evaluated at.
+    """
 
     def __init__(self, problem: SemProblem):
         if problem.W is None:
@@ -205,27 +231,47 @@ class _ProfileCache:
                 "the problem has no weight matrix W; give one, or fit rho = 0 with fit_ols"
             )
         self.problem = problem
-        self.Wy = problem.W @ problem.y
-        self.WX = problem.W @ problem.X
+        Z = np.column_stack([problem.y, problem.X])
+        WZ = problem.W @ Z
+        self.Wy, self.WX = WZ[:, 0], WZ[:, 1:]
         _require_full_rank(problem)
+        cross = Z.T @ WZ
+        self.gram = (Z.T @ Z, cross + cross.T, WZ.T @ WZ)
+        self.evaluations = 0
+
+    def profile(self, rho, spec: Spectrum):
+        """The profiled log-likelihood at a float or an array of rho, from the cross-products.
+
+        (AZ)'(AZ) = G0 - rho G1 + rho^2 G2 over Z = [y X]; beta(rho) solves
+        its X block against its X'y column, and e'e = y'y - y'X beta(rho).
+        """
+        rhos = np.asarray(rho, dtype=float)
+        r = rhos.reshape(-1, 1, 1)
+        G0, G1, G2 = self.gram
+        G = G0 - r * G1 + (r * r) * G2
+        beta = np.linalg.solve(G[:, 1:, 1:], G[:, 1:, :1])
+        sigma2 = (G[:, 0, 0] - (G[:, :1, 1:] @ beta)[:, 0, 0]) / self.problem.n
+        self.evaluations += sigma2.size
+        return self._loglik(rhos, sigma2.reshape(rhos.shape), spec)
 
     def point(self, rho: float, spec: Spectrum) -> ProfilePoint:
+        """The profile at one rho by least squares on A y and A X, with beta and sigma^2."""
         prob = self.problem
         Ay = prob.y - rho * self.Wy
         AX = prob.X - rho * self.WX
         beta, *_ = np.linalg.lstsq(AX, Ay, rcond=None)
         e = Ay - AX @ beta
-        n = prob.n
-        sigma2 = float(e @ e) / n
-        if sigma2 <= 0.0:
-            loglik = math.inf
-        else:
-            loglik = (
-                -0.5 * n * (LOG_2PI + 1.0)
-                - 0.5 * n * math.log(sigma2)
-                + log_det(rho, spec)
-            )
-        return ProfilePoint(loglik=loglik, beta=beta, sigma2=sigma2)
+        sigma2 = float(e @ e) / prob.n
+        self.evaluations += 1
+        return ProfilePoint(loglik=self._loglik(rho, sigma2, spec), beta=beta, sigma2=sigma2)
+
+    def _loglik(self, rho, sigma2, spec: Spectrum):
+        """-(n/2)(log 2 pi + 1 + log sigma^2) + log|det(I - rho W)|; +inf where sigma^2 <= 0."""
+        n = self.problem.n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fitted = -0.5 * n * (LOG_2PI + 1.0) - 0.5 * n * np.log(sigma2) + log_det(rho, spec)
+        loglik = np.where(sigma2 > 0.0, fitted, math.inf)
+        return float(loglik) if loglik.ndim == 0 else loglik
 
 
 def profile_loglik(rho: float, problem: SemProblem, spec: Spectrum) -> ProfilePoint:
@@ -248,6 +294,9 @@ class SemFit:
     ``p_values`` has one entry per beta coefficient followed by the one for
     rho (NaN when no standard error is available).  ``u_hat`` is y - X beta
     and ``eps_hat = (I - rho W) u_hat`` is the whitened disturbance.
+    ``evaluations`` counts the rho values at which :func:`fit` evaluated the
+    profile (0 for :func:`fit_ols`), and ``log_det`` names the factorization
+    of its log-determinant (:func:`log_det_path`; None for ``fit_ols``).
     """
 
     rho_hat: float
@@ -264,6 +313,8 @@ class SemFit:
     degenerate: bool = False
     column_names: tuple[str, ...] = ()
     rho_bounds: tuple[float, float] | None = None
+    evaluations: int = 0
+    log_det: str | None = None
 
     @property
     def n(self) -> int:
@@ -363,13 +414,16 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
 
     The profile is evaluated at ``GRID_POINTS`` evenly spaced points over
     the rho interval of :func:`spectrum` kept ``BOUNDARY_MARGIN`` inside
-    its ends, (-1, 1) for a built W; Brent's bounded method
+    its ends, (-1, 1) for a built W, in one call of the cross-product
+    profile (and so of :func:`log_det`); Brent's bounded method
     (:func:`_bounded_brent`) then refines the best of them between its two
-    neighbours, and the grid point is kept unless Brent beats it (so an
-    optimum at an interval end lands exactly on it).  Standard errors for
-    beta come from sigma^2 ((AX)'(AX))^{-1} at the optimum; the one for rho
-    from the curvature of the profiled log-likelihood, estimated by a
-    central second difference (NaN at an interval end).
+    neighbours, one rho per call, and the grid point is kept unless Brent
+    beats it (so an optimum at an interval end lands exactly on it).  beta,
+    sigma^2 and the log-likelihood at the optimum come from least squares.
+    Standard errors for beta come from sigma^2 ((AX)'(AX))^{-1} at the
+    optimum; the one for rho from the curvature of the profiled
+    log-likelihood, estimated by a central second difference over three
+    rho in one call (NaN at an interval end).
 
     Parameters
     ----------
@@ -405,14 +459,11 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
             f"empty rho search interval ({spec.rho_lower}, {spec.rho_upper})"
         )
 
-    def objective(rho: float) -> float:
-        return cache.point(rho, spec).loglik
-
     grid = np.linspace(lo, hi, GRID_POINTS)
-    values = [objective(rho) for rho in grid]
+    values = cache.profile(grid, spec)
     best = int(np.argmax(values))
     brent_rho, brent_min, converged = _bounded_brent(
-        lambda rho: -objective(rho),
+        lambda rho: -cache.profile(rho, spec),
         float(grid[max(best - 1, 0)]),
         float(grid[min(best + 1, GRID_POINTS - 1)]),
         xtol,
@@ -436,7 +487,7 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
         AX = problem.X - rho_hat * cache.WX
         xtx_inv = np.linalg.inv(AX.T @ AX)
         se_beta = np.sqrt(np.maximum(sigma2 * np.diag(xtx_inv), 0.0))
-        se_rho = _profile_curvature_se(objective, rho_hat, lo, hi, spec)
+        se_rho = _profile_curvature_se(cache, rho_hat, lo, hi, spec)
     p_values = np.append(_two_sided_p(beta, se_beta), _two_sided_p(rho_hat, se_rho))
 
     return SemFit(
@@ -454,19 +505,20 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
         degenerate=degenerate,
         column_names=problem.column_names,
         rho_bounds=(spec.rho_lower, spec.rho_upper),
+        evaluations=cache.evaluations,
+        log_det=log_det_path(spec),
     )
 
 
-def _profile_curvature_se(objective, rho_hat, lo, hi, spec) -> float:
+def _profile_curvature_se(cache, rho_hat, lo, hi, spec) -> float:
     h = 1e-4 * (spec.rho_upper - spec.rho_lower)
     # Shrink the step if the optimum sits close to an interval end.
     room = min(hi - rho_hat, rho_hat - lo)
     if room <= 0:
         return math.nan
     h = min(h, 0.5 * room)
-    d2 = (objective(rho_hat + h) - 2.0 * objective(rho_hat) + objective(rho_hat - h)) / (
-        h * h
-    )
+    above, at, below = cache.profile(np.array([rho_hat + h, rho_hat, rho_hat - h]), spec)
+    d2 = (above - 2.0 * at + below) / (h * h)
     if d2 >= 0:
         return math.nan
     return math.sqrt(-1.0 / d2)
@@ -529,6 +581,8 @@ def fit_to_dict(result: SemFit) -> dict:
         "degenerate": result.degenerate,
         "column_names": list(result.column_names),
         "rho_bounds": result.rho_bounds,
+        "evaluations": result.evaluations,
+        "log_det": result.log_det,
     }
 
 
@@ -563,6 +617,8 @@ def fit_from_dict(payload: dict) -> SemFit:
         degenerate=bool(payload["degenerate"]),
         column_names=tuple(payload["column_names"]),
         rho_bounds=None if bounds is None else tuple(number(b) for b in bounds),
+        evaluations=int(payload["evaluations"]),
+        log_det=payload["log_det"],
     )
 
 

@@ -44,21 +44,18 @@ where E corrects what U C U' counts wrongly:
 :class:`WeightFactors` holds these factors and is the one operator for a
 built W, which a :class:`WeightMatrix` always holds: it evaluates W v in
 O(n + N^2) per column, and log|det(I - rho W)| and (I - rho W)^-1 v in
-O(n + N^3), with no n x n work.  The neighbour sets and the weight CSV
-read W's nonzeros from the sparse pattern the same factors give in O(n +
-nnz); the dense entries are that pattern expanded, formed only when they
-are asked for.
+O(n + N^3), with no n x n work.  The neighbour sets read W's nonzeros
+from the sparse pattern the same factors give in O(n + nnz); the dense
+entries are that pattern expanded, formed only when they are asked for.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
-from ._serialize import write_csv
 from .covariates import DyadicSeries
 from .errors import CovariateError, WeightError
 from .panel import FlowIndex
@@ -188,6 +185,18 @@ class AnchorRelation:
 _BLOCK_DET_FLOOR = -1e-9
 
 
+def eigenvalue_log_det(rho, eigenvalues) -> np.ndarray:
+    """log|det(I - rho W)| = sum_k log|1 - rho lambda_k| from W's eigenvalues, at each rho of an array.
+
+    The nonzero eigenvalues suffice.  Those of an asymmetric W may be
+    complex; they come in conjugate pairs, so the sum is real.  It is -inf
+    on a pole.
+    """
+    factors = 1.0 - np.multiply.outer(np.asarray(rho, dtype=float), eigenvalues)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(factors)).sum(axis=-1)
+
+
 class WeightFactors:
     """W = D+ (U C U' + E) for one built matrix: W v, its nonzeros, log|det(I - rho W)|.
 
@@ -206,7 +215,8 @@ class WeightFactors:
     determinant vanishes inside (-1, 1) (a flow with one or two neighbours)
     keeps identity rows in B; its part of E joins the core as extra rows
     and columns, one per flow, whose entries do not depend on rho.  With
-    E = 0 the whole core is fixed and is built once.
+    E = 0 the whole core is fixed: it is built once and its eigenvalues
+    taken once (:meth:`log_det` names the factorization each core allows).
 
     :meth:`solve` gives (I - rho W)^-1 v from the same B(rho) and core by
     the Woodbury identity.  Let U~ be U with one more column per core flow
@@ -312,14 +322,22 @@ class WeightFactors:
         self._fixed = None
         if not (e_self.any() or e_reverse.any()):
             self._fixed = self._core(own, np.zeros(n))
+            self._path, self._eigenvalues = "eigenvalues", np.linalg.eigvals(self._fixed)
+        else:
+            # C is the identity wherever E != 0 (the activity kinds).
+            self._path = "lu" if core.size else "cholesky"
 
     def _core(self, diag, off) -> np.ndarray:
         """C~ U~' B^-1 D+ U~, from B^-1 D+'s per-flow diagonal and reverse entries."""
         size = self._C.shape[0]
-        weights = np.tile(np.concatenate([diag, off]), len(self._relation.anchors) ** 2)
+        weights = np.concatenate([diag, off] * len(self._relation.anchors) ** 2)
         gram = np.bincount(self._cells, weights, minlength=size * size).reshape(size, size)
+        if not self._identity:
+            gram = self._C @ gram
+        if not self._core_flows.size:
+            return gram
         core = self._border.copy()
-        core[:size, :size] = gram if self._identity else self._C @ gram
+        core[:size, :size] = gram
         return core
 
     def _blocks(self, rho: float):
@@ -330,19 +348,59 @@ class WeightFactors:
             first = 1.0 - rho * self._self_other
             det = (1.0 - rho * self._self_own) * first - rho * rho * self._reverse_sq
             diag, off = first * self._own / det, rho * self._reverse / det
-            core, outer = self._core(diag, off), float(self._halves @ np.log(np.abs(det)))
+            matrix, outer = self._core(diag, off), float(self._halves @ np.log(np.abs(det)))
+            matrix *= -rho
         else:
             # E = 0 outside the core: B = I, and self._reverse is all zero.
-            diag, off, core, outer = self._own, self._reverse, self._fixed, 0.0
-        matrix = -rho * core
+            diag, off, matrix, outer = self._own, self._reverse, -rho * self._fixed, 0.0
         matrix.flat[:: len(matrix) + 1] += 1.0
         return outer, diag, off, matrix
 
-    def log_det(self, rho: float) -> float:
-        """log|det(I - rho W)| for -1 < rho < 1; -inf where it is singular."""
-        outer, _, _, matrix = self._blocks(rho)
-        _, inner = np.linalg.slogdet(matrix)
-        return outer + float(inner)
+    @property
+    def log_det_path(self) -> str:
+        """How :meth:`log_det` factors the core: "eigenvalues", "cholesky" or "lu"."""
+        if self._border is None:
+            self._prepare()
+        return self._path
+
+    def log_det(self, rho) -> np.ndarray:
+        """log|det(I - rho W)| at each -1 < rho < 1 of an array; -inf where it is singular.
+
+        :attr:`log_det_path` names the cheapest exact factorization the core
+        allows.  A fixed core ("eigenvalues") has its eigenvalues taken once;
+        they are W's nonzero ones, so log|det(I - rho W)| = sum log|1 - rho
+        lambda| (:func:`eigenvalue_log_det`).  A core that moves with rho is
+        factored one rho at a time: by Cholesky ("cholesky") when no flow
+        sits in it, else by LU (``slogdet``, "lu").
+
+        The Cholesky case holds because, with K = D - rho E and no flow in
+        the core, the core is M(rho) = I - rho U' K^-1 U, symmetric positive
+        definite on (-1, 1).  K is block diagonal; no block's determinant
+        vanishes inside (-1, 1) (else its flows would sit in the core), and
+        K(0) = D > 0, so K > 0 there.  A = U U' + E is symmetric and
+        non-negative, with a zero diagonal and row sums D, so D - rho A = K
+        - rho U U' > 0 for |rho| < 1 (diagonal dominance).  For rho >= 0, M
+        is the Schur complement of K in [[K, sqrt(rho) U], [sqrt(rho) U',
+        I]], whose other complement is K - rho U U' > 0; for rho < 0, M = I
+        + |rho| U' K^-1 U.  Flows with D = 0 carry zero weight and drop out.
+        Then log det M = 2 sum log diag(chol M).
+        """
+        path = self.log_det_path
+        if path == "eigenvalues":
+            return eigenvalue_log_det(rho, self._eigenvalues)
+        rhos = np.asarray(rho, dtype=float)
+        values = np.empty(rhos.shape)
+        for at, value in np.ndenumerate(rhos):
+            outer, _, _, matrix = self._blocks(float(value))
+            if path == "lu":
+                inner = np.linalg.slogdet(matrix)[1]
+            else:
+                try:
+                    inner = 2.0 * np.log(np.diagonal(np.linalg.cholesky(matrix))).sum()
+                except np.linalg.LinAlgError:  # numerically singular
+                    inner = -np.inf
+            values[at] = outer + inner
+        return values
 
     def solve(self, rho: float, v) -> np.ndarray:
         """(I - rho W)^-1 v for -1 < rho < 1 and v of shape (n,) or (n, k)."""
@@ -412,15 +470,3 @@ def build_weight_matrix(
     """
     factors = AnchorRelation(spec.kind, index, dyadic).factors(spec.cutoff_km)
     return WeightMatrix(index=index, spec=spec, factors=factors)
-
-
-def write_weight_csv(path, matrix: WeightMatrix) -> None:
-    """Dump nonzero entries as ``row_dyad,col_dyad,weight`` for inspection, row by row."""
-    W = matrix.factors.sparse()
-    names = [f"{sender}->{receiver}" for sender, receiver in matrix.index.dyads]
-    columns = (
-        chain.from_iterable(map(repeat, names, np.diff(W.indptr).tolist())),
-        map(names.__getitem__, W.indices),
-        W.data,
-    )
-    write_csv(path, ("row_dyad", "col_dyad", "weight"), columns)

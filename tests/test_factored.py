@@ -5,9 +5,12 @@ A weight matrix from build_weight_matrix carries its factors W = D+ (U C U'
 tests compare those paths, and the factored solve of (I - rho W) u = v,
 with the dense entries, a dense slogdet and solve of I - rho W and a fit on
 the plain entries (the eigenvalue path), over random flow sets, all seven
-kinds and symmetric and asymmetric dyadic series.  Two more tests check
-that fitting, scanning and diagnosing a built W, and simulating from one,
-never form its n x n entries.
+kinds and symmetric and asymmetric dyadic series.  The log-det tests take
+arrays of rho, up to the search's margin from -1 and 1, and check which
+factorization each core took: eigenvalues, Cholesky or LU (the bordered
+core).  The rho search's cross-product profile is checked against least
+squares.  Two more tests check that fitting, scanning and diagnosing a
+built W, and simulating from one, never form its n x n entries.
 """
 
 import tracemalloc
@@ -30,9 +33,17 @@ from netdisturb import (
     spectrum,
     tradecorr_residuals,
 )
+from netdisturb import sem
+from netdisturb.sem import BOUNDARY_MARGIN
 from netdisturb.weights import DISTANCE_KINDS, KINDS
 
-from conftest import complete_alliance, complete_distances, weight_matrices
+from conftest import (
+    CUTOFFS,
+    complete_alliance,
+    complete_distances,
+    random_flow_index,
+    weight_matrices,
+)
 
 # Derandomized, so every run of the suite draws the same examples.
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
@@ -59,12 +70,75 @@ def problem_on(W, entries, seed):
     return SemProblem(y=X @ (1.0, 2.0) + u, X=X, W=W.entries if entries else W)
 
 
+# E's (self, reverse) coefficients of the activity kinds, as the module
+# docstring of netdisturb.weights states them.
+ACTIVITY_E = {"sender_attached": (-1, 1), "receiver_attached": (-1, 1), "full_activity": (-2, -1)}
+# rho values inside (-1, 1) to test for a vanishing block determinant.
+INSIDE = np.linspace(-1.0, 1.0, 401)[1:-1, None, None]
+
+
+def expected_path(W):
+    """The factorization log_det should choose, from W's entries and flow pairs alone.
+
+    A flow (or reverse pair) whose block of I - rho D+ E is singular
+    somewhere inside (-1, 1) borders the core.  No such flow: Cholesky; all
+    flows: a fixed core and its eigenvalues; some: LU.  E = 0: eigenvalues.
+    """
+    if W.spec.kind not in ACTIVITY_E:
+        return "eigenvalues"
+    self_term, reverse_term = ACTIVITY_E[W.spec.kind]
+    counts = (W.entries != 0).sum(axis=1)
+    position = {dyad: k for k, dyad in enumerate(W.index.dyads)}
+    bordering = []
+    for a, (s, r) in enumerate(W.index.dyads):
+        block = np.array([[self_term]], dtype=float)
+        sizes = [counts[a]]
+        b = position.get((r, s))
+        if b is not None:
+            block = np.array([[self_term, reverse_term], [reverse_term, self_term]], dtype=float)
+            sizes.append(counts[b])
+        own = np.array([1.0 / c if c else 0.0 for c in sizes])
+        dets = np.linalg.det(np.eye(len(own)) - INSIDE * own[:, None] * block)
+        bordering.append(dets.min() <= 0.0)
+    if not any(bordering):
+        return "cholesky"
+    return "eigenvalues" if all(bordering) else "lu"
+
+
+# An array of rho: arbitrary values, the block poles of flows with one or
+# two neighbours, and values within 1e-3 of -1 and 1, down to the search's
+# margin from them.
+RHO_ARRAYS = st.lists(
+    st.one_of(
+        RHOS,
+        st.floats(-1.0 + BOUNDARY_MARGIN, -1.0 + 1e-3),
+        st.floats(1.0 - 1e-3, 1.0 - BOUNDARY_MARGIN),
+    ),
+    min_size=1,
+    max_size=8,
+).map(np.array)
+
+
+def assert_log_dets_match(W, rhos):
+    spec = spectrum(W)
+    assert sem.log_det_path(spec) == expected_path(W)
+    values = log_det(rhos, spec)
+    assert values.shape == rhos.shape
+    # Near rho = +-1 the determinant is nearly singular, and both sides
+    # lose digits in proportion to 1 / (1 - |rho|).
+    tolerance = 1e-10 * np.maximum(1.0, 1e-2 / (1.0 - np.abs(rhos)))
+    dense = np.array([dense_log_det(W, rho) for rho in rhos])
+    np.testing.assert_array_less(np.abs(values - dense), tolerance)
+    for rho, value in zip(rhos.tolist(), values.tolist()):
+        assert log_det(rho, spec) == value
+
+
 @PROPERTY
-@given(weight_matrices(), RHOS)
-def test_factored_log_det_matches_dense_slogdet(W, rho):
+@given(weight_matrices(), RHO_ARRAYS)
+def test_factored_log_det_matches_dense_slogdet(W, rhos):
     spec = spectrum(W)
     assert spec.eigenvalues is None and (spec.rho_lower, spec.rho_upper) == (-1.0, 1.0)
-    assert abs(log_det(rho, spec) - dense_log_det(W, rho)) < 1e-10
+    assert_log_dets_match(W, rhos)
 
 
 @PROPERTY
@@ -185,3 +259,60 @@ def test_simulate_never_forms_entries():
     n = result.indices[1].n
     assert n > 2900
     assert peak < n**2 * 8 / 10
+
+
+@st.composite
+def bordered_weight_matrices(draw):
+    """An attached or full_activity W over random flows, a lone reciprocal pair and two stars.
+
+    The pair's flows have one neighbour each, so their blocks are singular
+    inside (-1, 1) and border the core.  The flows out of Z0, and those
+    into Z5, have three neighbours or none, so E keeps flows outside it.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(sorted(ACTIVITY_E)))
+    index = random_flow_index(rng, max_nodes=draw(st.integers(3, 8)), max_flows=40)
+    stars = tuple(("Z0", f"Z{k}") for k in range(1, 5)) + tuple((f"Z{k}", "Z5") for k in range(6, 10))
+    dyads = index.dyads + (("Y0", "Y1"), ("Y1", "Y0")) + stars
+    return build_weight_matrix(NeighborhoodSpec(kind), FlowIndex(period=1, dyads=dyads))
+
+
+@PROPERTY
+@given(bordered_weight_matrices(), RHO_ARRAYS)
+def test_bordered_core_log_det_matches_dense_slogdet(W, rhos):
+    assert expected_path(W) == "lu"
+    assert_log_dets_match(W, rhos)
+
+
+@st.composite
+def asymmetric_dyadic_weight_matrices(draw):
+    """An alliance or distance W read from an asymmetric dyadic series."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["alliance_import", "alliance_export", *sorted(DISTANCE_KINDS)]))
+    index = random_flow_index(rng, max_nodes=draw(st.integers(3, 10)), max_flows=60)
+    nodes = {node for dyad in index.dyads for node in dyad}
+    if kind in DISTANCE_KINDS:
+        dyadic, cutoff = complete_distances(rng, nodes, symmetric=False), draw(CUTOFFS)
+    else:
+        dyadic, cutoff = complete_alliance(rng, nodes, symmetric=False), None
+    return build_weight_matrix(NeighborhoodSpec(kind, cutoff_km=cutoff), index, dyadic)
+
+
+@PROPERTY
+@given(asymmetric_dyadic_weight_matrices(), RHO_ARRAYS)
+def test_asymmetric_dyadic_log_det_matches_dense_slogdet(W, rhos):
+    assert_log_dets_match(W, rhos)
+
+
+@PROPERTY
+@given(weight_matrices(), st.integers(0, 2**32 - 1))
+def test_cross_product_profile_matches_least_squares(W, seed):
+    # The rho search's profile against the least-squares one fit reports.
+    if W.n < 6:
+        return
+    rng = np.random.default_rng(seed)
+    problem = problem_on(W, False, seed)
+    cache, spec = sem._ProfileCache(problem), spectrum(W)
+    rhos = np.append(rng.uniform(-0.999, 0.999, 6), [0.0, -0.999, 0.999])
+    expected = np.array([cache.point(rho, spec).loglik for rho in rhos.tolist()])
+    np.testing.assert_allclose(cache.profile(rhos, spec), expected, rtol=1e-10, atol=0.0)

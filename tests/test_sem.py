@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from netdisturb import (
     SemProblem,
     SimSpec,
     NeighborhoodSpec,
+    build_weight_matrix,
     fit,
     fit_ols,
     log_det,
@@ -22,6 +27,7 @@ from netdisturb import (
     simulate,
     spectrum,
 )
+from netdisturb import sem
 from netdisturb.sem import (
     BOUNDARY_MARGIN,
     GRID_POINTS,
@@ -30,10 +36,11 @@ from netdisturb.sem import (
     _ProfileCache,
     _two_sided_p,
     fit_from_dict,
+    log_det_path,
     write_fit_json,
 )
 
-from conftest import RECOVERY_TRUTH, random_row_normalized_w
+from conftest import RECOVERY_TRUTH, random_flow_index, random_row_normalized_w
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -368,17 +375,18 @@ class TestBoundedBrent:
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_profile_search_matches_scipy(self, seed):
-        # The Brent step of fit: the bracket around the best coarse grid point.
+        # The Brent step of fit: the bracket around the best coarse grid
+        # point, on the cross-product profile that fit searches.
         problem = random_problem(np.random.default_rng(seed), n=60, rho=0.6)
         spec = spectrum(problem.W)
         cache = _ProfileCache(problem)
         grid = np.linspace(spec.rho_lower + BOUNDARY_MARGIN, spec.rho_upper - BOUNDARY_MARGIN,
                            GRID_POINTS)
-        best = int(np.argmax([cache.point(rho, spec).loglik for rho in grid]))
+        best = int(np.argmax(cache.profile(grid, spec)))
         a, b = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, GRID_POINTS - 1)])
 
         def negative(rho):
-            return -cache.point(rho, spec).loglik
+            return -cache.profile(rho, spec)
 
         expected = minimize_scalar(
             negative, bounds=(a, b), method="bounded", options={"xatol": 1e-8, "maxiter": 500}
@@ -467,6 +475,58 @@ class TestSemProblem:
             profile_loglik(0.0, problem, spectrum(np.zeros((n, n))))
 
 
+def test_fit_calls_log_det_once_for_the_grid_then_once_per_brent_step(monkeypatch):
+    # perfbench's traced pass times netdisturb.sem.log_det by replacing that
+    # module attribute, so fit must look it up there at each call.
+    calls, steps = [], []
+    log_det_of, brent_of = sem.log_det, sem._bounded_brent
+
+    def recording_log_det(rho, spec):
+        calls.append(np.array(rho, dtype=float))
+        return log_det_of(rho, spec)
+
+    def counting_brent(func, a, b, xatol, maxfun):
+        return brent_of(lambda rho: steps.append(rho) or func(rho), a, b, xatol, maxfun)
+
+    monkeypatch.setattr(sem, "log_det", recording_log_det)
+    monkeypatch.setattr(sem, "_bounded_brent", counting_brent)
+    problem = random_problem(np.random.default_rng(21))
+    fitted = fit(problem)
+    spec = spectrum(problem.W)
+    grid = np.linspace(spec.rho_lower + BOUNDARY_MARGIN, spec.rho_upper - BOUNDARY_MARGIN, GRID_POINTS)
+    np.testing.assert_array_equal(calls[0], grid)
+    brent = calls[1 : 1 + len(steps)]
+    assert steps and all(c.ndim == 0 for c in brent) and [float(c) for c in brent] == steps
+    # Then the least-squares point at rho_hat, and the curvature's three in one call.
+    at_optimum, curvature = calls[1 + len(steps) :]
+    assert at_optimum.ndim == 0 and float(at_optimum) == fitted.rho_hat
+    assert curvature.shape == (3,) and curvature[1] == fitted.rho_hat
+    assert fitted.evaluations == GRID_POINTS + len(steps) + 1 + 3
+
+
+def test_rank_deficient_fit_loads_no_scipy():
+    code = """
+import sys
+import numpy as np
+from netdisturb import EstimationError, SemProblem, fit
+x = np.arange(8.0) ** 2
+X = np.column_stack([np.ones(8), x, 2.0 * x])
+try:
+    fit(SemProblem(y=np.arange(8.0), X=X, W=np.eye(8)[::-1], column_names=("c", "a", "b")))
+except EstimationError as exc:
+    print(exc)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(sem.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert done.stdout.splitlines() == [
+        "design matrix is rank deficient; collinear columns: ['b']",
+        "[]",
+    ]
+
+
 class TestFitFromDict:
     @staticmethod
     def round_trip(fitted, tmp_path):
@@ -512,3 +572,24 @@ class TestFitFromDict:
             self.assert_same_fit(self.round_trip(fitted, tmp_path), fitted)
         written = json.loads((tmp_path / "fit.json").read_text(encoding="utf-8"))
         assert written["se_rho"] is None and written["se_beta"] == [None, None]
+
+    def test_provenance(self, tmp_path):
+        # How each fit was reached: its profile evaluations and the
+        # log-det factorization, none for rho = 0.
+        rng = np.random.default_rng(63)
+        index = random_flow_index(rng, max_nodes=8, max_flows=40)
+        built = build_weight_matrix(NeighborhoodSpec("sender_attached"), index)
+        X = np.column_stack([np.ones(index.n), rng.standard_normal(index.n)])
+        y = X @ (1.0, 2.0) + rng.standard_normal(index.n)
+        for fitted, method in (
+            (fit(random_problem(rng)), "eigenvalues"),
+            (fit(SemProblem(y=y, X=X, W=built)), log_det_path(spectrum(built))),
+            (fit_ols(random_problem(rng)), None),
+        ):
+            assert fitted.log_det == method
+            # The grid, Brent's first two steps, rho_hat and the curvature's three.
+            assert (fitted.evaluations == 0) if method is None else (fitted.evaluations > GRID_POINTS + 5)
+            read = self.round_trip(fitted, tmp_path)
+            self.assert_same_fit(read, fitted)
+            written = json.loads((tmp_path / "fit.json").read_text(encoding="utf-8"))
+            assert (written["evaluations"], written["log_det"]) == (fitted.evaluations, method)

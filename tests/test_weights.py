@@ -1,9 +1,7 @@
-import csv
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
 
 from netdisturb import (
     DyadicSeries,
@@ -13,10 +11,8 @@ from netdisturb import (
     build_weight_matrix,
     neighborhood,
 )
-from netdisturb._serialize import fmt
-from netdisturb.weights import write_weight_csv
 
-from conftest import complete_alliance, complete_distances, random_flow_index, weight_matrices
+from conftest import complete_alliance, complete_distances, random_flow_index
 
 
 def brute_force_neighborhoods(spec, index, dyadic=None):
@@ -252,33 +248,9 @@ def test_structure_ids():
     )
 
 
-PAIR = FlowIndex(period=1, dyads=(("A", "B"), ("B", "A")))
-
-
-@settings(
-    derandomize=True, max_examples=100, deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(matrix=weight_matrices())
-@example(matrix=build_weight_matrix(NeighborhoodSpec("full_activity"), PAIR))
-def test_debug_csv_export(tmp_path, matrix):
-    # The rows are the nonzero entries, in row-major order.
-    path = tmp_path / "w.csv"
-    write_weight_csv(path, matrix)
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    names = [f"{sender}->{receiver}" for sender, receiver in matrix.index.dyads]
-    entries = matrix.entries
-    assert header == ["row_dyad", "col_dyad", "weight"]
-    assert rows == [[names[a], names[b], fmt(entries[a, b])] for a, b in zip(*np.nonzero(entries))]
-    if matrix.index is PAIR:
-        assert rows == [["A->B", "B->A", "1"], ["B->A", "A->B", "1"]]
-
-
-@pytest.mark.parametrize("write", [False, True])
-def test_neighbourhoods_and_csv_never_form_entries(tmp_path, write):
+def test_neighbourhoods_never_form_entries():
     # About 3000 flows over 200 nodes, the paper's node count: one n x n
-    # float64 is 72 MB.  Both outputs hold O(nnz) items, about 180k here.
+    # float64 is 72 MB.  The neighbour sets hold O(nnz) items, about 180k here.
     rng = np.random.default_rng(11)
     nodes = [f"N{k:03d}" for k in range(200)]
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
@@ -291,10 +263,7 @@ def test_neighbourhoods_and_csv_never_form_entries(tmp_path, write):
 
     tracemalloc.start()
     try:
-        if write:
-            write_weight_csv(tmp_path / "w.csv", build_weight_matrix(spec, index))
-        else:
-            neighborhood(spec, index)
+        neighborhood(spec, index)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
