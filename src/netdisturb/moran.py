@@ -7,16 +7,24 @@ Moran's I for a vector z under weights W (after centering z) is
 For cutoff selection, per-period distance weight matrices are stacked
 block-diagonally over the panel so pooled residuals never correlate across
 periods, and I is evaluated on a grid of cutoffs; the chosen cutoff is the
-first argmax.  Each period's block is the weight builder's AnchorRelation
-of ``distance_<direction>``: flows anchored at the receiver (import) or
-sender (export), related by d(anchor, partner) < cutoff over a distance
-table read once and re-thresholded at each grid point, with no reverse
-flow.  No block is ever materialized: with pooled centered z, I
-decomposes into per-block quadratic forms z_t' W_t z_t and per-block S0
-contributions.  At each grid point the scan takes the block's factors
-W_t = D+ U C U' and accumulates z_t' (W_t z_t) and S0_t, the number of
-flows with a neighbour (each such row of W_t sums to 1), so a grid point
-costs O(n + N^2) for n flows over N anchor nodes.
+first argmax.  Each period's block is the weight builder's
+``distance_<direction>`` W: flows anchored at the receiver (import) or
+sender (export), related by d(anchor, partner) < cutoff, with no reverse
+flow.  No block is ever built: with pooled centered z, I decomposes into
+per-block quadratic forms z_t' W_t z_t and per-block S0 contributions, and
+both depend on a flow only through its anchor a.  Let S_a be the sum of
+the centered residuals of the flows at a, n_a their number, and, at a
+cutoff c, T_a(c) and M_a(c) the sums of S_b and of n_b over the anchors b
+with d(a, b) < c.  A flow at a has M_a neighbours, each weighted 1/M_a, so
+
+    z_t' W_t z_t = sum_a S_a T_a / M_a,    S0_t = sum of n_a over M_a > 0.
+
+The scan takes each period's anchor table once (:func:`anchor_table`),
+sorts each row of distances once, and reads T_a and M_a at every cutoff as
+cumulative sums at one ``searchsorted`` per row (left side, so d < c stays
+strict): O(N^2 log N + N G) per period for N anchor nodes and G
+cutoffs.  Grid points that give every row the same count
+read the same sums, so their values tie exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 from ._serialize import write_csv, write_json
 from .covariates import DyadicSeries
 from .panel import FlowIndex
-from .weights import AnchorRelation
+from .weights import anchor_table
 
 DEFAULT_GRID_KM = np.arange(0.0, 20_000.0 + 100.0, 100.0)
 
@@ -100,8 +108,8 @@ def scan_cutoffs(
     if direction not in ("import", "export"):
         raise ValueError(f"direction must be 'import' or 'export', got {direction!r}")
     grid = np.asarray(DEFAULT_GRID_KM if grid is None else grid, dtype=float)
-    if grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("cutoff grid must be nonempty and strictly increasing")
+    if grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        raise ValueError("cutoff grid must be nonempty, finite and strictly increasing")
     periods = sorted(residuals)
     if not periods:
         raise ValueError("no residual vectors given")
@@ -109,7 +117,7 @@ def scan_cutoffs(
         raise ValueError("residuals and indices cover different periods")
 
     segments = []
-    relations = []
+    tables = []
     for period in periods:
         z_t = np.asarray(residuals[period], dtype=float).ravel()
         index = indices[period]
@@ -118,7 +126,8 @@ def scan_cutoffs(
                 f"period {period}: residual length {z_t.size} != index n {index.n}"
             )
         segments.append(z_t)
-        relations.append(AnchorRelation(f"distance_{direction}", index, distances))
+        (anchor,), table = anchor_table(f"distance_{direction}", index, distances)
+        tables.append((anchor, table))
 
     z = np.concatenate(segments)
     zc = z - z.mean()
@@ -127,14 +136,23 @@ def scan_cutoffs(
         raise ValueError("pooled residuals have zero variance")
     blocks = np.split(zc, np.cumsum([seg.size for seg in segments])[:-1])
 
-    values = np.full(grid.size, np.nan)
-    for g, cutoff in enumerate(grid):
-        factors = [relation.factors(cutoff) for relation in relations]
-        total_s0 = sum(np.count_nonzero(W_t.counts) for W_t in factors)
-        if total_s0 > 0:
-            total_quad = sum(float(zc_t @ (W_t @ zc_t)) for W_t, zc_t in zip(factors, blocks))
-            values[g] = z.size / total_s0 * total_quad / denom
+    total_quad = np.zeros(grid.size)
+    total_s0 = np.zeros(grid.size, dtype=np.int64)
+    for (anchor, table), zc_t in zip(tables, blocks):
+        sums = np.bincount(anchor, zc_t, minlength=len(table))
+        flows = np.bincount(anchor, minlength=len(table))
+        order = np.argsort(table, axis=1)
+        rows = np.take_along_axis(table, order, axis=1)
+        # reach[a, g] counts the anchors b with d(a, b) < grid[g]; they lead row a of order.
+        reach = np.array([np.searchsorted(row, grid) for row in rows])
+        T = np.take_along_axis(np.cumsum(np.pad(sums[order], ((0, 0), (1, 0))), axis=1), reach, axis=1)
+        M = np.take_along_axis(np.cumsum(np.pad(flows[order], ((0, 0), (1, 0))), axis=1), reach, axis=1)
+        total_quad += (sums[:, None] * np.divide(T, M, out=np.zeros(T.shape), where=M > 0)).sum(axis=0)
+        total_s0 += (flows[:, None] * (M > 0)).sum(axis=0)
 
+    values = np.full(grid.size, np.nan)
+    linked = total_s0 > 0
+    values[linked] = z.size / total_s0[linked] * total_quad[linked] / denom
     defined = np.isfinite(values)
     if not defined.any():
         raise ValueError("Moran's I undefined at every grid point")

@@ -13,7 +13,7 @@ e = A(y - X beta(rho)), and the profiled log-likelihood is
 
 The Jacobian term log|det(I - rho W)| of a weight matrix from
 :func:`~netdisturb.weights.build_weight_matrix` comes exactly from its
-factors W = D+ (U C U' + E) (see :class:`~netdisturb.weights.WeightFactors`):
+factors W = D+ (U C U' + E) (see :class:`~netdisturb.weights.WeightMatrix`):
 a block-diagonal term plus one determinant over the N anchor nodes, with
 no n x n work.  That determinant is taken by the cheapest exact
 factorization its core allows: where E = 0 (the alliance and distance
@@ -44,7 +44,7 @@ a built W, so a fit never forms its n x n entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +56,7 @@ import numpy as np
 from ._serialize import write_csv, write_json
 from .covariates import DesignMatrix
 from .errors import EstimationError
-from .weights import WeightFactors, WeightMatrix, eigenvalue_log_det
+from .weights import WeightMatrix, eigenvalue_log_det
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -128,14 +128,14 @@ class SemProblem:
 class Spectrum:
     """The open search interval for rho and what :func:`log_det` reads.
 
-    That is a built weight matrix's ``factors`` (``eigenvalues`` is then
+    That is a built weight matrix as ``factors`` (``eigenvalues`` is then
     None), or the ``eigenvalues`` of a W given as a plain array.
     """
 
     eigenvalues: np.ndarray | None
     rho_lower: float
     rho_upper: float
-    factors: WeightFactors | None = None
+    factors: WeightMatrix | None = None
 
 
 def spectrum(W) -> Spectrum:
@@ -149,7 +149,7 @@ def spectrum(W) -> Spectrum:
     eigenvalues, which are computed here.
     """
     if isinstance(W, WeightMatrix):
-        return Spectrum(eigenvalues=None, rho_lower=-1.0, rho_upper=1.0, factors=W.factors)
+        return Spectrum(eigenvalues=None, rho_lower=-1.0, rho_upper=1.0, factors=W)
     try:
         eigenvalues = np.linalg.eigvals(np.asarray(W, dtype=float))
     except np.linalg.LinAlgError as exc:
@@ -171,7 +171,7 @@ def log_det(rho, spec: Spectrum):
 
     From eigenvalues it is ``sum(log|1 - rho * lambda_i|)``
     (:func:`~netdisturb.weights.eigenvalue_log_det`); the factors choose
-    their own factorization (:meth:`~netdisturb.weights.WeightFactors.log_det`)
+    their own factorization (:meth:`~netdisturb.weights.WeightMatrix.log_det`)
     and hold for -1 < rho < 1.  A float gives a float, an array an array.
     """
     rhos = np.asarray(rho, dtype=float)
@@ -565,25 +565,8 @@ def fit_ols(problem: SemProblem) -> SemFit:
 
 
 def fit_to_dict(result: SemFit) -> dict:
-    """JSON-ready mapping with one entry per SemFit field."""
-    return {
-        "rho_hat": result.rho_hat,
-        "beta_hat": result.beta_hat,
-        "sigma2_hat": result.sigma2_hat,
-        "se_beta": result.se_beta,
-        "se_rho": result.se_rho,
-        "p_values": result.p_values,
-        "loglik": result.loglik,
-        "aic": result.aic,
-        "u_hat": result.u_hat,
-        "eps_hat": result.eps_hat,
-        "converged": result.converged,
-        "degenerate": result.degenerate,
-        "column_names": list(result.column_names),
-        "rho_bounds": result.rho_bounds,
-        "evaluations": result.evaluations,
-        "log_det": result.log_det,
-    }
+    """JSON-ready mapping with one entry per SemFit field, in field order."""
+    return {field.name: getattr(result, field.name) for field in fields(SemFit)}
 
 
 def fit_from_dict(payload: dict) -> SemFit:

@@ -8,7 +8,7 @@ flows, draws eps ~ N(0, sigma^2 I), solves
     u = (I - rho W)^{-1} eps,    y = X beta + u,    flows = exp(y)
 
 and packages everything in the same types the ingestion path produces.
-The solve goes through W's factors (:meth:`WeightFactors.solve`), so no
+The solve goes through W's factors (:meth:`WeightMatrix.solve`), so no
 n x n matrix is formed.
 Covariate series are standard normal per node and period, alliances are
 symmetric Bernoulli indicators, and node positions are uniform on a disk
@@ -122,7 +122,7 @@ def draw_disturbances(
     n = W.n if isinstance(W, WeightMatrix) else np.shape(W)[0]
     eps = rng.normal(0.0, sigma, size=(size, n))
     if isinstance(W, WeightMatrix):
-        return W.factors.solve(rho, eps.T).T
+        return W.solve(rho, eps.T).T
     return np.linalg.solve(np.eye(n) - rho * np.asarray(W, dtype=float), eps.T).T
 
 

@@ -12,15 +12,16 @@ member predicate over another flow (p, q) is
     distance_import     q != j and d(j, q) < cutoff
     distance_export     p != i and d(i, p) < cutoff
 
-Each structure is one :class:`AnchorRelation` over a period's flows, read
-from the flow index's node codes: the roles that anchor a flow (its sender
-s, its receiver r, or both), a node relation C over the anchor nodes, and,
-for the attached kinds, the reverse flow (j, i).  With d the period's table
-of the dyadic series the kind reads (:attr:`NeighborhoodSpec.dyadic_series`:
-``alliance`` or ``distance``), C is the identity for the activity kinds,
-d(anchor, partner) != 0 for the alliance kinds and d(anchor, partner) <
-cutoff for the distance kinds; the last two are false on the diagonal, as no
-node is its own ally or close neighbour.  Flow b neighbours flow a when
+Each structure relates a period's flows through their anchor nodes, read
+from the flow index's node codes (:func:`anchor_table`): the roles that
+anchor a flow (its sender s, its receiver r, or both), a node relation C
+over the anchor nodes, and, for the attached kinds, the reverse flow
+(j, i).  With d the period's table of the dyadic series the kind reads
+(:attr:`NeighborhoodSpec.dyadic_series`: ``alliance`` or ``distance``), C
+is the identity for the activity kinds, d(anchor, partner) != 0 for the
+alliance kinds and d(anchor, partner) < cutoff for the distance kinds; the
+last two are false on the diagonal, as no node is its own ally or close
+neighbour.  Flow b neighbours flow a when
 C[x(a), y(b)] holds for some roles x and y, or when b is a's reverse flow.
 A flow is never its own neighbour (a nonzero diagonal would break the
 disturbance model).  Weights are uniform within a neighbourhood: W[a, b] =
@@ -41,12 +42,12 @@ where E corrects what U C U' counts wrongly:
     full_activity                 E = -2I - R  (two roles count self and
                                                the reverse flow twice)
 
-:class:`WeightFactors` holds these factors and is the one operator for a
-built W, which a :class:`WeightMatrix` always holds: it evaluates W v in
-O(n + N^2) per column, and log|det(I - rho W)| and (I - rho W)^-1 v in
-O(n + N^3), with no n x n work.  The neighbour sets read W's nonzeros
-from the sparse pattern the same factors give in O(n + nnz); the dense
-entries are that pattern expanded, formed only when they are asked for.
+A :class:`WeightMatrix` holds these factors and is the one operator for a
+built W: it evaluates W v in O(n + N^2) per column, and log|det(I - rho W)|
+and (I - rho W)^-1 v in O(n + N^3), with no n x n work.  The neighbour
+sets read W's nonzeros from the sparse pattern the same factors give in
+O(n + nnz); the dense entries are that pattern expanded, formed only when
+they are asked for.
 """
 
 from __future__ import annotations
@@ -105,75 +106,36 @@ class NeighborhoodSpec:
         return None if relation == "identity" else relation
 
 
-@dataclass(frozen=True, eq=False)
-class WeightMatrix:
-    """Row-normalized n x n dependence matrix over a flow index, held as its factors.
+def anchor_table(kind: str, index: FlowIndex, dyadic: DyadicSeries | None = None):
+    """One period's flows grouped by anchor node: ``(anchors, table)``.
 
-    Built by :func:`build_weight_matrix`.  W @ v reads the ``factors``;
-    ``entries`` are their sparse pattern expanded on first access and then
-    cached, for tests and inspection.  A W given as a plain array is the
-    dense oracle, and is never wrapped in this class.
+    ``anchors`` holds, per role of ``kind``, each flow's anchor as a
+    position in the period's sorted anchor nodes (the index's codes,
+    renumbered): U's nonzero columns.  ``table`` is N x N over those nodes:
+    the identity, or the dyadic series' table for the period
+    (:meth:`DyadicSeries.table`) taken at (anchor, partner), with a
+    diagonal of 0 for alliances and infinity for distances, so no node
+    relates to itself.  Raises WeightError when dyadic data misses a needed
+    pair.
     """
-
-    index: FlowIndex
-    spec: NeighborhoodSpec
-    factors: WeightFactors
-
-    @functools.cached_property
-    def entries(self) -> np.ndarray:
-        return self.factors.sparse().toarray()
-
-    @property
-    def n(self) -> int:
-        return self.index.n
-
-    def __matmul__(self, v) -> np.ndarray:
-        return self.factors @ v
-
-
-class AnchorRelation:
-    """One period's flows grouped by anchor node, related through the nodes.
-
-    ``anchors`` holds, per role, each flow's anchor as a position in the
-    period's sorted anchor nodes (the index's codes, renumbered): U's
-    nonzero columns.  ``table`` is N x N over those nodes: the identity, or
-    the dyadic series' table for the period (:meth:`DyadicSeries.table`)
-    taken at (anchor, partner), with a diagonal of 0 for alliances and
-    infinity for distances, so no node relates to itself.  The table is
-    read once and thresholded per cutoff, so the Moran scan reuses one
-    relation along its grid.  ``partner`` maps each flow to its reverse
-    flow (:meth:`FlowIndex.locate`) where E holds R (the attached kinds and
-    full_activity), else to itself, and ``paired`` marks the flows that
-    have one; ``correction`` is E's (self, reverse) coefficients.  Building
-    it raises WeightError when dyadic data misses a needed pair.
-    """
-
-    def __init__(self, kind: str, index: FlowIndex, dyadic: DyadicSeries | None = None):
-        roles, relation, *self.correction = _LAYOUT[kind]
-        ends = {"s": index.sender, "r": index.receiver}
-        # Codes follow sorted names, so the anchor nodes come out sorted.
-        codes, anchors = np.unique(np.concatenate([ends[role] for role in roles]), return_inverse=True)
-        self.anchors = np.split(anchors, len(roles))
-        nodes = [index.nodes[code] for code in codes.tolist()]
-        if relation == "identity":
-            self.table = np.eye(len(nodes))
-        elif dyadic is None:
-            raise WeightError(f"{relation} data required but no dyadic series given")
-        else:
-            pos = dyadic.codes(nodes)
-            self.table = dyadic.table(index.period)[np.ix_(pos, pos)]
-            np.fill_diagonal(self.table, np.inf if relation == "distance" else 0.0)
-            try:
-                dyadic.check(self.table, lambda xy: (nodes[xy[0]], nodes[xy[1]]))
-            except CovariateError as exc:
-                raise WeightError(str(exc)) from None
-        reverse = index.locate(index.receiver, index.sender) if self.correction[1] else np.full(index.n, -1)
-        self.partner = np.where(reverse >= 0, reverse, np.arange(index.n))
-        self.paired = self.partner != np.arange(index.n)
-
-    def factors(self, cutoff: float | None = None) -> WeightFactors:
-        """The factors of W = D+ (U C U' + E); a ``cutoff`` thresholds distances in C."""
-        return WeightFactors(self, self.table != 0 if cutoff is None else self.table < cutoff)
+    roles, relation = _LAYOUT[kind][:2]
+    ends = {"s": index.sender, "r": index.receiver}
+    # Codes follow sorted names, so the anchor nodes come out sorted.
+    codes, anchors = np.unique(np.concatenate([ends[role] for role in roles]), return_inverse=True)
+    nodes = [index.nodes[code] for code in codes.tolist()]
+    if relation == "identity":
+        table = np.eye(len(nodes))
+    elif dyadic is None:
+        raise WeightError(f"{relation} data required but no dyadic series given")
+    else:
+        pos = dyadic.codes(nodes)
+        table = dyadic.table(index.period)[np.ix_(pos, pos)]
+        np.fill_diagonal(table, np.inf if relation == "distance" else 0.0)
+        try:
+            dyadic.check(table, lambda xy: (nodes[xy[0]], nodes[xy[1]]))
+        except CovariateError as exc:
+            raise WeightError(str(exc)) from None
+    return np.split(anchors, len(roles)), table
 
 
 # A flow block of B(rho) = I - rho D+ E whose determinant falls below this
@@ -197,13 +159,21 @@ def eigenvalue_log_det(rho, eigenvalues) -> np.ndarray:
         return np.log(np.abs(factors)).sum(axis=-1)
 
 
-class WeightFactors:
-    """W = D+ (U C U' + E) for one built matrix: W v, its nonzeros, log|det(I - rho W)|.
+class WeightMatrix:
+    """Row-normalized n x n dependence matrix over a flow index, held as W = D+ (U C U' + E).
 
-    ``counts`` is D's diagonal, (U C U' + E) 1.  ``W @ v``, for v of shape
-    (n,) or (n, k), is D+ (U (C (U' v)) + E v) in O(n k + N^2 k), as U'
-    sums v over each anchor node's flows; :meth:`sparse` gives W's nonzero
-    entries.
+    Built by :func:`build_weight_matrix`.  ``anchors`` are U's columns per
+    role and C is the node table thresholded (:func:`anchor_table`).
+    ``partner`` maps each flow to its reverse flow (:meth:`FlowIndex.locate`)
+    where E holds R (the attached kinds and full_activity), else to itself;
+    ``paired`` marks the flows that have one, and ``correction`` is E's
+    (self, reverse) coefficients.  ``counts``
+    is D's diagonal, (U C U' + E) 1.  ``W @ v``, for v of shape (n,) or
+    (n, k), is D+ (U (C (U' v)) + E v) in O(n k + N^2 k), as U' sums v over
+    each anchor node's flows; :meth:`sparse` gives W's nonzero entries, and
+    ``entries`` are those expanded on first access and then cached, for
+    tests and inspection.  A W given as a plain array is the dense oracle,
+    and is never wrapped in this class.
 
     B(rho) = I - rho D+ E is block diagonal: a 1 x 1 block per flow, or a
     2 x 2 block per pair of reverse flows.  By the matrix determinant lemma
@@ -233,28 +203,40 @@ class WeightFactors:
     :meth:`solve` call: a W only multiplied never pays for it.
     """
 
-    def __init__(self, relation: AnchorRelation, related: np.ndarray):
-        self._relation, self._related = relation, related
-        self._C = related.astype(float)
-        self.counts = self._spread(np.ones((relation.partner.size, 1)))[:, 0]
+    def __init__(self, spec: NeighborhoodSpec, index: FlowIndex, dyadic: DyadicSeries | None = None):
+        self.index, self.spec = index, spec
+        self.anchors, table = anchor_table(spec.kind, index, dyadic)
+        self.correction = _LAYOUT[spec.kind][2:]
+        reverse = index.locate(index.receiver, index.sender) if self.correction[1] else np.full(index.n, -1)
+        self.partner = np.where(reverse >= 0, reverse, np.arange(index.n))
+        self.paired = self.partner != np.arange(index.n)
+        self._C = (table != 0 if spec.cutoff_km is None else table < spec.cutoff_km).astype(float)
+        self.counts = self._spread(np.ones((index.n, 1)))[:, 0]
         self._own = np.divide(1.0, self.counts, out=np.zeros_like(self.counts), where=self.counts > 0)
         self._border = None
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        return self.sparse().toarray()
+
+    @property
+    def n(self) -> int:
+        return self.index.n
 
     def _gather(self, v) -> np.ndarray:
         """U' v for v of shape (n, k): v summed over each anchor node's flows."""
         size, k = self._C.shape[0], v.shape[1]
-        cells = [(x[:, None] * k + np.arange(k)).ravel() for x in self._relation.anchors]
+        cells = [(x[:, None] * k + np.arange(k)).ravel() for x in self.anchors]
         return sum(np.bincount(c, v.ravel(), minlength=size * k) for c in cells).reshape(size, k)
 
     def _mates(self, v) -> np.ndarray:
         """R v for v of shape (n, k): each flow's reverse-flow row, 0 where it has none."""
-        return np.where(self._relation.paired[:, None], v[self._relation.partner], 0.0)
+        return np.where(self.paired[:, None], v[self.partner], 0.0)
 
     def _spread(self, v) -> np.ndarray:
         """(U C U' + E) v for v of shape (n, k)."""
-        r = self._relation
         reach = self._C @ self._gather(v)
-        return sum(reach[x] for x in r.anchors) + r.correction[0] * v + r.correction[1] * self._mates(v)
+        return sum(reach[x] for x in self.anchors) + self.correction[0] * v + self.correction[1] * self._mates(v)
 
     def __matmul__(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -268,11 +250,11 @@ class WeightFactors:
         """
         from scipy import sparse
 
-        r, n = self._relation, self.counts.size
+        n = self.n
         indptr = np.arange(n + 1)  # one entry per row
-        U = sum(sparse.csr_array((np.ones(n), x, indptr), shape=(n, len(self._C))) for x in r.anchors)
-        R = sparse.csr_array((r.paired.astype(float), r.partner, indptr), shape=(n, n))
-        E = r.correction[0] * sparse.eye_array(n, format="csr") + r.correction[1] * R
+        U = sum(sparse.csr_array((np.ones(n), x, indptr), shape=(n, len(self._C))) for x in self.anchors)
+        R = sparse.csr_array((self.paired.astype(float), self.partner, indptr), shape=(n, n))
+        E = self.correction[0] * sparse.eye_array(n, format="csr") + self.correction[1] * R
         entries = U @ sparse.csr_array(self._C) @ U.T + E
         entries.eliminate_zeros()
         entries.sort_indices()
@@ -281,9 +263,9 @@ class WeightFactors:
 
     def _prepare(self) -> None:
         """The per-flow block terms, anchor cells and border of the log-det."""
-        anchors, partner, own = self._relation.anchors, self._relation.partner, self._own
-        self_term, reverse_term = self._relation.correction
-        n, size, paired = own.size, self._C.shape[0], self._relation.paired
+        anchors, partner, own, paired = self.anchors, self.partner, self._own, self.paired
+        self_term, reverse_term = self.correction
+        n, size = own.size, self._C.shape[0]
         other = np.where(paired, own[partner], 0.0)
 
         # det B_a(rho) = 1 + b rho + c rho^2, the same for both flows of a pair.
@@ -304,7 +286,7 @@ class WeightFactors:
         self._cells = np.concatenate(
             [np.concatenate([x * size + y, x * size + y[partner]]) for x in anchors for y in anchors]
         )
-        self._identity = np.array_equal(self._related, np.eye(size, dtype=bool))
+        self._identity = np.array_equal(self._C, np.eye(size))
 
         core = self._core_flows = np.flatnonzero(in_core)
         slot = np.full(n, -1)
@@ -330,7 +312,7 @@ class WeightFactors:
     def _core(self, diag, off) -> np.ndarray:
         """C~ U~' B^-1 D+ U~, from B^-1 D+'s per-flow diagonal and reverse entries."""
         size = self._C.shape[0]
-        weights = np.concatenate([diag, off] * len(self._relation.anchors) ** 2)
+        weights = np.concatenate([diag, off] * len(self.anchors) ** 2)
         gram = np.bincount(self._cells, weights, minlength=size * size).reshape(size, size)
         if not self._identity:
             gram = self._C @ gram
@@ -405,23 +387,24 @@ class WeightFactors:
     def solve(self, rho: float, v) -> np.ndarray:
         """(I - rho W)^-1 v for -1 < rho < 1 and v of shape (n,) or (n, k)."""
         _, diag, off, matrix = self._blocks(rho)
-        r, size = self._relation, self._C.shape[0]
+        size = self._C.shape[0]
         columns = np.asarray(v, dtype=float).reshape(len(v), -1)
 
         def scaled(w):  # B^-1 D+ w
-            return diag[:, None] * w + off[:, None] * w[r.partner]
+            return diag[:, None] * w + off[:, None] * w[self.partner]
 
-        corrected = self._e_self[:, None] * columns + self._e_reverse[:, None] * columns[r.partner]
+        corrected = self._e_self[:, None] * columns + self._e_reverse[:, None] * columns[self.partner]
         blocked = columns + rho * scaled(corrected)
         core = self._core_flows
         right = np.vstack([
             self._C @ self._gather(blocked),
-            (r.correction[0] * blocked + r.correction[1] * self._mates(blocked))[core],
+            (self.correction[0] * blocked + self.correction[1] * self._mates(blocked))[core],
         ])
         inner = np.linalg.solve(matrix, right)
-        spread = sum(inner[x] for x in r.anchors)
+        spread = sum(inner[x] for x in self.anchors)
         spread[core] += inner[size:]
         return (columns + rho * scaled(corrected + spread)).reshape(np.shape(v))
+
 
 
 def neighborhood(
@@ -452,7 +435,7 @@ def neighborhood(
     WeightError
         When alliance or distance data is missing for a required pair.
     """
-    W = build_weight_matrix(spec, index, dyadic).factors.sparse()
+    W = build_weight_matrix(spec, index, dyadic).sparse()
     dyads = index.dyads
     columns = np.split(W.indices, W.indptr[1:-1])
     return {dyad: frozenset(map(dyads.__getitem__, c.tolist())) for dyad, c in zip(dyads, columns)}
@@ -468,5 +451,4 @@ def build_weight_matrix(
     Row a holds 1/|N(v_a)| at the columns of v_a's neighbours and 0
     elsewhere; a flow with an empty neighbourhood keeps an all-zero row.
     """
-    factors = AnchorRelation(spec.kind, index, dyadic).factors(spec.cutoff_km)
-    return WeightMatrix(index=index, spec=spec, factors=factors)
+    return WeightMatrix(spec, index, dyadic)

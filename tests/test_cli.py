@@ -18,7 +18,7 @@ from netdisturb.cli import (
     parse_grid,
     parse_recipe,
 )
-from netdisturb.weights import WeightFactors
+from netdisturb.weights import WeightMatrix
 
 SIM_SPEC = """
 n_nodes = 12
@@ -453,7 +453,7 @@ class TestPipeline:
         def refuse(self):
             raise AssertionError("a command formed the nonzeros of a built W")
 
-        monkeypatch.setattr(WeightFactors, "sparse", refuse)
+        monkeypatch.setattr(WeightMatrix, "sparse", refuse)
         tmp_path, config_file = workspace
         shared = tmp_path / "shared"
         assert main(["fit", "--config", str(config_file), "--out", str(shared)]) == 0

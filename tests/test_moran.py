@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from netdisturb import (
+    DyadicSeries,
+    FlowIndex,
     NeighborhoodSpec,
     build_weight_matrix,
     morans_i,
     scan_cutoffs,
 )
+from netdisturb.errors import WeightError
 from netdisturb.moran import DEFAULT_GRID_KM, write_scan_csv, write_scan_json
 
 from conftest import complete_distances, random_flow_index
@@ -74,34 +78,55 @@ class TestScanCutoffs:
         assert scan.best_cutoff == 3000.0
         assert scan.grid.tolist() == [3000.0]
 
-    def test_matches_dense_block_diagonal(self):
-        # Structural check: the blockwise accumulation equals Moran's I of
-        # the pooled residuals under an explicitly assembled block-diagonal
-        # weight matrix built by the general weight builder.  The asymmetric
-        # distance series checks that both read d(anchor, partner).
-        for symmetric in (True, False):
-            rng = np.random.default_rng(4)
-            residuals, indices, distances = toy_panel(rng, symmetric=symmetric)
-            for direction in ("import", "export"):
-                scan = scan_cutoffs(
-                    residuals, indices, distances, direction=direction,
-                    grid=[800.0, 1600.0, 2400.0, 3200.0],
-                )
-                periods = sorted(residuals)
-                z = np.concatenate([residuals[t] for t in periods])
-                for g, cutoff in enumerate(scan.grid):
-                    spec = NeighborhoodSpec(f"distance_{direction}", cutoff_km=cutoff)
-                    blocks = [
-                        build_weight_matrix(spec, indices[t], distances).entries
-                        for t in periods
-                    ]
-                    dense = block_diag(*blocks)
-                    if dense.sum() == 0.0:
-                        assert not scan.defined[g]
-                        continue
-                    assert abs(scan.moran_values[g] - morans_i(z, dense)) < 1e-12, (
-                        f"symmetric={symmetric} {direction} @ {cutoff:g}"
-                    )
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        periods=st.integers(1, 3),
+        symmetric=st.booleans(),
+        direction=st.sampled_from(["import", "export"]),
+        data=st.data(),
+    )
+    def test_matches_dense_block_diagonal(self, seed, periods, symmetric, direction, data):
+        # The per-anchor sums equal Moran's I of the pooled residuals under
+        # an explicitly assembled block-diagonal weight matrix built by the
+        # general weight builder.  The grid mixes realized distances (where
+        # d < cutoff is strict), 0 km (every block empty), points between
+        # them and points beyond every distance (the same complete graph);
+        # the asymmetric series checks that both read d(anchor, partner).
+        rng = np.random.default_rng(seed)
+        residuals, indices, distances = toy_panel(rng, periods=periods, symmetric=symmetric)
+        realized = sorted(set(distances.values.values()))
+        picks = data.draw(st.lists(st.sampled_from(realized), max_size=4))
+        others = data.draw(
+            st.lists(st.sampled_from([0.0, 900.0, 2000.0, 3100.0, 50_000.0, 60_000.0]), min_size=1)
+        )
+        grid = np.array(sorted(set(picks) | set(others)))
+        kind = f"distance_{direction}"
+        z = np.concatenate([residuals[t] for t in sorted(residuals)])
+        dense = [
+            block_diag(*[
+                build_weight_matrix(NeighborhoodSpec(kind, cutoff_km=c), indices[t], distances).entries
+                if c > 0 else np.zeros((indices[t].n,) * 2)
+                for t in sorted(residuals)
+            ])
+            for c in grid
+        ]
+        if not any(W.any() for W in dense):
+            with pytest.raises(ValueError, match="undefined at every grid point"):
+                scan_cutoffs(residuals, indices, distances, direction=direction, grid=grid)
+            return
+        scan = scan_cutoffs(residuals, indices, distances, direction=direction, grid=grid)
+        for g, (cutoff, W) in enumerate(zip(grid, dense)):
+            if not W.any():
+                assert not scan.defined[g] and np.isnan(scan.moran_values[g])
+                continue
+            assert abs(scan.moran_values[g] - morans_i(z, W)) < 1e-12, f"{direction} @ {cutoff:g}"
+            # Grid points with the same W tie exactly, so the first maximum is kept.
+            for h in range(g):
+                if np.array_equal(dense[h], W):
+                    assert scan.moran_values[h] == scan.moran_values[g]
+        best = int(np.flatnonzero(scan.moran_values == np.nanmax(scan.moran_values))[0])
+        assert scan.best_cutoff == grid[best]
 
     def test_undefined_points_skipped_in_argmax(self):
         rng = np.random.default_rng(5)
@@ -146,8 +171,25 @@ class TestScanCutoffs:
             scan_cutoffs(residuals, indices, distances, direction="both")
         with pytest.raises(ValueError, match="strictly increasing"):
             scan_cutoffs(residuals, indices, distances, grid=[100.0, 100.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                scan_cutoffs(residuals, indices, distances, grid=[100.0, bad, 300.0])
         with pytest.raises(ValueError, match="different periods"):
             scan_cutoffs({1: residuals[1]}, indices, distances)
+
+    def test_error_order(self):
+        # Per period, a residual-length mismatch comes first, then the
+        # builder's error for a distance pair with no data; both come before
+        # the pooled zero-variance check.
+        index = FlowIndex(period=1, dyads=(("A", "B"), ("B", "C"), ("C", "A")))
+        distances = DyadicSeries("distance", True, {("A", "B", 1): 10.0, ("A", "C", 1): 20.0})
+        with pytest.raises(WeightError) as built:
+            build_weight_matrix(NeighborhoodSpec("distance_import", cutoff_km=100.0), index, distances)
+        with pytest.raises(WeightError) as scanned:
+            scan_cutoffs({1: np.zeros(3)}, {1: index}, distances, grid=[100.0])
+        assert str(scanned.value) == str(built.value)
+        with pytest.raises(ValueError, match="residual length"):
+            scan_cutoffs({1: np.zeros(2)}, {1: index}, distances, grid=[100.0])
 
     def test_exports(self, tmp_path):
         rng = np.random.default_rng(9)
