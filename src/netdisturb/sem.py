@@ -316,14 +316,6 @@ class SemFit:
     evaluations: int = 0
     log_det: str | None = None
 
-    @property
-    def n(self) -> int:
-        return self.u_hat.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.beta_hat.shape[0]
-
 
 def _two_sided_p(estimate, se):
     """2 P(Z > |estimate| / se) for standard normal Z, as erfc(z / sqrt 2), entry by entry."""

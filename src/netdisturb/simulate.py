@@ -77,6 +77,8 @@ class SimSpec:
             raise NetdisturbError(f"sigma must be positive, got {self.sigma}")
         if len(self.beta) < 1:
             raise NetdisturbError("beta needs at least the intercept coefficient")
+        if self.lag < 0:
+            raise NetdisturbError(f"lag must be >= 0, got {self.lag}")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
 
 

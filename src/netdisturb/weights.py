@@ -44,10 +44,10 @@ where E corrects what U C U' counts wrongly:
 
 A :class:`WeightMatrix` holds these factors and is the one operator for a
 built W: it evaluates W v in O(n + N^2) per column, and log|det(I - rho W)|
-and (I - rho W)^-1 v in O(n + N^3), with no n x n work.  The neighbour
-sets read W's nonzeros from the sparse pattern the same factors give in
-O(n + nnz); the dense entries are that pattern expanded, formed only when
-they are asked for.
+and (I - rho W)^-1 v in O(n + N^3), with no n x n work.  The inspection
+views read W off the same product: the dense ``entries`` are W times the
+identity, and the neighbour sets are the nonzeros of W's columns, taken
+64 at a time, in O(n^2) time and O(64 n + nnz) memory.
 """
 
 from __future__ import annotations
@@ -73,6 +73,10 @@ _LAYOUT = {
 }
 KINDS = tuple(_LAYOUT)
 DISTANCE_KINDS = frozenset({"distance_import", "distance_export"})
+
+# Columns of W formed at once by the inspection views: each block costs
+# O(64 n) memory, so reading every neighbour set never holds n x n floats.
+_COLUMN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -170,10 +174,10 @@ class WeightMatrix:
     (self, reverse) coefficients.  ``counts``
     is D's diagonal, (U C U' + E) 1.  ``W @ v``, for v of shape (n,) or
     (n, k), is D+ (U (C (U' v)) + E v) in O(n k + N^2 k), as U' sums v over
-    each anchor node's flows; :meth:`sparse` gives W's nonzero entries, and
-    ``entries`` are those expanded on first access and then cached, for
-    tests and inspection.  A W given as a plain array is the dense oracle,
-    and is never wrapped in this class.
+    each anchor node's flows.  ``entries`` is W times the identity, formed
+    64 columns at a time on first access and then cached, for tests and
+    inspection.  A W given as a plain array is the dense oracle, and is
+    never wrapped in this class.
 
     B(rho) = I - rho D+ E is block diagonal: a 1 x 1 block per flow, or a
     2 x 2 block per pair of reverse flows.  By the matrix determinant lemma
@@ -217,7 +221,10 @@ class WeightMatrix:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        return self.sparse().toarray()
+        entries = np.empty((self.n, self.n))
+        for start, block in self._column_blocks():
+            entries[:, start : start + block.shape[1]] = block
+        return entries
 
     @property
     def n(self) -> int:
@@ -242,24 +249,10 @@ class WeightMatrix:
         v = np.asarray(v, dtype=float)
         return (self._own[:, None] * self._spread(v.reshape(len(v), -1))).reshape(v.shape)
 
-    def sparse(self):
-        """The entries D+ (U C U' + E) as a scipy.sparse CSR array with sorted indices.
-
-        U, C and the reverse-flow pairing R are sparse, so this costs O(n +
-        nnz) memory beyond the sparse products and forms no n x n array.
-        """
-        from scipy import sparse
-
-        n = self.n
-        indptr = np.arange(n + 1)  # one entry per row
-        U = sum(sparse.csr_array((np.ones(n), x, indptr), shape=(n, len(self._C))) for x in self.anchors)
-        R = sparse.csr_array((self.paired.astype(float), self.partner, indptr), shape=(n, n))
-        E = self.correction[0] * sparse.eye_array(n, format="csr") + self.correction[1] * R
-        entries = U @ sparse.csr_array(self._C) @ U.T + E
-        entries.eliminate_zeros()
-        entries.sort_indices()
-        entries.data /= np.repeat(self.counts, np.diff(entries.indptr))
-        return entries
+    def _column_blocks(self):
+        """W's columns, _COLUMN_BLOCK at a time: (first column, W @ those identity columns)."""
+        for start in range(0, self.n, _COLUMN_BLOCK):
+            yield start, self @ np.eye(self.n, min(_COLUMN_BLOCK, self.n - start), -start)
 
     def _prepare(self) -> None:
         """The per-flow block terms, anchor cells and border of the log-det."""
@@ -414,6 +407,9 @@ def neighborhood(
 ) -> dict[tuple[str, str], frozenset]:
     """Neighbour sets for every flow in the index.
 
+    They are the nonzeros of W's columns, formed 64 at a time: O(n^2) time
+    and O(64 n + nnz) memory, with no n x n array.
+
     Parameters
     ----------
     spec : NeighborhoodSpec
@@ -435,10 +431,13 @@ def neighborhood(
     WeightError
         When alliance or distance data is missing for a required pair.
     """
-    W = build_weight_matrix(spec, index, dyadic).sparse()
+    W = build_weight_matrix(spec, index, dyadic)
+    nonzeros = (np.argwhere(block) + [0, start] for start, block in W._column_blocks())
+    pairs = np.concatenate([np.empty((0, 2), int), *nonzeros])  # (row, column)
+    rows, columns = pairs[np.lexsort(pairs.T[::-1])].T
+    groups = np.split(columns, np.searchsorted(rows, np.arange(1, index.n)))
     dyads = index.dyads
-    columns = np.split(W.indices, W.indptr[1:-1])
-    return {dyad: frozenset(map(dyads.__getitem__, c.tolist())) for dyad, c in zip(dyads, columns)}
+    return {dyad: frozenset(map(dyads.__getitem__, c.tolist())) for dyad, c in zip(dyads, groups)}
 
 
 def build_weight_matrix(

@@ -263,6 +263,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="missing key"):
             load_sim_spec(path)
 
+    def test_negative_sim_lag_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "sim.cfg"
+        spec_file.write_text(SIM_SPEC + "lag = -1\n", encoding="utf-8")
+        assert main(["simulate", "--spec", str(spec_file), "--out", str(tmp_path / "data")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: invalid simulation spec: lag must be >= 0, got -1\n"
+        assert not (tmp_path / "data").exists()
+
 
 class TestPipeline:
     def test_fit_writes_artifacts(self, workspace):
@@ -448,12 +456,12 @@ class TestPipeline:
 
     def test_no_command_forms_the_nonzeros_of_a_built_w(self, workspace, monkeypatch):
         # Fits, scans and diagnostics read a built W through its factors;
-        # its nonzeros, and the dense entries expanded from them, are only
-        # for inspection.
+        # its columns, from which the neighbour sets and the dense entries
+        # are read, are only for inspection.
         def refuse(self):
             raise AssertionError("a command formed the nonzeros of a built W")
 
-        monkeypatch.setattr(WeightMatrix, "sparse", refuse)
+        monkeypatch.setattr(WeightMatrix, "_column_blocks", refuse)
         tmp_path, config_file = workspace
         shared = tmp_path / "shared"
         assert main(["fit", "--config", str(config_file), "--out", str(shared)]) == 0
@@ -636,6 +644,47 @@ def test_cli_import_leaves_scipy_module_out(module):
     # the bare scipy package or a thread pool.
     code = f"import sys, netdisturb.cli; print({module!r} in sys.modules)"
     assert run_fresh_interpreter(code) == "False"
+
+
+LIBRARY_RUN = """
+import sys
+from netdisturb import (
+    DyadicSeries, FlowIndex, NeighborhoodSpec, SemProblem, SimSpec, build_weight_matrix, fit,
+    fit_ols, histogram, kde, log_flow_vector, neighborhood, qq_pairs, simulate,
+)
+from netdisturb.weights import DISTANCE_KINDS, KINDS
+
+index = FlowIndex(period=1, dyads=(("A", "B"), ("A", "C"), ("B", "A"), ("C", "B")))
+pairs = [(a, b) for a in "ABC" for b in "ABC" if a < b]
+series = {
+    "alliance": DyadicSeries("alliance", True, {(a, b, 1): 1.0 for a, b in pairs}),
+    "distance": DyadicSeries("distance", True, {(a, b, 1): 500.0 for a, b in pairs}),
+}
+for kind in KINDS:
+    spec = NeighborhoodSpec(kind, cutoff_km=1000.0 if kind in DISTANCE_KINDS else None)
+    dyadic = series.get(spec.dyadic_series)
+    assert build_weight_matrix(spec, index, dyadic).entries.shape == (4, 4)
+    assert len(neighborhood(spec, index, dyadic)) == 4
+result = simulate(SimSpec(
+    n_nodes=10, n_periods=1, density=0.4, structure=NeighborhoodSpec("full_activity"),
+    rho=0.4, beta=(1.0, 2.0, -1.0), sigma=1.0, seed=3,
+))
+problem = SemProblem(
+    y=log_flow_vector(result.panel[0], result.indices[1]), X=result.designs[1], W=result.weights[1]
+)
+fitted = fit(problem)
+fit_ols(problem)
+qq_pairs(fitted.eps_hat)
+histogram(fitted.eps_hat)
+kde(fitted.eps_hat)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_library_runs_without_scipy():
+    # scipy is a test-only dependency: building every kind's W, its
+    # inspection views, the fits, simulation and the diagnostics load none of it.
+    assert run_fresh_interpreter(LIBRARY_RUN).splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

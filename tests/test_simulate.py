@@ -105,6 +105,10 @@ class TestSimulate:
             base_spec(sigma=0.0)
         with pytest.raises(NetdisturbError, match="intercept"):
             base_spec(beta=())
+        # A negative lag would start the roster after period 1 and read
+        # covariates past the drawn span.
+        with pytest.raises(NetdisturbError, match=r"^lag must be >= 0, got -1$"):
+            base_spec(lag=-1)
 
     def test_distance_structure_uses_disk_geometry(self):
         result = simulate(

@@ -168,6 +168,40 @@ class TestOracleAgreement:
                         assert not matrix.entries[a].any()
 
 
+class TestColumnBlocks:
+    """The inspection views read W's columns in blocks of 64; these cross the seams."""
+
+    def test_views_match_brute_force_across_blocks(self):
+        # 150-181 flows: two full blocks and a partial third.
+        rng = np.random.default_rng(48)
+        nodes = [f"N{k:02d}" for k in range(14)]
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        for _ in range(2):
+            rng.shuffle(pairs)
+            index = FlowIndex(period=1, dyads=tuple(sorted(pairs[: rng.integers(150, 182)])))
+            for spec in all_specs(rng):
+                for symmetric in (True, False):
+                    dyadic = context_for(spec, index, rng, symmetric)
+                    slow = brute_force_neighborhoods(spec, index, dyadic)
+                    assert neighborhood(spec, index, dyadic) == slow, spec.structure_id
+                    expected = np.zeros((index.n, index.n))
+                    for a, dyad in enumerate(index.dyads):
+                        for other in slow[dyad]:
+                            expected[a, index.position(other)] = 1.0 / len(slow[dyad])
+                    entries = build_weight_matrix(spec, index, dyadic).entries
+                    assert np.array_equal(entries, expected), spec.structure_id
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single_flow_index(self, n):
+        index = FlowIndex(period=1, dyads=(("A", "B"),)[:n])
+        rng = np.random.default_rng(49)
+        for spec in all_specs(rng):
+            dyadic = context_for(spec, FlowIndex(period=1, dyads=(("A", "B"),)), rng)
+            assert neighborhood(spec, index, dyadic) == {dyad: frozenset() for dyad in index.dyads}
+            entries = build_weight_matrix(spec, index, dyadic).entries
+            assert entries.shape == (n, n) and not entries.any()
+
+
 class TestInvariants:
     def test_row_sums_zero_or_one(self):
         rng = np.random.default_rng(44)
@@ -257,10 +291,6 @@ def test_neighbourhoods_never_form_entries():
     chosen = rng.choice(len(pairs), size=3000, replace=False)
     index = FlowIndex(period=1, dyads=tuple(sorted(pairs[k] for k in chosen)))
     spec = NeighborhoodSpec("full_activity")
-    # The traced peak counts this test's allocations, not the first import
-    # of scipy.sparse, which would otherwise land inside it in a lone run.
-    import scipy.sparse  # noqa: F401
-
     tracemalloc.start()
     try:
         neighborhood(spec, index)
