@@ -16,8 +16,10 @@ import io
 import json
 import math
 from array import array
+from collections.abc import Sequence
 from itertools import count, islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +56,18 @@ class _Quoted(dict):
         return cell
 
 
+class Coded(NamedTuple):
+    """A text column as its ``labels`` and each row's code into them; each label is quoted once."""
+
+    labels: Sequence
+    codes: np.ndarray
+
+
 def _cells(column, quoted: _Quoted):
     """A column's cells for a ``%`` row template, and the template field that takes them."""
+    if isinstance(column, Coded):
+        cells = [quoted[fmt(label)] for label in column.labels]
+        return map(cells.__getitem__, _chunked(column.codes)), "%s"
     kind = column.dtype.kind if isinstance(column, np.ndarray) else None
     if kind == "f":
         return _chunked(column), "%.17g"
@@ -67,8 +79,9 @@ def _cells(column, quoted: _Quoted):
 def write_csv(path, header, columns) -> None:
     """Write `header`, then one row per position of the equal-length `columns`.
 
-    A column is any iterable, an iterator included.  Float and integer
-    ndarrays are read a chunk at a time and written with ``%.17g`` (the
+    A column is any iterable, an iterator included, or a :class:`Coded`
+    column.  Float and integer ndarrays, and a Coded column's codes, are
+    read a chunk at a time; the numbers are written with ``%.17g`` (the
     digits of :func:`fmt`) and ``%d``.  Any other cell is rendered by
     :func:`fmt` and quoted as ``csv.writer`` quotes it.  The bytes are those
     ``csv.writer`` writes for rows of :func:`fmt` cells, but each row costs

@@ -18,17 +18,19 @@ identifies the data as well as the config.  Reruns with the same config,
 inputs and seed produce byte-identical artifacts.
 
 Each run command walks the prepared periods once, in period order.  `fit`
-writes each fit under ``--out`` as soon as it returns, then each
-structure's ``coefficients.csv``, and last a ``fit_report.json`` carrying a
-``fingerprint`` of the run: the package version, the config's SHA-256 and
-the same ``input_sha256`` the manifest records.  `select`, `scan-cutoff`
-(the ``rho0`` residuals) and `diagnose` read the fits they need from there
-when that fingerprint matches their own run, the report lists every
-candidate they need, and each stored fit reads back; a pair the report
-lists as failed stays failed, and a period it does not list is fit anew.
-`select` only hashes the input files, and parses none, when the fits are
-stored.  Otherwise they compute the fits as `fit` does, so every command
-also runs on its own, with the same output either way.
+writes each fit's estimates under ``--out`` as soon as it returns, then
+each structure's ``coefficients.csv``, and last a ``fit_report.json``
+carrying a ``fingerprint`` of the run: the package version, the config's
+SHA-256 and the same ``input_sha256`` the manifest records.  `select` and
+`diagnose` read the fits they need from there when that fingerprint
+matches their own run, the report lists every candidate they need, and
+each stored fit reads back; a pair the report lists as failed stays
+failed, and a period it does not list is fit anew.  `select` only hashes
+the input files, and parses none, when the fits are stored.  `diagnose`
+forms a stored fit's residuals again from the period it loads, bit for bit
+those `fit` computed, and `scan-cutoff` fits the ``rho0`` (OLS) residuals
+of each period itself.  Otherwise they compute the fits as `fit` does, so
+every command also runs on its own, with the same output either way.
 
 Config keys (run commands)
 --------------------------
@@ -67,7 +69,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +110,7 @@ from .sem import (
     fit,
     fit_from_dict,
     fit_ols,
+    residuals,
     write_coefficients_csv,
     write_fit_json,
 )
@@ -344,6 +347,10 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
     if scan_direction not in ("import", "export"):
         raise ConfigError(f"scan_direction must be import or export, got {scan_direction!r}")
 
+    lag = _parse_typed(values, "lag", int, DEFAULT_LAG)
+    if lag < 0:
+        raise ConfigError(f"lag must be >= 0, got {lag}")
+
     smooth_window = _parse_typed(values, "smooth_window", int, 5)
     if smooth_window < 0 or (smooth_window > 0 and smooth_window % 2 == 0):
         raise ConfigError(
@@ -370,7 +377,7 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
         nodal=nodal,
         dyadic=dyadic,
         recipe=recipe,
-        lag=_parse_typed(values, "lag", int, DEFAULT_LAG),
+        lag=lag,
         candidates=candidates,
         out=Path(out) if out is not None else resolve(values.get("out", "out")),
         seed=seed if seed is not None else _parse_typed(values, "seed", int, 0),
@@ -555,7 +562,9 @@ def cmd_fit(config: RunConfig) -> int:
                 failures.append({"period": data.period, "structure": cand_id, "error": outcome})
                 continue
             write_fit_json(config.out / "fits" / cand_id / f"period_{data.period}.json", outcome)
-            entries[cand_id].append((data.period, cand_id, outcome))
+            # coefficients.csv reads the estimates only.
+            estimates = replace(outcome, u_hat=None, eps_hat=None)
+            entries[cand_id].append((data.period, cand_id, estimates))
     for cand_id, rows in entries.items():
         if rows:
             write_coefficients_csv(config.out / "fits" / cand_id / "coefficients.csv", rows)
@@ -617,16 +626,13 @@ def cmd_scan(config: RunConfig) -> int:
     # The scanned kind reads one series at every cutoff; inf only names the kind.
     scanned = NeighborhoodSpec(f"distance_{config.scan_direction}", cutoff_km=math.inf)
     _require_series(config, [scanned], "scan")
-    stored = _stored_fits(config, [OLS_CANDIDATE])
-    residuals, indices, distances = {}, {}, None
+    ols_residuals, indices, distances = {}, {}, None
     for data in _periods(config, [scanned]):
-        outcome = _outcome(data, OLS_CANDIDATE, stored)
-        if isinstance(outcome, str):
-            raise NetdisturbError(outcome)
-        residuals[data.period], indices[data.period] = outcome.u_hat, data.index
+        ols_residuals[data.period] = fit_ols(SemProblem(y=data.y, X=data.design)).u_hat
+        indices[data.period] = data.index
         distances = data.dyadic[scanned.dyadic_series]
     scan = scan_cutoffs(
-        residuals,
+        ols_residuals,
         indices,
         distances,
         direction=config.scan_direction,
@@ -657,6 +663,9 @@ def cmd_diagnose(config: RunConfig) -> int:
             failures.append({"period": data.period, "error": "fit did not converge"})
             continue
         weight = build_weight_matrix(structure, data.index, data.dyadic.get(structure.dyadic_series))
+        if result.u_hat is None:  # a stored fit holds its estimates only
+            problem = SemProblem(y=data.y, X=data.design, W=weight)
+            result.u_hat, result.eps_hat = residuals(problem, result.beta_hat, result.rho_hat)
         pooled.append(standardized_residuals(result))
         tradecorr_items.append(tradecorr_residuals(result, weight, data.index))
 

@@ -33,7 +33,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._serialize import parse_column, read_csv, write_csv
+from ._serialize import Coded, parse_column, read_csv, write_csv
 from .errors import CovariateError
 from .panel import FlowIndex, NetworkSnapshot
 
@@ -565,10 +565,9 @@ def write_nodal_csv(path, series: NodalSeries) -> None:
 def write_dyadic_csv(path, series: DyadicSeries) -> None:
     """Write the records sorted by (node_a, node_b, period), NaN ones included."""
     order = np.lexsort((series.period, series.node_b, series.node_a))
-    name = series.nodes.__getitem__
     write_csv(path, DYADIC_HEADER, (
-        map(name, series.node_a[order].tolist()),
-        map(name, series.node_b[order].tolist()),
+        Coded(series.nodes, series.node_a[order]),
+        Coded(series.nodes, series.node_b[order]),
         series.period[order],
         series.value[order],
     ))

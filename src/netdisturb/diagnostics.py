@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -19,7 +18,7 @@ import numpy as np
 # statistics itself (about 7 ms, for fractions and decimal) is imported
 # inside the two functions that use it.
 
-from ._serialize import write_blocks, write_csv
+from ._serialize import Coded, write_blocks, write_csv
 from .errors import EstimationError
 from .panel import FlowIndex, write_edge_csv
 from .sem import DEGENERATE_SIGMA2, SemFit
@@ -176,7 +175,8 @@ def write_hist_csv(path, hist: HistogramData) -> None:
 def write_kde_csv(path, curves) -> None:
     """`node,x,density` rows, curve by curve."""
     write_blocks(path, ("node", "x", "density"), (
-        (repeat(curve.node_id, curve.grid.size), curve.grid, curve.density) for curve in curves
+        (Coded((curve.node_id,), np.zeros(curve.grid.size, np.intp)), curve.grid, curve.density)
+        for curve in curves
     ))
 
 

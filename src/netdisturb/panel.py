@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._serialize import parse_column, read_csv, write_blocks, write_csv
+from ._serialize import Coded, parse_column, read_csv, write_blocks, write_csv
 from .errors import PanelError
 
 EDGE_HEADER = ("period", "sender", "receiver", "value")
@@ -268,8 +268,8 @@ def write_edge_csv(path, snapshots) -> None:
     write_blocks(path, EDGE_HEADER, (
         (
             np.full(s.index.n, s.period),
-            map(s.index.nodes.__getitem__, s.index.sender.tolist()),
-            map(s.index.nodes.__getitem__, s.index.receiver.tolist()),
+            Coded(s.index.nodes, s.index.sender),
+            Coded(s.index.nodes, s.index.receiver),
             s.values,
         )
         for s in snapshots

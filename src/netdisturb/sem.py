@@ -293,7 +293,9 @@ class SemFit:
 
     ``p_values`` has one entry per beta coefficient followed by the one for
     rho (NaN when no standard error is available).  ``u_hat`` is y - X beta
-    and ``eps_hat = (I - rho W) u_hat`` is the whitened disturbance.
+    and ``eps_hat = (I - rho W) u_hat`` is the whitened disturbance, both
+    from :func:`residuals`; they are None on a fit read back by
+    :func:`fit_from_dict`, which :func:`residuals` completes.
     ``evaluations`` counts the rho values at which :func:`fit` evaluated the
     profile (0 for :func:`fit_ols`), and ``log_det`` names the factorization
     of its log-determinant (:func:`log_det_path`; None for ``fit_ols``).
@@ -307,8 +309,8 @@ class SemFit:
     p_values: np.ndarray
     loglik: float
     aic: float
-    u_hat: np.ndarray
-    eps_hat: np.ndarray
+    u_hat: np.ndarray | None
+    eps_hat: np.ndarray | None
     converged: bool
     degenerate: bool = False
     column_names: tuple[str, ...] = ()
@@ -466,8 +468,7 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
     at_optimum = cache.point(rho_hat, spec)
     beta = at_optimum.beta
     sigma2 = at_optimum.sigma2
-    u_hat = problem.y - problem.X @ beta
-    eps_hat = u_hat - rho_hat * (problem.W @ u_hat)
+    u_hat, eps_hat = residuals(problem, beta, rho_hat)
     p = problem.p
     aic = -2.0 * at_optimum.loglik + 2.0 * (p + 2)
 
@@ -526,7 +527,7 @@ def fit_ols(problem: SemProblem) -> SemFit:
     n, p = problem.n, problem.p
     _require_full_rank(problem)
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    u_hat = y - X @ beta
+    u_hat, eps_hat = residuals(problem, beta)
     sigma2 = float(u_hat @ u_hat) / n
     degenerate = sigma2 < DEGENERATE_SIGMA2
     if degenerate:
@@ -548,7 +549,7 @@ def fit_ols(problem: SemProblem) -> SemFit:
         loglik=loglik,
         aic=-2.0 * loglik + 2.0 * (p + 1),
         u_hat=u_hat,
-        eps_hat=u_hat.copy(),
+        eps_hat=eps_hat,
         converged=True,
         degenerate=degenerate,
         column_names=problem.column_names,
@@ -556,14 +557,29 @@ def fit_ols(problem: SemProblem) -> SemFit:
     )
 
 
+def residuals(problem: SemProblem, beta, rho: float | None = None):
+    """``(u_hat, eps_hat)``: u_hat = y - X beta and eps_hat = (I - rho W) u_hat.
+
+    With ``rho`` None (:func:`fit_ols`) eps_hat is a copy of u_hat.  Given a
+    fit's own problem, ``beta_hat`` and ``rho_hat``, these are the residuals
+    the fit returned, bit for bit.
+    """
+    u_hat = problem.y - problem.X @ beta
+    eps_hat = u_hat.copy() if rho is None else u_hat - rho * (problem.W @ u_hat)
+    return u_hat, eps_hat
+
+
 def fit_to_dict(result: SemFit) -> dict:
-    """JSON-ready mapping with one entry per SemFit field, in field order."""
-    return {field.name: getattr(result, field.name) for field in fields(SemFit)}
+    """JSON-ready mapping with one entry per SemFit field but the residuals, in field order."""
+    names = [field.name for field in fields(SemFit) if field.name not in ("u_hat", "eps_hat")]
+    return {name: getattr(result, name) for name in names}
 
 
 def fit_from_dict(payload: dict) -> SemFit:
     """The SemFit that :func:`fit_to_dict` mapped to ``payload``, after JSON.
 
+    Its ``u_hat`` and ``eps_hat`` are None (any residuals ``payload``
+    holds are ignored); :func:`residuals` forms them from the fit's problem.
     JSON has no NaN or infinity, so each is written as null.  A null reads
     back as NaN, except where a fit only ever puts one other value: an
     infinite ``loglik`` is the +inf of a perfect fit, and its ``aic`` then
@@ -586,8 +602,8 @@ def fit_from_dict(payload: dict) -> SemFit:
         p_values=array(payload["p_values"]),
         loglik=number(payload["loglik"], math.inf),
         aic=number(payload["aic"], -math.inf),
-        u_hat=array(payload["u_hat"]),
-        eps_hat=array(payload["eps_hat"]),
+        u_hat=None,
+        eps_hat=None,
         converged=bool(payload["converged"]),
         degenerate=bool(payload["degenerate"]),
         column_names=tuple(payload["column_names"]),

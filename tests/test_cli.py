@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 import netdisturb
-from netdisturb import ConfigError
+from netdisturb import ConfigError, SemProblem, build_weight_matrix, fit
+from netdisturb._serialize import write_json
 from netdisturb.cli import (
+    _periods,
     load_run_config,
     load_sim_spec,
     main,
@@ -257,6 +260,16 @@ class TestConfigParsing:
         assert "rho is searched over (-1, 1)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "select", "scan-cutoff", "diagnose"])
+    def test_negative_lag_exits_2_before_input(self, workspace, capsys, monkeypatch, command):
+        tmp_path, config_file = workspace
+        config_file.write_text(config_file.read_text().replace("lag = 0", "lag = -1"))
+        monkeypatch.setattr("netdisturb.cli.load_panel", refuse_to_load)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: lag must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_sim_spec_validation(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_text("n_nodes = 5\n", encoding="utf-8")
@@ -484,7 +497,11 @@ def refuse_to_load(*args, **kwargs):
 
 
 class TestFitReuse:
-    """select, scan-cutoff and diagnose read the fits `fit` stored for the same run."""
+    """select and diagnose read the fits `fit` stored for the same run; scan-cutoff fits its own OLS residuals.
+
+    A stored fit holds its estimates only, and diagnose forms its residuals
+    again from the period it loads.
+    """
 
     def test_reuse_writes_the_bytes_of_a_fresh_run(self, workspace):
         tmp_path, config_file = workspace
@@ -512,8 +529,41 @@ class TestFitReuse:
         }
         monkeypatch.setattr("netdisturb.cli.fit", refuse_to_fit)
         monkeypatch.setattr("netdisturb.cli.fit_ols", refuse_to_fit)
-        for command in ("select", "scan-cutoff", "diagnose"):
+        for command in ("select", "diagnose"):
             assert main([command, "--config", str(config_file), "--out", str(out)]) == 0
+        # The scan reads no stored fit: an OLS fit of a period costs less than reading one.
+        calls = []
+        original = netdisturb.sem.fit_ols
+        monkeypatch.setattr(
+            "netdisturb.cli.fit_ols", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        assert main(["scan-cutoff", "--config", str(config_file), "--out", str(out)]) == 0
+        assert len(calls) == len(report["periods_fitted"]) == 4
+
+    def test_diagnose_reads_a_stored_fit_that_holds_residuals(self, workspace, monkeypatch):
+        # Fits were once stored with every SemFit field, the residuals
+        # included.  Such a file still reads back, and diagnose on it writes
+        # the bytes of a fresh run.
+        tmp_path, config_file = workspace
+        stored, fresh = tmp_path / "stored", tmp_path / "fresh"
+        assert main(["fit", "--config", str(config_file), "--out", str(stored)]) == 0
+        config = load_run_config(config_file)
+        structure = config.diagnose_structure
+        for data in _periods(config, [structure]):
+            weight = build_weight_matrix(structure, data.index, data.dyadic.get(structure.dyadic_series))
+            fitted = fit(SemProblem(y=data.y, X=data.design, W=weight))
+            path = stored / "fits" / structure.structure_id / f"period_{data.period}.json"
+            estimates = json.loads(path.read_text(encoding="utf-8"))
+            write_json(path, {f.name: getattr(fitted, f.name) for f in dataclasses.fields(fitted)})
+            old = json.loads(path.read_text(encoding="utf-8"))
+            assert len(old.pop("u_hat")) == len(old.pop("eps_hat")) == data.index.n
+            assert old == estimates
+        monkeypatch.setattr("netdisturb.cli.fit", refuse_to_fit)
+        assert main(["diagnose", "--config", str(config_file), "--out", str(stored)]) == 0
+        monkeypatch.undo()
+        assert main(["diagnose", "--config", str(config_file), "--out", str(fresh)]) == 0
+        for name in DIAGNOSE_FILES:
+            assert (stored / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_select_reads_no_input_when_the_fits_are_stored(self, workspace, monkeypatch):
         tmp_path, config_file = workspace

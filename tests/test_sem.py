@@ -15,6 +15,7 @@ from scipy.special import ndtr
 
 from netdisturb import (
     EstimationError,
+    FlowIndex,
     SemProblem,
     SimSpec,
     NeighborhoodSpec,
@@ -37,10 +38,11 @@ from netdisturb.sem import (
     _two_sided_p,
     fit_from_dict,
     log_det_path,
+    residuals,
     write_fit_json,
 )
 
-from conftest import RECOVERY_TRUTH, random_flow_index, random_row_normalized_w
+from conftest import RECOVERY_TRUTH, complete_alliance, random_flow_index, random_row_normalized_w
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -528,11 +530,20 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 class TestFitFromDict:
+    """A fit is stored by its estimates; `residuals` forms its residuals again, bit for bit."""
+
     @staticmethod
-    def round_trip(fitted, tmp_path):
+    def round_trip(fitted, problem, tmp_path):
+        """``fitted`` written and read back, its residuals formed from ``problem``."""
         path = tmp_path / "fit.json"
         write_fit_json(path, fitted)
-        return fit_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        written = json.loads(path.read_text(encoding="utf-8"))
+        assert not {"u_hat", "eps_hat"} & set(written)
+        read = fit_from_dict(written)
+        assert read.u_hat is None and read.eps_hat is None
+        rho = None if read.rho_bounds is None else read.rho_hat  # None: a fit_ols fit
+        read.u_hat, read.eps_hat = residuals(problem, read.beta_hat, rho)
+        return read
 
     @staticmethod
     def assert_same_fit(read, original):
@@ -547,14 +558,35 @@ class TestFitFromDict:
                 assert type(a) is type(b) and a == b, field.name
 
     def test_spatial_fit(self, tmp_path):
-        fitted = fit(random_problem(np.random.default_rng(60)))
+        problem = random_problem(np.random.default_rng(60))
+        fitted = fit(problem)
         assert math.isfinite(fitted.se_rho)
-        self.assert_same_fit(self.round_trip(fitted, tmp_path), fitted)
+        self.assert_same_fit(self.round_trip(fitted, problem, tmp_path), fitted)
+
+    @pytest.mark.parametrize("method", ["eigenvalues", "cholesky", "lu"])
+    def test_built_w_fit(self, tmp_path, method):
+        rng = np.random.default_rng(64)
+        index = random_flow_index(rng, max_nodes=8, max_flows=40)
+        if method == "eigenvalues":
+            spec, dyadic = NeighborhoodSpec("alliance_import"), complete_alliance(rng, index.nodes)
+        else:
+            spec, dyadic = NeighborhoodSpec("full_activity"), None
+        if method == "lu":
+            # A lone reciprocal pair: its flows' blocks border the core.
+            index = FlowIndex(period=1, dyads=index.dyads + (("Y0", "Y1"), ("Y1", "Y0")))
+        X = np.column_stack([np.ones(index.n), rng.standard_normal(index.n)])
+        y = X @ (1.0, 2.0) + rng.standard_normal(index.n)
+        problem = SemProblem(y=y, X=X, W=build_weight_matrix(spec, index, dyadic))
+        fitted = fit(problem)
+        assert fitted.log_det == method
+        self.assert_same_fit(self.round_trip(fitted, problem, tmp_path), fitted)
 
     def test_ols_fit(self, tmp_path):
-        fitted = fit_ols(random_problem(np.random.default_rng(61)))
+        # The problem's W is ignored: eps_hat is u_hat.
+        problem = random_problem(np.random.default_rng(61))
+        fitted = fit_ols(problem)
         assert fitted.se_rho is None and fitted.rho_bounds is None
-        self.assert_same_fit(self.round_trip(fitted, tmp_path), fitted)
+        self.assert_same_fit(self.round_trip(fitted, problem, tmp_path), fitted)
 
     def test_degenerate_fits(self, tmp_path):
         # A perfect fit: se_beta and se_rho are NaN or None, and an OLS
@@ -569,7 +601,7 @@ class TestFitFromDict:
         assert spatial.degenerate and math.isnan(spatial.se_rho)
         for fitted in (ols, spatial):
             assert np.isnan(fitted.se_beta).all()
-            self.assert_same_fit(self.round_trip(fitted, tmp_path), fitted)
+            self.assert_same_fit(self.round_trip(fitted, problem, tmp_path), fitted)
         written = json.loads((tmp_path / "fit.json").read_text(encoding="utf-8"))
         assert written["se_rho"] is None and written["se_beta"] == [None, None]
 
@@ -581,15 +613,16 @@ class TestFitFromDict:
         built = build_weight_matrix(NeighborhoodSpec("sender_attached"), index)
         X = np.column_stack([np.ones(index.n), rng.standard_normal(index.n)])
         y = X @ (1.0, 2.0) + rng.standard_normal(index.n)
-        for fitted, method in (
-            (fit(random_problem(rng)), "eigenvalues"),
-            (fit(SemProblem(y=y, X=X, W=built)), log_det_path(spectrum(built))),
-            (fit_ols(random_problem(rng)), None),
+        for problem, method, fitter in (
+            (random_problem(rng), "eigenvalues", fit),
+            (SemProblem(y=y, X=X, W=built), log_det_path(spectrum(built)), fit),
+            (random_problem(rng), None, fit_ols),
         ):
+            fitted = fitter(problem)
             assert fitted.log_det == method
             # The grid, Brent's first two steps, rho_hat and the curvature's three.
             assert (fitted.evaluations == 0) if method is None else (fitted.evaluations > GRID_POINTS + 5)
-            read = self.round_trip(fitted, tmp_path)
+            read = self.round_trip(fitted, problem, tmp_path)
             self.assert_same_fit(read, fitted)
             written = json.loads((tmp_path / "fit.json").read_text(encoding="utf-8"))
             assert (written["evaluations"], written["log_det"]) == (fitted.evaluations, method)

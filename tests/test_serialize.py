@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdisturb import _serialize
-from netdisturb._serialize import CHUNK, fmt, read_csv, write_blocks, write_csv
+from netdisturb._serialize import CHUNK, Coded, fmt, read_csv, write_blocks, write_csv
 
 
 def row_writer(path, header, rows):
@@ -22,9 +22,16 @@ def row_writer(path, header, rows):
             writer.writerow([fmt(cell) for cell in row])
 
 
+def decoded(column):
+    """A column's cells, a Coded column's labels gathered by code."""
+    if isinstance(column, Coded):
+        return [column.labels[code] for code in column.codes.tolist()]
+    return column
+
+
 def assert_same_bytes(tmp_path, header, columns):
     write_csv(tmp_path / "columns.csv", header, columns)
-    row_writer(tmp_path / "rows.csv", header, zip(*columns))
+    row_writer(tmp_path / "rows.csv", header, zip(*map(decoded, columns)))
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
@@ -53,10 +60,14 @@ def column(kind, size):
         return st.lists(st.booleans(), min_size=size, max_size=size).map(lambda v: np.array(v, bool))
     if kind == "str array":
         return st.lists(TEXT, min_size=size, max_size=size).map(lambda v: np.array(v, str))
+    if kind == "coded":
+        return st.lists(TEXT, min_size=1, max_size=5).flatmap(lambda labels: st.lists(
+            st.integers(0, len(labels) - 1), min_size=size, max_size=size,
+        ).map(lambda codes: Coded(labels, np.array(codes, np.intp))))
     return st.lists(MIXED, min_size=size, max_size=size)
 
 
-KINDS = ["text", "int", "float array", "float list", "bool array", "str array", "mixed"]
+KINDS = ["text", "int", "float array", "float list", "bool array", "str array", "coded", "mixed"]
 
 
 @st.composite
@@ -99,6 +110,20 @@ def test_columns_longer_than_a_chunk(tmp_path):
     assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+NAMES = ["a,b", 'say "x"', "100%", "%s", " pad ", "", "two words", "N00"]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_coded_names_over_more_than_a_chunk(tmp_path, width):
+    # Names that need quoting, and the empty one, which a one-cell row quotes alone.
+    n = CHUNK + 5
+    codes = np.arange(n, dtype=np.int32) % len(NAMES)
+    columns = (Coded(NAMES, codes), Coded(tuple(NAMES), codes[::-1].copy()), np.arange(n))
+    assert_same_bytes(tmp_path, ("sender", "receiver", "k")[:width], columns[:width])
+    if width == 1:
+        assert '\n""\n' in (tmp_path / "columns.csv").read_text()
+
+
 def test_float_arrays_use_the_digits_of_fmt():
     for value in (math.pi, -0.0, math.nan, -math.inf, 5e-324, 1e308, 0.1 + 0.2):
         assert "%.17g" % value == fmt(value) == fmt(np.float64(value))
@@ -118,7 +143,8 @@ def test_blocks_are_the_rows_of_each_block_in_turn(tmp_path_factory, sizes, data
     tmp_path = tmp_path_factory.mktemp("blocks")
     header = tuple(kinds)
     write_blocks(tmp_path / "blocks.csv", header, iter(blocks))
-    row_writer(tmp_path / "rows.csv", header, (row for columns in blocks for row in zip(*columns)))
+    rows = (row for columns in blocks for row in zip(*map(decoded, columns)))
+    row_writer(tmp_path / "rows.csv", header, rows)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
