@@ -494,18 +494,18 @@ def _outcome(data: PeriodData, candidate, stored=None):
     """The fit of ``candidate`` to one period, or the text of the error that stopped it.
 
     ``stored`` (from :func:`_stored_fits`) gives the outcome where it holds
-    the pair; the weight matrix is dropped once the fit returns.
+    the pair; with it comes the weight matrix of a fit computed here, else None.
     """
     key = (data.period, _candidate_id(candidate))
     if stored is not None and key in stored:
-        return stored[key]
+        return stored[key], None
     try:
         if candidate == OLS_CANDIDATE:
-            return fit_ols(SemProblem(y=data.y, X=data.design))
+            return fit_ols(SemProblem(y=data.y, X=data.design)), None
         weight = build_weight_matrix(candidate, data.index, data.dyadic.get(candidate.dyadic_series))
-        return fit(SemProblem(y=data.y, X=data.design, W=weight))
+        return fit(SemProblem(y=data.y, X=data.design, W=weight)), weight
     except NetdisturbError as exc:
-        return str(exc)
+        return str(exc), None
 
 
 def _stored_fits(config, candidates):
@@ -557,7 +557,7 @@ def cmd_fit(config: RunConfig) -> int:
     for data in _periods(config, config.candidates, skipped):
         periods.append(data.period)
         for candidate, cand_id in zip(config.candidates, ids):
-            outcome = _outcome(data, candidate)
+            outcome = _outcome(data, candidate)[0]  # drops the weight matrix at once
             if isinstance(outcome, str):
                 failures.append({"period": data.period, "structure": cand_id, "error": outcome})
                 continue
@@ -595,7 +595,7 @@ def cmd_select(config: RunConfig) -> int:
     outcomes = _stored_fits(config, config.candidates)
     if outcomes is None:
         outcomes = {
-            (data.period, _candidate_id(candidate)): _outcome(data, candidate)
+            (data.period, _candidate_id(candidate)): _outcome(data, candidate)[0]
             for data in _periods(config, config.candidates)
             for candidate in config.candidates
         }
@@ -655,15 +655,15 @@ def cmd_diagnose(config: RunConfig) -> int:
     tradecorr_items = []
     failures = []
     for data in _periods(config, [structure]):
-        result = _outcome(data, structure, stored)
+        result, weight = _outcome(data, structure, stored)
         if isinstance(result, str):
             failures.append({"period": data.period, "error": result})
             continue
         if not result.converged or result.degenerate:
             failures.append({"period": data.period, "error": "fit did not converge"})
             continue
-        weight = build_weight_matrix(structure, data.index, data.dyadic.get(structure.dyadic_series))
-        if result.u_hat is None:  # a stored fit holds its estimates only
+        if weight is None:  # a stored fit holds its estimates only
+            weight = build_weight_matrix(structure, data.index, data.dyadic.get(structure.dyadic_series))
             problem = SemProblem(y=data.y, X=data.design, W=weight)
             result.u_hat, result.eps_hat = residuals(problem, result.beta_hat, result.rho_hat)
         pooled.append(standardized_residuals(result))

@@ -14,12 +14,13 @@ nearest endpoint (constant extrapolation) and are reported with a warning;
 dyadic lookups at a period with no entry use the dyad's nearest recorded
 period, which carries e.g. a last-known alliance status forward.
 
-A dyadic series is held as arrays (node codes, period, value per record)
-and is read through one node x node table per period, which resolves the
-nearest-period rule for every dyad at once; the design's ``dyadic`` role,
-the alliance and distance weight structures and :meth:`DyadicSeries.lookup`
-all read that table.  The design reads the flow index's node codes: a
-nodal term looks each node up once and gathers its column by code.
+Both kinds of series are held as sorted node names and, per record, node
+codes (positions in those names), a period and a value; ``from_arrays``
+takes codes into sorted names, as :meth:`FlowIndex.from_codes` does.  A
+nodal series is read through one node x period table over the periods it
+observes, and a dyadic one through one node x node table per period, which
+resolves the nearest-period rule for every dyad at once.  A design term
+gathers its column from that table by the flow index's node codes.
 """
 
 from __future__ import annotations
@@ -44,31 +45,74 @@ ROLES = ("sender", "receiver", "dyadic", "abs_diff")
 TRANSFORMS = ("none", "log")
 
 
-@dataclass(frozen=True)
-class NodalSeries:
-    """One named per-node time series; NaN entries mark missing values.
+def _encode(*columns):
+    """The sorted names in the node-name `columns`, and each column as codes into them."""
+    nodes = sorted(set().union(*columns))
+    pos = {node: k for k, node in enumerate(nodes)}
+    return nodes, [np.fromiter(map(pos.__getitem__, col), np.int32, len(col)) for col in columns]
 
-    Raises
-    ------
-    CovariateError
-        For a value of +-inf, naming the series, the node and the period.
+
+class NodalSeries:
+    """One named per-node time series, held as arrays; NaN marks a missing value.
+
+    The series keeps its sorted node names ``nodes`` and, per record in
+    input order, ``node`` (codes into ``nodes``), ``period`` and ``value``.
+    ``NodalSeries(name, values)`` reads a dict ``{(node, period): value}``
+    and :meth:`from_arrays` the arrays; a value of +-inf raises
+    CovariateError naming its node and period.
     """
 
-    name: str
-    values: dict[tuple[str, int], float]
+    def __init__(self, name: str, values):
+        nodes, (node,) = _encode([node for node, _ in values])
+        self._setup(name, nodes, node, [t for _, t in values], list(values.values()))
 
-    def __post_init__(self):
-        spans: dict[str, tuple[int, int]] = {}
-        for (node, period), value in self.values.items():
-            if math.isnan(value):
-                continue
-            if math.isinf(value):
-                raise CovariateError(
-                    f"series {self.name!r} has non-finite value {value!r} for ({node}, {period})"
-                )
-            lo, hi = spans.get(node, (period, period))
-            spans[node] = (min(lo, period), max(hi, period))
-        object.__setattr__(self, "_spans", spans)
+    @classmethod
+    def from_arrays(cls, name, nodes, node, period, value) -> NodalSeries:
+        """A series from the sorted names ``nodes``, codes into them (as
+        :meth:`FlowIndex.from_codes` takes them), periods and values."""
+        series = cls.__new__(cls)
+        series._setup(name, nodes, node, period, value)
+        return series
+
+    def _setup(self, name, nodes, node, period, value) -> None:
+        self.name, self.nodes = name, tuple(nodes)
+        self._pos = {node: k for k, node in enumerate(self.nodes)}
+        self.node, self.period = np.asarray(node, np.int32), np.asarray(period, np.int64)
+        self.value = np.asarray(value, float)
+        if np.isinf(self.value).any():
+            k = int(np.argmax(np.isinf(self.value)))
+            raise CovariateError(
+                f"series {name!r} has non-finite value {float(self.value[k])!r} for "
+                f"({self.nodes[self.node[k]]}, {self.period[k]})"
+            )
+        # A table of every node's value at each period with a finite one (one
+        # more row, for a node the series does not hold, and column, both
+        # NaN), and each node's span: the ranks of its first and last.
+        finite = ~np.isnan(self.value)
+        self._periods, rank = np.unique(self.period[finite], return_inverse=True)
+        self._table = np.full((len(self.nodes) + 1, self._periods.size + 1), math.nan)
+        self._table[self.node[finite], rank] = self.value[finite]
+        seen = ~np.isnan(self._table)  # a row without observations reads NaN at any rank
+        self._first, self._last = seen.argmax(1), self._periods.size - seen[:, ::-1].argmax(1)
+
+    @property
+    def values(self) -> dict[tuple[str, int], float]:
+        """The records as ``{(node, period): value}``, in input order."""
+        names = map(self.nodes.__getitem__, self.node.tolist())
+        return dict(zip(zip(names, self.period.tolist()), self.value.tolist()))
+
+    def at(self, period: int, names) -> tuple[np.ndarray, np.ndarray]:
+        """The value at `period` of each node in `names`, and whether `period` is outside its span.
+
+        Outside its span a node reads the value at the nearest end.  A node
+        without observations, or without a finite value at `period` in it, reads NaN.
+        """
+        codes = np.fromiter(map(self._pos.get, names, repeat(-1)), np.intp, len(names))
+        first, last, periods = self._first[codes], self._last[codes], self._periods
+        lo, hi = np.searchsorted(periods, period), np.searchsorted(periods, period, "right")
+        before, after = first >= hi, last < lo
+        column = np.where(before, first, np.where(after, last, lo if lo < hi else periods.size))
+        return self._table[codes, column], before | after
 
     def lookup(self, node: str, period: int) -> tuple[float, bool]:
         """Value at (node, period); second element flags span extrapolation.
@@ -76,23 +120,14 @@ class NodalSeries:
         Inside the observed span every period must carry a finite value,
         i.e. the series must have been through :func:`impute_linear`.
         """
-        span = self._spans.get(node)
-        if span is None:
-            raise CovariateError(
-                f"series {self.name!r} has no observations for node {node!r}"
-            )
-        lo, hi = span
-        if period < lo:
-            return self.values[(node, lo)], True
-        if period > hi:
-            return self.values[(node, hi)], True
-        value = self.values.get((node, period), math.nan)
-        if math.isnan(value):
-            raise CovariateError(
-                f"series {self.name!r} missing value for ({node}, {period}); "
-                f"run impute_linear first"
-            )
-        return value, False
+        (value,), (out_of_span,) = self.at(period, [node])
+        if not math.isnan(value):
+            return float(value), bool(out_of_span)
+        if np.isnan(self._table[self._pos.get(node, -1)]).all():
+            raise CovariateError(f"series {self.name!r} has no observations for node {node!r}")
+        raise CovariateError(
+            f"series {self.name!r} missing value for ({node}, {period}); run impute_linear first"
+        )
 
 
 def impute_linear(series: NodalSeries) -> NodalSeries:
@@ -107,27 +142,25 @@ def impute_linear(series: NodalSeries) -> NodalSeries:
     CovariateError
         If some node carries only missing values.
     """
-    by_node: dict[str, list[tuple[int, float]]] = {}
-    for (node, period), value in series.values.items():
-        by_node.setdefault(node, []).append((period, value))
-    filled: dict[tuple[str, int], float] = {}
-    for node in sorted(by_node):
-        records = by_node[node]
-        observed = sorted((p, v) for p, v in records if not math.isnan(v))
-        if not observed:
+    if not series.node.size:
+        return series
+    order = np.lexsort((series.period, series.node))
+    node, period, value = series.node[order], series.period[order], series.value[order]
+    bounds = np.flatnonzero(np.diff(node, prepend=-1, append=-1)).tolist()  # each node's records
+    spans, filled = [], []
+    for start, stop in zip(bounds, bounds[1:]):
+        seen = ~np.isnan(value[start:stop])
+        if not seen.any():
             raise CovariateError(
-                f"series {series.name!r}: node {node!r} has no observed values"
+                f"series {series.name!r}: node {series.nodes[node[start]]!r} has no observed values"
             )
-        periods, vals = np.array(observed, dtype=float).T
-        recorded = [p for p, _ in records]
         # Cover every recorded period, observed or missing; np.interp clamps
         # to the end values outside the observed range, which is exactly the
         # nearest-value rule for leading/trailing gaps.
-        full = np.arange(min(recorded), max(recorded) + 1)
-        interp = np.interp(full, periods, vals)
-        for period, value in zip(full, interp):
-            filled[(node, int(period))] = float(value)
-    return NodalSeries(name=series.name, values=filled)
+        spans.append(np.arange(period[start], period[stop - 1] + 1))
+        filled.append(np.interp(spans[-1], period[start:stop][seen], value[start:stop][seen]))
+    codes = np.repeat(node[bounds[:-1]], [span.size for span in spans])
+    return NodalSeries.from_arrays(series.name, series.nodes, codes, np.concatenate(spans), np.concatenate(filled))
 
 
 class DyadicSeries:
@@ -154,32 +187,20 @@ class DyadicSeries:
     """
 
     def __init__(self, name: str, symmetric: bool, values, default: float | None = None):
-        keys = list(values)
-        nodes = sorted({node for a, b, _ in keys for node in (a, b)})
-        pos = {node: k for k, node in enumerate(nodes)}
-        self._setup(
-            name, symmetric, default, nodes,
-            [pos[a] for a, _, _ in keys], [pos[b] for _, b, _ in keys],
-            [t for _, _, t in keys], list(values.values()),
-        )
+        nodes, (a, b) = _encode([a for a, _, _ in values], [b for _, b, _ in values])
+        self._setup(name, symmetric, default, nodes, a, b, [t for *_, t in values], list(values.values()))
 
     @classmethod
     def from_arrays(
         cls, name, symmetric, nodes, node_a, node_b, period, value, default=None
     ) -> DyadicSeries:
-        """A series from node names and aligned record arrays.
+        """A series from the sorted names ``nodes`` and aligned record arrays.
 
-        ``node_a`` and ``node_b`` are positions in ``nodes``, which need
-        not be sorted; records keep the given order for error messages.
+        ``node_a`` and ``node_b`` hold codes into ``nodes``, as :meth:`FlowIndex.from_codes`
+        takes them; records keep the given order for error messages.
         """
-        order = sorted(range(len(nodes)), key=nodes.__getitem__)
-        recode = np.empty(len(nodes), np.int32)
-        recode[order] = np.arange(len(nodes))
         series = cls.__new__(cls)
-        series._setup(
-            name, symmetric, default, [nodes[k] for k in order],
-            recode[np.asarray(node_a)], recode[np.asarray(node_b)], period, value,
-        )
+        series._setup(name, symmetric, default, nodes, node_a, node_b, period, value)
         return series
 
     def _setup(self, name, symmetric, default, nodes, a, b, period, value) -> None:
@@ -218,14 +239,9 @@ class DyadicSeries:
     @property
     def values(self) -> dict[tuple[str, str, int], float]:
         """The records as ``{(node_a, node_b, period): value}``, NaN ones included."""
-        nodes = self.nodes
-        return {
-            (nodes[a], nodes[b], t): v
-            for a, b, t, v in zip(
-                self.node_a.tolist(), self.node_b.tolist(),
-                self.period.tolist(), self.value.tolist(),
-            )
-        }
+        name = self.nodes.__getitem__
+        keys = zip(map(name, self.node_a.tolist()), map(name, self.node_b.tolist()), self.period.tolist())
+        return dict(zip(keys, self.value.tolist()))
 
     @functools.cached_property
     def _index(self):
@@ -421,23 +437,17 @@ def build_design(
         if series is None:
             raise CovariateError(f"no nodal series named {term.series!r}")
         ends = [index.sender, index.receiver] if term.role == "abs_diff" else [getattr(index, term.role)]
-        # One lookup per node.  A failed one reads NaN, and its error is
-        # raised at the first flow that needs the node.
-        value, errors = np.full(len(index.nodes), math.nan), {}
-        for code in np.unique(np.concatenate(ends)).tolist():
-            try:
-                value[code], out_of_span = series.lookup(index.nodes[code], t)
-            except CovariateError as exc:
-                errors[code], out_of_span = exc, False
-            if out_of_span:
-                extrapolated.add((term.series, index.nodes[code]))
+        # Every node's value at t.  A node that fails reads NaN, and its
+        # lookup raises the error at the first flow that needs it.
+        value, out_of_span = series.at(t, index.nodes)
+        used = np.unique(np.concatenate(ends))
+        extrapolated.update((term.series, index.nodes[code]) for code in used[out_of_span[used]].tolist())
         col = np.abs(value[ends[0]] - value[ends[1]]) if len(ends) == 2 else value[ends[0]]
         bad = np.isnan(col) | ((col <= 0) & (term.transform == "log"))
         if bad.any():
             a = int(np.argmax(bad))
             for end in ends:
-                if end[a] in errors:
-                    raise errors[end[a]]
+                series.lookup(index.nodes[end[a]], t)
             raise log_error(term, float(col[a]), index.nodes[ends[-1][a]])
         return log(col) if term.transform == "log" else col
 
@@ -506,9 +516,7 @@ def _read_records(path, header, parse_value):
     """
     path, linenos, (*names, col_period, col_value) = read_csv(path, header, CovariateError)
     n = len(linenos)
-    nodes = sorted(set().union(*names))
-    pos = {node: k for k, node in enumerate(nodes)}
-    codes = [np.fromiter(map(pos.__getitem__, col), np.int32, n) for col in names]
+    nodes, codes = _encode(*names)
     period, bad_period = parse_column(col_period, int, np.int64)
     values, bad_value = parse_column(col_value, parse_value, float)
     # The first repeat of an entry among rows with a period.
@@ -535,8 +543,7 @@ def load_nodal_csv(path, name: str) -> NodalSeries:
     value must be finite or missing: ``inf`` is a bad value.
     """
     nodes, (node,), period, value = _read_records(path, NODAL_HEADER, _finite_value)
-    keys = zip(map(nodes.__getitem__, node.tolist()), period.tolist())
-    return NodalSeries(name=name, values=dict(zip(keys, value.tolist())))
+    return NodalSeries.from_arrays(name, nodes, node, period, value)
 
 
 def load_dyadic_csv(
@@ -554,11 +561,10 @@ def load_dyadic_csv(
 
 
 def write_nodal_csv(path, series: NodalSeries) -> None:
-    items = sorted(series.values.items())
+    """Write the records sorted by (node, period), NaN ones included."""
+    order = np.lexsort((series.period, series.node))
     write_csv(path, NODAL_HEADER, (
-        [node for (node, _), _ in items],
-        [period for (_, period), _ in items],
-        [value for _, value in items],
+        Coded(series.nodes, series.node[order]), series.period[order], series.value[order],
     ))
 
 

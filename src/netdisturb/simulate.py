@@ -150,15 +150,16 @@ def simulate(spec: SimSpec) -> SimResult:
     p = len(spec.beta)
     recipe = synthetic_recipe(p)
 
-    cov_periods = range(first_period - spec.lag, spec.n_periods + 1)
+    # Index codes are ranks among the sorted names (N1000 sorts before N101).
+    n = spec.n_nodes
+    names = sorted(nodes)
+    code = np.argsort(np.argsort(nodes, kind="stable"))
+    # One standard normal per node (in roster order) and period, drawn at once.
+    cov_periods = np.arange(first_period - spec.lag, spec.n_periods + 1)
     nodal = [
-        NodalSeries(
-            name=f"x{k}",
-            values={
-                (node, t): float(rng.standard_normal())
-                for node in nodes
-                for t in cov_periods
-            },
+        NodalSeries.from_arrays(
+            f"x{k}", names, np.repeat(code, cov_periods.size), np.tile(cov_periods, n),
+            rng.standard_normal(n * cov_periods.size),
         )
         for k in range(1, p)
     ]
@@ -173,19 +174,15 @@ def simulate(spec: SimSpec) -> SimResult:
     periods = np.full(first.size, first_period)
     distances = np.hypot(*(xy[first] - xy[second]).T)
     allied = rng.uniform(size=first.size) < spec.alliance_prob
+    first, second = code[first], code[second]  # each pair's node codes, in place of its positions
     dyadic = [
-        DyadicSeries.from_arrays("alliance", True, nodes, first, second, periods, allied.astype(float)),
-        DyadicSeries.from_arrays("distance", True, nodes, first, second, periods, distances),
+        DyadicSeries.from_arrays("alliance", True, names, first, second, periods, allied.astype(float)),
+        DyadicSeries.from_arrays("distance", True, names, first, second, periods, distances),
     ]
     context = {series.name: series for series in dyadic}.get(spec.structure.dyadic_series)
 
-    # Every ordered pair a != b as a * n + b, in the order the graph draws
-    # use.  Index codes are ranks among the sorted names (N1000 sorts
-    # before N101).
-    n = spec.n_nodes
+    # Every ordered pair a != b as a * n + b, in the order the graph draws use.
     pairs = np.flatnonzero(~np.eye(n, dtype=bool))
-    names = sorted(nodes)
-    code = np.argsort(np.argsort(nodes, kind="stable"))
     min_flows = p + 2
 
     panel = []

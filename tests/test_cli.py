@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -671,6 +672,35 @@ def test_a_command_loads_only_the_dyadic_series_it_reads(
     assert names == loaded
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert {"dyadic.alliance", "dyadic.distance"} <= set(manifest["input_sha256"])
+
+
+@pytest.mark.parametrize("structure, reused_builds", [("full_activity", 12), ("distance_import:1", 0)])
+def test_diagnose_builds_each_period_w_once(tmp_path, monkeypatch, structure, reused_builds):
+    # The demos/pipeline panel has 12 periods.  Under distance_import:1 no
+    # flow has a neighbour, so every fit fails; a stored failure needs no W.
+    demo = Path(__file__).parents[1] / "demos" / "pipeline"
+    assert main(["simulate", "--spec", str(demo / "sim.cfg"), "--out", str(tmp_path / "data")]) == 0
+    config_file = tmp_path / "run.cfg"
+    text = (demo / "run.cfg").read_text(encoding="utf-8")
+    for key in ("candidates", "diagnose_structure"):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {structure}", text)
+    config_file.write_text(text, encoding="utf-8")
+    periods = []
+    original = netdisturb.cli.build_weight_matrix
+    monkeypatch.setattr(
+        "netdisturb.cli.build_weight_matrix",
+        lambda spec, index, *a: periods.append(index.period) or original(spec, index, *a),
+    )
+
+    def builds(out):
+        periods.clear()
+        status = main(["diagnose", "--config", str(config_file), "--out", str(out)])
+        assert status == (0 if structure == "full_activity" else 1)
+        return periods.copy()
+
+    assert builds(tmp_path / "fresh") == list(range(1, 13))
+    assert main(["fit", "--config", str(config_file), "--out", str(tmp_path / "reused")]) == 0
+    assert builds(tmp_path / "reused") == list(range(1, 13))[:reused_builds]
 
 
 def run_fresh_interpreter(code, *args):

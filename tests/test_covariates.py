@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -529,6 +530,24 @@ class TestLoaderMessages:
         assert message == "log of nonpositive 'trade' value -2.0 for (A, B) at period 1"
 
 
+def span_lookup(series, node, t):
+    """(value, out of span) at (node, t) by the span rule, read off ``series.values``.
+
+    The reference for NodalSeries.lookup and its table.
+    """
+    observed = {p: v for (n, p), v in series.values.items() if n == node and not math.isnan(v)}
+    if not observed:
+        raise CovariateError(f"series {series.name!r} has no observations for node {node!r}")
+    lo, hi = min(observed), max(observed)
+    if not lo <= t <= hi:
+        return observed[lo if t < lo else hi], True
+    if t not in observed:
+        raise CovariateError(
+            f"series {series.name!r} missing value for ({node}, {t}); run impute_linear first"
+        )
+    return observed[t], False
+
+
 def loop_design(index, nodal, recipe, t):
     """The nodal columns as the per-flow loop built them: (columns, warning) or error text.
 
@@ -541,7 +560,7 @@ def loop_design(index, nodal, recipe, t):
         series = nodal_map.get(term.series)
         if series is None:
             raise CovariateError(f"no nodal series named {term.series!r}")
-        value, out_of_span = series.lookup(node, t)
+        value, out_of_span = span_lookup(series, node, t)
         if out_of_span:
             extrapolated.add((term.series, node))
         return value
@@ -622,3 +641,98 @@ def test_build_design_matches_flow_loop(case):
     columns, warning = expected
     np.testing.assert_array_equal(design.rows, np.column_stack(columns))
     assert [str(w.message) for w in caught] == ([warning] if warning else [])
+
+
+def outcome_of(call, *args):
+    """The call's result, or the text of the CovariateError it raised."""
+    try:
+        return call(*args)
+    except CovariateError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nodal_cases())
+def test_nodal_lookup_matches_span_rule(case):
+    index, nodal, _ = case
+    for series in nodal:
+        for node in NODES + ("Z",):
+            assert outcome_of(series.lookup, node, index.period) == outcome_of(
+                span_lookup, series, node, index.period
+            )
+
+
+def impute_loop(series):
+    """`impute_linear`'s values as its former loop over the dict built them, or its error text."""
+    by_node: dict[str, list[tuple[int, float]]] = {}
+    for (node, period), value in series.values.items():
+        by_node.setdefault(node, []).append((period, value))
+    filled: dict[tuple[str, int], float] = {}
+    for node in sorted(by_node):
+        records = by_node[node]
+        observed = sorted((p, v) for p, v in records if not math.isnan(v))
+        if not observed:
+            return f"series {series.name!r}: node {node!r} has no observed values"
+        periods, vals = np.array(observed, dtype=float).T
+        recorded = [p for p, _ in records]
+        full = np.arange(min(recorded), max(recorded) + 1)
+        interp = np.interp(full, periods, vals)
+        for period, value in zip(full, interp):
+            filled[(node, int(period))] = float(value)
+    return filled
+
+
+NODAL_RECORDS = st.dictionaries(
+    st.tuples(
+        st.sampled_from(["A", "B", "a,b", " C", "N1000", "N101"]),
+        st.sampled_from([-3, 0, 1, 2, 5, 9, 40]),
+    ),
+    st.one_of(st.just(math.nan), st.floats(-1e300, 1e300)),
+    max_size=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NODAL_RECORDS)
+def test_impute_linear_matches_dict_loop(values):
+    series = NodalSeries("g", values)
+    expected = impute_loop(series)
+    try:
+        filled = impute_linear(series)
+    except CovariateError as exc:
+        assert str(exc) == expected
+        return
+    # The same records in the same order (by node, then period), bit for bit.
+    assert list(filled.values.items()) == list(expected.items())
+    assert impute_linear(filled).values == filled.values
+
+
+def test_nodal_table_is_bounded_by_distinct_periods(tmp_path):
+    # One node is observed at period 0 and the other at 10**8.  A table over
+    # every period between them would hold 3 x 10**8 floats (2.4 GB).
+    path = nodal_file(tmp_path, f"A,0,1.5\nB,{10**8},2.5\n")
+    snapshot = snapshot_of(10**8, [("A", "B", 1.0), ("B", "A", 1.0)])
+    recipe = (CovariateTerm("g", "sender"), CovariateTerm("g", "abs_diff"))
+    tracemalloc.start()
+    try:
+        series = impute_linear(load_nodal_csv(path, "g"))
+        with pytest.warns(UserWarning, match="1 covariate lookups fell outside"):
+            design = build_design(snapshot, index_flows(snapshot), [series], [], recipe, lag=0)
+        lookups = [series.lookup(node, t) for node in "AB" for t in (0, 10**8)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert series.values == {("A", 0): 1.5, ("B", 10**8): 2.5}
+    np.testing.assert_array_equal(design.rows, [[1.0, 1.5, 1.0], [1.0, 2.5, 1.0]])
+    assert lookups == [(1.5, False), (1.5, True), (2.5, True), (2.5, False)]
+
+
+def test_header_only_nodal_csv_has_no_observations(tmp_path):
+    series = impute_linear(load_nodal_csv(nodal_file(tmp_path, ""), "g"))
+    assert series.values == {}
+    snapshot = snapshot_of(1, [("A", "B", 1.0)])
+    message = error_text(
+        build_design, snapshot, index_flows(snapshot), [series], [], (CovariateTerm("g", "sender"),), lag=0
+    )
+    assert message == "series 'g' has no observations for node 'A'"

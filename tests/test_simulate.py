@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -58,8 +59,9 @@ class TestSimulate:
         assert truth["structure"] == "full_activity"
         assert truth["beta"] == [1.0, 2.0, -1.0]
 
-    def test_codes_follow_sorted_names_past_1000_nodes(self):
-        # N1000 sorts between N100 and N101: the index must order by name.
+    def test_codes_follow_sorted_names_past_1000_nodes(self, tmp_path):
+        # N1000 sorts between N100 and N101: the index, the covariate series
+        # and their CSV rows must order by name.
         result = simulate(base_spec(n_nodes=1002, n_periods=1, density=1e-3, seed=5))
         index = result.indices[1]
         assert list(index.nodes) == sorted(f"N{k:03d}" for k in range(1002))
@@ -67,6 +69,16 @@ class TestSimulate:
         assert list(index.dyads) == sorted(index.dyads)
         assert [index.nodes[code] for code in index.sender] == [s for s, _ in index.dyads]
         assert result.panel[0].index is index
+        paths = write_sim_csvs(result, tmp_path)
+        for name in ("x1", "alliance"):
+            with open(paths[name], newline="", encoding="utf-8") as fh:
+                keys = [row[:-2] for row in csv.reader(fh)][1:]
+            assert keys == sorted(keys) and len(keys) >= 1002, name
+        assert load_nodal_csv(paths["x1"], "x1").values == result.nodal[0].values
+        for series in result.dyadic:
+            loaded = load_dyadic_csv(paths[series.name], series.name, symmetric=True)
+            assert loaded.nodes == series.nodes == index.nodes
+            np.testing.assert_array_equal(loaded.table(1), series.table(1))
 
     def test_flows_are_exp_of_model(self):
         result = simulate(base_spec())
