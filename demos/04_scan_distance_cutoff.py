@@ -58,7 +58,7 @@ for period in range(1, 7):
     u = draw_disturbances(weight, 0.7, 1.0, rng)[0]
     X = np.column_stack([np.ones(index.n), rng.standard_normal(index.n)])
     y = X @ np.array([1.0, 1.0]) + u
-    residuals[period] = fit_ols(SemProblem(y=y, X=X)).u_hat
+    residuals[period] = y - X @ fit_ols(SemProblem(y=y, X=X)).beta_hat
     indices[period] = index
 
 scan = scan_cutoffs(

@@ -22,6 +22,7 @@ from netdisturb import (
     standardized_residuals,
     tradecorr_residuals,
 )
+from netdisturb.sem import residuals
 
 spec = SimSpec(
     n_nodes=40,
@@ -39,15 +40,16 @@ pooled = []
 spillovers = []
 for period, snapshot in zip(sorted(result.indices), result.panel):
     index = result.indices[period]
-    fitted = fit(
-        SemProblem(
-            y=log_flow_vector(snapshot, index),
-            X=result.designs[period],
-            W=result.weights[period],
-        )
+    problem = SemProblem(
+        y=log_flow_vector(snapshot, index),
+        X=result.designs[period],
+        W=result.weights[period],
     )
-    pooled.append(standardized_residuals(fitted))
-    spillovers.append(tradecorr_residuals(fitted, result.weights[period], index))
+    fitted = fit(problem)
+    # A fit holds its estimates; the residuals are formed from its problem.
+    u_hat, eps_hat = residuals(problem, fitted.beta_hat, fitted.rho_hat)
+    pooled.append(standardized_residuals(fitted, eps_hat))
+    spillovers.append(tradecorr_residuals(fitted, u_hat, result.weights[period], index))
 
 standardized = np.concatenate(pooled)
 print(f"pooled {standardized.size} standardized residuals "

@@ -69,7 +69,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -562,9 +562,7 @@ def cmd_fit(config: RunConfig) -> int:
                 failures.append({"period": data.period, "structure": cand_id, "error": outcome})
                 continue
             write_fit_json(config.out / "fits" / cand_id / f"period_{data.period}.json", outcome)
-            # coefficients.csv reads the estimates only.
-            estimates = replace(outcome, u_hat=None, eps_hat=None)
-            entries[cand_id].append((data.period, cand_id, estimates))
+            entries[cand_id].append((data.period, cand_id, outcome))
     for cand_id, rows in entries.items():
         if rows:
             write_coefficients_csv(config.out / "fits" / cand_id / "coefficients.csv", rows)
@@ -628,7 +626,8 @@ def cmd_scan(config: RunConfig) -> int:
     _require_series(config, [scanned], "scan")
     ols_residuals, indices, distances = {}, {}, None
     for data in _periods(config, [scanned]):
-        ols_residuals[data.period] = fit_ols(SemProblem(y=data.y, X=data.design)).u_hat
+        problem = SemProblem(y=data.y, X=data.design)
+        ols_residuals[data.period] = residuals(problem, fit_ols(problem).beta_hat)[0]
         indices[data.period] = data.index
         distances = data.dyadic[scanned.dyadic_series]
     scan = scan_cutoffs(
@@ -660,14 +659,15 @@ def cmd_diagnose(config: RunConfig) -> int:
             failures.append({"period": data.period, "error": result})
             continue
         if not result.converged or result.degenerate:
-            failures.append({"period": data.period, "error": "fit did not converge"})
+            error = "fit is degenerate" if result.converged else "fit did not converge"
+            failures.append({"period": data.period, "error": error})
             continue
-        if weight is None:  # a stored fit holds its estimates only
+        if weight is None:  # a stored fit comes without its W
             weight = build_weight_matrix(structure, data.index, data.dyadic.get(structure.dyadic_series))
-            problem = SemProblem(y=data.y, X=data.design, W=weight)
-            result.u_hat, result.eps_hat = residuals(problem, result.beta_hat, result.rho_hat)
-        pooled.append(standardized_residuals(result))
-        tradecorr_items.append(tradecorr_residuals(result, weight, data.index))
+        problem = SemProblem(y=data.y, X=data.design, W=weight)
+        u_hat, eps_hat = residuals(problem, result.beta_hat, result.rho_hat)
+        pooled.append(standardized_residuals(result, eps_hat))
+        tradecorr_items.append(tradecorr_residuals(result, u_hat, weight, data.index))
 
     if not pooled:
         raise NetdisturbError("no period produced a usable fit to diagnose")

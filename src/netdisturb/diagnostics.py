@@ -3,7 +3,9 @@
 Emits plot-ready data only (no rendering): QQ pairs and histogram bins of
 standardized whitened residuals against a standard normal reference, and
 per-node kernel density estimates of the spillover residuals rho_hat W
-u_hat, each flow's value attributed to both of its endpoint nodes.
+u_hat, each flow's value attributed to both of its endpoint nodes.  A fit
+holds its estimates only: the residual functions take the fit with the
+residuals that :func:`~netdisturb.sem.residuals` forms for it.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from .sem import DEGENERATE_SIGMA2, SemFit
 from .weights import WeightMatrix
 
 
-def standardized_residuals(fit: SemFit) -> np.ndarray:
-    """Whitened residuals scaled by the estimated sigma."""
+def standardized_residuals(fit: SemFit, eps_hat) -> np.ndarray:
+    """The fit's whitened residuals ``eps_hat`` scaled by its estimated sigma."""
     if not fit.converged:
         raise EstimationError("cannot standardize residuals of a non-converged fit")
     if fit.degenerate or fit.sigma2_hat < DEGENERATE_SIGMA2:
         raise EstimationError("sigma^2 is degenerate; standardized residuals undefined")
-    return fit.eps_hat / math.sqrt(fit.sigma2_hat)
+    return eps_hat / math.sqrt(fit.sigma2_hat)
 
 
 def qq_pairs(values) -> tuple[np.ndarray, np.ndarray]:
@@ -86,14 +88,14 @@ class TradecorrResiduals:
 
 
 def tradecorr_residuals(
-    fit: SemFit, weights: WeightMatrix, index: FlowIndex
+    fit: SemFit, u_hat, weights: WeightMatrix, index: FlowIndex
 ) -> TradecorrResiduals:
-    """Spillover residuals of one period's flows, in the order of ``index``."""
+    """Spillover residuals rho_hat W u_hat of one period's flows, in the order of ``index``."""
     if not fit.converged:
         raise EstimationError("cannot compute spillover residuals of a non-converged fit")
     if weights.index is not index and weights.index.dyads != index.dyads:
         raise EstimationError("weight matrix and flow index do not match")
-    values = fit.rho_hat * (weights @ fit.u_hat)
+    values = fit.rho_hat * (weights @ u_hat)
     return TradecorrResiduals(period=index.period, values=values, index=index)
 
 

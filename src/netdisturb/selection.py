@@ -8,9 +8,9 @@ For every period each candidate's AIC is rescaled by the period minimum
 interpretable as the probability that candidate i is the best of the set.
 Aggregated AICs (summed over periods) are rescaled the same way, with the
 overall winner attaining delta 0.  Periods where a candidate is missing,
-failed, did not converge or has a degenerate fit (non-finite AIC, e.g. a
-perfect fit) are excluded from both views and reported; a candidate with
-no usable fit in any period is dropped instead, and reported.
+failed, did not converge or has a degenerate fit (a perfect fit, or a
+non-finite AIC) are excluded from both views and reported; a candidate
+with no usable fit in any period is dropped instead, and reported.
 """
 
 from __future__ import annotations
@@ -74,13 +74,14 @@ def select(
 ) -> SelectionReport:
     """Build a selection report from per-(period, structure) fits.
 
-    A candidate with no converged fit with a finite AIC in any period is
-    left out and listed in ``dropped`` with its reasons.  A period enters
-    the comparison only if every other candidate has such a fit for it;
-    dropped periods are listed in ``excluded`` with a reason, which quotes
-    the error that ``failures`` maps a failed (period, structure) fit to.
-    Ties for the aggregated minimum keep delta 0 for every tied structure,
-    and the winner is the first one in ``structures`` order.
+    A candidate with no usable fit (converged, not degenerate, with a
+    finite AIC) in any period is left out and listed in ``dropped`` with its
+    reasons.  A period enters the comparison only if every other candidate
+    has such a fit for it; dropped periods are listed in ``excluded`` with a
+    reason, which quotes the error that ``failures`` maps a failed
+    (period, structure) fit to.  Ties for the aggregated minimum keep
+    delta 0 for every tied structure, and the winner is the first one in
+    ``structures`` order.
 
     Raises
     ------
@@ -102,7 +103,7 @@ def select(
             return f"missing fit for {structure}"
         if not result.converged:
             return f"non-converged fit for {structure}"
-        if not math.isfinite(result.aic):
+        if result.degenerate or not math.isfinite(result.aic):
             return f"degenerate fit for {structure}"
         return None
 

@@ -37,8 +37,9 @@ Z'Z, Z'WZ + (WZ)'Z and (WZ)'(WZ) are formed once, (AZ)'(AZ) is a quadratic
 in rho, and beta(rho) and e'e come from a p x p solve, so no evaluation
 touches the n flows.  The reported fit at the optimum is recomputed by
 least squares on A y and A X (the normal equations square the condition
-number).  W y, W X and W u_hat are taken as ``W @ v``, from the factors of
-a built W, so a fit never forms its n x n entries.
+number).  W y and W X, and the W u_hat of :func:`residuals`, are taken as
+``W @ v``, from the factors of a built W, so a fit never forms its n x n
+entries.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 BOUNDARY_MARGIN = 1e-6
 # Evenly spaced profile evaluations that bracket the optimum for Brent.
 GRID_POINTS = 21
+# The Brent step stops once its bracket on rho is within BRENT_XATOL plus
+# sqrt(eps) |rho|, or after BRENT_MAXFUN profile evaluations.
+BRENT_XATOL = 1e-8
+BRENT_MAXFUN = 500
 # sigma^2 below this is treated as a degenerate (perfect) fit.
 DEGENERATE_SIGMA2 = 1e-12
 
@@ -287,18 +292,15 @@ def profile_loglik(rho: float, problem: SemProblem, spec: Spectrum) -> ProfilePo
     return _ProfileCache(problem).point(rho, spec)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SemFit:
-    """Estimates, uncertainty and residuals for one fitted period.
+    """Estimates and uncertainty for one fitted period; :func:`residuals` forms its residuals.
 
     ``p_values`` has one entry per beta coefficient followed by the one for
-    rho (NaN when no standard error is available).  ``u_hat`` is y - X beta
-    and ``eps_hat = (I - rho W) u_hat`` is the whitened disturbance, both
-    from :func:`residuals`; they are None on a fit read back by
-    :func:`fit_from_dict`, which :func:`residuals` completes.
-    ``evaluations`` counts the rho values at which :func:`fit` evaluated the
-    profile (0 for :func:`fit_ols`), and ``log_det`` names the factorization
-    of its log-determinant (:func:`log_det_path`; None for ``fit_ols``).
+    rho (NaN where no standard error is available).  ``evaluations`` counts
+    the rho values at which :func:`fit` evaluated the profile (0 for
+    :func:`fit_ols`), and ``log_det`` names the factorization of its
+    log-determinant (:func:`log_det_path`; None for ``fit_ols``).
     """
 
     rho_hat: float
@@ -309,8 +311,6 @@ class SemFit:
     p_values: np.ndarray
     loglik: float
     aic: float
-    u_hat: np.ndarray | None
-    eps_hat: np.ndarray | None
     converged: bool
     degenerate: bool = False
     column_names: tuple[str, ...] = ()
@@ -320,9 +320,9 @@ class SemFit:
 
 
 def _two_sided_p(estimate, se):
-    """2 P(Z > |estimate| / se) for standard normal Z, as erfc(z / sqrt 2), entry by entry."""
+    """2 P(Z > |estimate| / se) for standard normal Z, entry by entry; all NaN without finite se."""
     if se is None or not np.all(np.isfinite(np.atleast_1d(se))):
-        return np.nan
+        return np.full(np.size(estimate), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.atleast_1d(np.abs(estimate) / se) * math.sqrt(0.5)
     return np.fromiter(map(math.erfc, scaled.tolist()), float, scaled.size)
@@ -403,32 +403,22 @@ def _bounded_brent(func, a: float, b: float, xatol: float, maxfun: int):
     return xf, fx, not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
 
 
-def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemFit:
+def fit(problem: SemProblem) -> SemFit:
     """Fit the disturbance model by profiled maximum likelihood.
 
     The profile is evaluated at ``GRID_POINTS`` evenly spaced points over
     the rho interval of :func:`spectrum` kept ``BOUNDARY_MARGIN`` inside
     its ends, (-1, 1) for a built W, in one call of the cross-product
     profile (and so of :func:`log_det`); Brent's bounded method
-    (:func:`_bounded_brent`) then refines the best of them between its two
-    neighbours, one rho per call, and the grid point is kept unless Brent
-    beats it (so an optimum at an interval end lands exactly on it).  beta,
-    sigma^2 and the log-likelihood at the optimum come from least squares.
-    Standard errors for beta come from sigma^2 ((AX)'(AX))^{-1} at the
-    optimum; the one for rho from the curvature of the profiled
-    log-likelihood, estimated by a central second difference over three
-    rho in one call (NaN at an interval end).
-
-    Parameters
-    ----------
-    problem : SemProblem
-    xtol : float
-        Absolute tolerance on rho for the Brent step: it stops once the
-        bracket around its best rho is within ``xtol`` plus sqrt(eps) |rho|
-        (scipy's ``xatol`` for ``minimize_scalar(method="bounded")``).
-    max_iter : int
-        Cap on the Brent step's profile evaluations, the first included
-        (that method's ``maxiter``).
+    (:func:`_bounded_brent`, to ``BRENT_XATOL`` in at most ``BRENT_MAXFUN``
+    evaluations) then refines the best of them between its two neighbours,
+    one rho per call, and the grid point is kept unless Brent beats it (so
+    an optimum at an interval end lands exactly on it).  beta, sigma^2 and
+    the log-likelihood at the optimum come from least squares.  Standard
+    errors for beta come from sigma^2 ((AX)'(AX))^{-1} at the optimum; the
+    one for rho from the curvature of the profiled log-likelihood,
+    estimated by a central second difference over three rho in one call
+    (NaN at an interval end).
 
     Returns
     -------
@@ -460,15 +450,14 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
         lambda rho: -cache.profile(rho, spec),
         float(grid[max(best - 1, 0)]),
         float(grid[min(best + 1, GRID_POINTS - 1)]),
-        xtol,
-        max_iter,
+        BRENT_XATOL,
+        BRENT_MAXFUN,
     )
     rho_hat = brent_rho if -brent_min > values[best] else float(grid[best])
 
     at_optimum = cache.point(rho_hat, spec)
     beta = at_optimum.beta
     sigma2 = at_optimum.sigma2
-    u_hat, eps_hat = residuals(problem, beta, rho_hat)
     p = problem.p
     aic = -2.0 * at_optimum.loglik + 2.0 * (p + 2)
 
@@ -492,8 +481,6 @@ def fit(problem: SemProblem, *, xtol: float = 1e-8, max_iter: int = 500) -> SemF
         p_values=p_values,
         loglik=at_optimum.loglik,
         aic=aic,
-        u_hat=u_hat,
-        eps_hat=eps_hat,
         converged=converged,
         degenerate=degenerate,
         column_names=problem.column_names,
@@ -527,8 +514,8 @@ def fit_ols(problem: SemProblem) -> SemFit:
     n, p = problem.n, problem.p
     _require_full_rank(problem)
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    u_hat, eps_hat = residuals(problem, beta)
-    sigma2 = float(u_hat @ u_hat) / n
+    u = y - X @ beta
+    sigma2 = float(u @ u) / n
     degenerate = sigma2 < DEGENERATE_SIGMA2
     if degenerate:
         loglik = math.inf
@@ -548,8 +535,6 @@ def fit_ols(problem: SemProblem) -> SemFit:
         p_values=p_values,
         loglik=loglik,
         aic=-2.0 * loglik + 2.0 * (p + 1),
-        u_hat=u_hat,
-        eps_hat=eps_hat,
         converged=True,
         degenerate=degenerate,
         column_names=problem.column_names,
@@ -558,32 +543,28 @@ def fit_ols(problem: SemProblem) -> SemFit:
 
 
 def residuals(problem: SemProblem, beta, rho: float | None = None):
-    """``(u_hat, eps_hat)``: u_hat = y - X beta and eps_hat = (I - rho W) u_hat.
+    """``(u_hat, eps_hat)`` of estimates ``beta`` and ``rho``: y - X beta and (I - rho W) u_hat.
 
-    With ``rho`` None (:func:`fit_ols`) eps_hat is a copy of u_hat.  Given a
-    fit's own problem, ``beta_hat`` and ``rho_hat``, these are the residuals
-    the fit returned, bit for bit.
+    With ``rho`` None (a :func:`fit_ols` fit, whose problem needs no W) eps_hat is u_hat.
     """
     u_hat = problem.y - problem.X @ beta
-    eps_hat = u_hat.copy() if rho is None else u_hat - rho * (problem.W @ u_hat)
-    return u_hat, eps_hat
+    return u_hat, (u_hat if rho is None else u_hat - rho * (problem.W @ u_hat))
 
 
 def fit_to_dict(result: SemFit) -> dict:
-    """JSON-ready mapping with one entry per SemFit field but the residuals, in field order."""
-    names = [field.name for field in fields(SemFit) if field.name not in ("u_hat", "eps_hat")]
-    return {name: getattr(result, name) for name in names}
+    """JSON-ready mapping with one entry per SemFit field, in field order."""
+    return {field.name: getattr(result, field.name) for field in fields(SemFit)}
 
 
 def fit_from_dict(payload: dict) -> SemFit:
     """The SemFit that :func:`fit_to_dict` mapped to ``payload``, after JSON.
 
-    Its ``u_hat`` and ``eps_hat`` are None (any residuals ``payload``
-    holds are ignored); :func:`residuals` forms them from the fit's problem.
-    JSON has no NaN or infinity, so each is written as null.  A null reads
-    back as NaN, except where a fit only ever puts one other value: an
-    infinite ``loglik`` is the +inf of a perfect fit, and its ``aic`` then
-    -inf; ``se_rho`` is None for a fit with no rho interval (``fit_ols``).
+    Keys that are no SemFit field, such as the ``u_hat`` and ``eps_hat``
+    of fits stored before, are ignored.  JSON has no NaN or infinity, so
+    each is written as null.  A null reads back as NaN, except where a fit
+    only ever puts one other value: an infinite ``loglik`` is the +inf of a
+    perfect fit, and its ``aic`` then -inf; ``se_rho`` is None for a fit
+    with no rho interval (``fit_ols``).
     """
 
     def number(value, missing=math.nan) -> float:
@@ -602,8 +583,6 @@ def fit_from_dict(payload: dict) -> SemFit:
         p_values=array(payload["p_values"]),
         loglik=number(payload["loglik"], math.inf),
         aic=number(payload["aic"], -math.inf),
-        u_hat=None,
-        eps_hat=None,
         converged=bool(payload["converged"]),
         degenerate=bool(payload["degenerate"]),
         column_names=tuple(payload["column_names"]),
@@ -628,7 +607,7 @@ def write_coefficients_csv(path, entries) -> None:
         periods += [period] * (p + 1)
         structures += [structure] * (p + 1)
         terms += [*result.column_names, "rho"]
-        estimates += [*result.beta_hat[:p], result.rho_hat]
-        ses += [*result.se_beta[:p], math.nan if result.se_rho is None else result.se_rho]
-        p_values += [*result.p_values[:p], result.p_values[-1]]
+        estimates += [*result.beta_hat, result.rho_hat]
+        ses += [*result.se_beta, math.nan if result.se_rho is None else result.se_rho]
+        p_values += [*result.p_values]
     write_csv(path, ("period", "structure", "term", "estimate", "se", "p_value"), columns)

@@ -282,7 +282,7 @@ def _planted_radius_panel(seed, radius_km=800.0, n_regions=10, periods=6):
         X = np.column_stack([np.ones(index.n), rng.standard_normal(index.n)])
         y = X @ np.array([1.0, 1.0]) + u
         problem = SemProblem(y=y, X=X, W=np.zeros((index.n, index.n)))
-        residuals[period] = fit_ols(problem).u_hat
+        residuals[period] = problem.y - problem.X @ fit_ols(problem).beta_hat
         indices[period] = index
     return residuals, indices, distances
 

@@ -4,10 +4,12 @@
 ingest and weight builders and its artifacts by file name, then recomputes
 every fit, the selection and the scan.  Running it here makes a change to
 that API or to those artifacts fail the test suite, not only the benchmark.
+So does a rename of a function that the benchmark's tracer wraps.
 """
 
 import importlib.util
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from netdisturb.cli import main
@@ -37,3 +39,14 @@ def test_oracle_accepts_a_small_pipeline(tmp_path):
     result = check.panel_result(out, candidates)
     assert len(result["fits"]) == len(candidates) * shape.n_periods
     assert check.panel_oracle(data, out, candidates, result) == {}
+
+
+def test_every_trace_patch_target_resolves():
+    # A renamed function would leave its per-layer benchmark metric at 0.
+    tracing = bench_module("tracing")
+    unresolved = [
+        f"{module}.{attr}"
+        for module, attr, _, _ in tracing.PATCHES
+        if getattr(import_module(module), attr, None) is None
+    ]
+    assert unresolved == []

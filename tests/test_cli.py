@@ -12,6 +12,7 @@ import pytest
 import netdisturb
 from netdisturb import ConfigError, SemProblem, build_weight_matrix, fit
 from netdisturb._serialize import write_json
+from netdisturb.sem import residuals
 from netdisturb.cli import (
     _periods,
     load_run_config,
@@ -552,10 +553,15 @@ class TestFitReuse:
         structure = config.diagnose_structure
         for data in _periods(config, [structure]):
             weight = build_weight_matrix(structure, data.index, data.dyadic.get(structure.dyadic_series))
-            fitted = fit(SemProblem(y=data.y, X=data.design, W=weight))
+            problem = SemProblem(y=data.y, X=data.design, W=weight)
+            fitted = fit(problem)
+            u_hat, eps_hat = residuals(problem, fitted.beta_hat, fitted.rho_hat)
             path = stored / "fits" / structure.structure_id / f"period_{data.period}.json"
             estimates = json.loads(path.read_text(encoding="utf-8"))
-            write_json(path, {f.name: getattr(fitted, f.name) for f in dataclasses.fields(fitted)})
+            # Every field, with the residuals where they stood: after aic.
+            every = {f.name: getattr(fitted, f.name) for f in dataclasses.fields(fitted)}
+            head = dict(list(every.items())[: list(every).index("aic") + 1])
+            write_json(path, {**head, "u_hat": u_hat, "eps_hat": eps_hat, **every})
             old = json.loads(path.read_text(encoding="utf-8"))
             assert len(old.pop("u_hat")) == len(old.pop("eps_hat")) == data.index.n
             assert old == estimates
@@ -703,6 +709,36 @@ def test_diagnose_builds_each_period_w_once(tmp_path, monkeypatch, structure, re
     assert builds(tmp_path / "reused") == list(range(1, 13))[:reused_builds]
 
 
+def test_diagnose_takes_two_w_products_per_period_beside_the_fit(workspace, monkeypatch):
+    # W u_hat for the whitened residuals and once more for tradecorr.csv;
+    # a fit computed here adds its one W [y X].
+    tmp_path, config_file = workspace
+    products = []
+    original = WeightMatrix.__matmul__
+    monkeypatch.setattr(WeightMatrix, "__matmul__", lambda W, v: products.append(1) or original(W, v))
+    assert main(["diagnose", "--config", str(config_file), "--out", str(tmp_path / "fresh")]) == 0
+    assert len(products) == 3 * 4
+    assert main(["fit", "--config", str(config_file), "--out", str(tmp_path / "reused")]) == 0
+    products.clear()
+    assert main(["diagnose", "--config", str(config_file), "--out", str(tmp_path / "reused")]) == 0
+    assert len(products) == 2 * 4
+
+
+def test_diagnose_names_a_degenerate_fit(workspace, monkeypatch):
+    # A converged fit with sigma^2 near 0 is left out of the diagnostics
+    # under its own reason, not as a fit that did not converge.
+    tmp_path, config_file = workspace
+    original = netdisturb.cli.fit
+    monkeypatch.setattr(
+        "netdisturb.cli.fit",
+        lambda problem: dataclasses.replace(original(problem), degenerate=problem.W.index.period == 2),
+    )
+    out = tmp_path / "degenerate"
+    assert main(["diagnose", "--config", str(config_file), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["failures"] == [{"period": 2, "error": "fit is degenerate"}]
+
+
 def run_fresh_interpreter(code, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(netdisturb.__file__).parents[1]))
     done = subprocess.run(
@@ -732,6 +768,7 @@ from netdisturb import (
     DyadicSeries, FlowIndex, NeighborhoodSpec, SemProblem, SimSpec, build_weight_matrix, fit,
     fit_ols, histogram, kde, log_flow_vector, neighborhood, qq_pairs, simulate,
 )
+from netdisturb.sem import residuals
 from netdisturb.weights import DISTANCE_KINDS, KINDS
 
 index = FlowIndex(period=1, dyads=(("A", "B"), ("A", "C"), ("B", "A"), ("C", "B")))
@@ -754,9 +791,10 @@ problem = SemProblem(
 )
 fitted = fit(problem)
 fit_ols(problem)
-qq_pairs(fitted.eps_hat)
-histogram(fitted.eps_hat)
-kde(fitted.eps_hat)
+u_hat, eps_hat = residuals(problem, fitted.beta_hat, fitted.rho_hat)
+qq_pairs(eps_hat)
+histogram(eps_hat)
+kde(eps_hat)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 

@@ -26,15 +26,15 @@ from netdisturb.diagnostics import (
     write_qq_csv,
     write_tradecorr_csv,
 )
+from netdisturb.sem import residuals
 
 from conftest import random_row_normalized_w
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def make_fit(eps, sigma2=1.0, rho=0.5, u=None, converged=True):
-    eps = np.asarray(eps, dtype=float)
-    u = eps if u is None else np.asarray(u, dtype=float)
+def make_fit(sigma2=1.0, rho=0.5, converged=True):
+    """A fit's estimates; the residual functions take its residuals beside it."""
     p = 2
     return SemFit(
         rho_hat=rho,
@@ -45,26 +45,24 @@ def make_fit(eps, sigma2=1.0, rho=0.5, u=None, converged=True):
         p_values=np.full(p + 1, 0.5),
         loglik=-1.0,
         aic=2.0,
-        u_hat=u,
-        eps_hat=eps,
         converged=converged,
     )
 
 
 class TestStandardizedResiduals:
     def test_hand_division(self):
-        fitted = make_fit([2.0, -2.0], sigma2=4.0)
-        np.testing.assert_array_equal(standardized_residuals(fitted), [1.0, -1.0])
+        fitted = make_fit(sigma2=4.0)
+        np.testing.assert_array_equal(standardized_residuals(fitted, np.array([2.0, -2.0])), [1.0, -1.0])
 
     def test_requires_convergence(self):
-        fitted = make_fit([1.0, 2.0], converged=False)
+        fitted = make_fit(converged=False)
         with pytest.raises(EstimationError, match="non-converged"):
-            standardized_residuals(fitted)
+            standardized_residuals(fitted, np.array([1.0, 2.0]))
 
     def test_degenerate_sigma_rejected(self):
-        fitted = make_fit([0.0, 0.0], sigma2=1e-16)
+        fitted = make_fit(sigma2=1e-16)
         with pytest.raises(EstimationError, match="degenerate"):
-            standardized_residuals(fitted)
+            standardized_residuals(fitted, np.zeros(2))
 
     def test_unit_scale_on_simulated_fit(self):
         rng = np.random.default_rng(31)
@@ -73,7 +71,9 @@ class TestStandardizedResiduals:
         X = np.column_stack([np.ones(n), rng.standard_normal(n)])
         u = np.linalg.solve(np.eye(n) - 0.4 * W, rng.standard_normal(n))
         problem = SemProblem(y=X @ [1.0, 2.0] + u, X=X, W=W)
-        standardized = standardized_residuals(fit(problem))
+        fitted = fit(problem)
+        eps_hat = residuals(problem, fitted.beta_hat, fitted.rho_hat)[1]
+        standardized = standardized_residuals(fitted, eps_hat)
         assert abs(standardized.std() - 1.0) < 0.1
 
 
@@ -135,16 +135,16 @@ class TestTradecorrResiduals:
     def test_hand_matrix_vector_product(self):
         weights = self.weights()
         np.testing.assert_array_equal(weights.entries, SWAP)
-        fitted = make_fit([0.0, 0.0], u=[1.0, -1.0], rho=0.5)
-        result = tradecorr_residuals(fitted, weights, self.index())
+        fitted = make_fit(rho=0.5)
+        result = tradecorr_residuals(fitted, np.array([1.0, -1.0]), weights, self.index())
         np.testing.assert_array_equal(result.values, [-0.5, 0.5])
         by_node = {node: values.tolist() for node, values in node_values([result]).items()}
         assert by_node == {"A": [-0.5, 0.5], "B": [-0.5, 0.5]}
         assert result.period == 4
 
     def test_zero_rho_gives_zeros(self):
-        fitted = make_fit([0.0, 0.0], u=[1.0, -1.0], rho=0.0)
-        result = tradecorr_residuals(fitted, self.weights(), self.index())
+        fitted = make_fit(rho=0.0)
+        result = tradecorr_residuals(fitted, np.array([1.0, -1.0]), self.weights(), self.index())
         np.testing.assert_array_equal(result.values, [0.0, 0.0])
 
     def test_attribution_covers_each_flow_twice(self):
@@ -154,8 +154,8 @@ class TestTradecorrResiduals:
         index = random_flow_index(rng, max_nodes=6, max_flows=14)
         n = index.n
         weights = build_weight_matrix(NeighborhoodSpec("full_activity"), index)
-        fitted = make_fit(np.zeros(n), u=rng.standard_normal(n), rho=0.3)
-        result = tradecorr_residuals(fitted, weights, index)
+        fitted = make_fit(rho=0.3)
+        result = tradecorr_residuals(fitted, rng.standard_normal(n), weights, index)
         by_node = node_values([result])
         assert sum(v.size for v in by_node.values()) == 2 * n
         assert list(by_node) == sorted(by_node)
@@ -164,15 +164,15 @@ class TestTradecorrResiduals:
         index = self.index()
         weights = self.weights()
         u = np.array([0.7, -0.2])
-        one = tradecorr_residuals(make_fit([0, 0], u=u, rho=0.5), weights, index)
-        two = tradecorr_residuals(make_fit([0, 0], u=3.0 * u, rho=0.5), weights, index)
+        one = tradecorr_residuals(make_fit(rho=0.5), u, weights, index)
+        two = tradecorr_residuals(make_fit(rho=0.5), 3.0 * u, weights, index)
         np.testing.assert_allclose(two.values, 3.0 * one.values, atol=1e-14)
 
     def test_mismatched_index_rejected(self):
         other = FlowIndex(period=4, dyads=(("A", "C"), ("C", "A")))
-        fitted = make_fit([0.0, 0.0], u=[1.0, -1.0])
+        fitted = make_fit()
         with pytest.raises(EstimationError, match="do not match"):
-            tradecorr_residuals(fitted, self.weights(), other)
+            tradecorr_residuals(fitted, np.array([1.0, -1.0]), self.weights(), other)
 
 
 def values_by_flow(items):
@@ -263,10 +263,10 @@ class TestWriters:
         index = FlowIndex(period=2, dyads=(("A", "B"), ("B", "A")))
         weights = build_weight_matrix(NeighborhoodSpec("full_activity"), index)
         np.testing.assert_array_equal(weights.entries, SWAP)
-        fitted = make_fit([0.0, 0.0], u=[1.0, -1.0], rho=0.5)
+        fitted = make_fit(rho=0.5)
         write_tradecorr_csv(
             tmp_path / "tradecorr.csv",
-            [tradecorr_residuals(fitted, weights, index)],
+            [tradecorr_residuals(fitted, np.array([1.0, -1.0]), weights, index)],
         )
         assert (tmp_path / "qq.csv").read_text().splitlines()[0] == "theoretical,empirical"
         assert (

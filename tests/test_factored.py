@@ -34,7 +34,7 @@ from netdisturb import (
     tradecorr_residuals,
 )
 from netdisturb import sem
-from netdisturb.sem import BOUNDARY_MARGIN
+from netdisturb.sem import BOUNDARY_MARGIN, residuals
 from netdisturb.weights import DISTANCE_KINDS, KINDS
 
 from conftest import (
@@ -227,9 +227,11 @@ def test_fit_scan_and_diagnostics_never_form_entries():
     tracemalloc.start()
     try:
         W = build_weight_matrix(NeighborhoodSpec("full_activity"), index)
-        result = fit(SemProblem(y=y, X=X, W=W))
-        scan_cutoffs({1: result.u_hat}, {1: index}, distances, grid=[2500.0])
-        tradecorr_residuals(result, W, index)
+        problem = SemProblem(y=y, X=X, W=W)
+        result = fit(problem)
+        u_hat = residuals(problem, result.beta_hat, result.rho_hat)[0]
+        scan_cutoffs({1: u_hat}, {1: index}, distances, grid=[2500.0])
+        tradecorr_residuals(result, u_hat, W, index)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

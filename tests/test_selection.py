@@ -13,7 +13,7 @@ from netdisturb.selection import (
 )
 
 
-def make_fit(aic, converged=True):
+def make_fit(aic, converged=True, degenerate=False):
     return SemFit(
         rho_hat=0.1,
         beta_hat=np.zeros(2),
@@ -23,9 +23,8 @@ def make_fit(aic, converged=True):
         p_values=np.full(3, 0.5),
         loglik=-0.5 * (aic - 2.0 * 4),
         aic=aic,
-        u_hat=np.zeros(3),
-        eps_hat=np.zeros(3),
         converged=converged,
+        degenerate=degenerate,
     )
 
 
@@ -148,6 +147,21 @@ class TestSelect:
             report = select(fits, structures=["a", "b"])
         assert report.periods == (2,)
         assert report.excluded == ((1, "degenerate fit for a"),)
+
+    def test_degenerate_fit_with_finite_aic_excluded(self):
+        # A spatial fit to a perfect fit has sigma^2 near 0 but a finite,
+        # very low AIC: it must not win the period or the aggregate.
+        fits = {
+            (1, "a"): make_fit(-1276.2, degenerate=True),
+            (1, "b"): make_fit(1.0),
+            (2, "a"): make_fit(2.0),
+            (2, "b"): make_fit(3.0),
+        }
+        with pytest.warns(UserWarning, match="excluded"):
+            report = select(fits, structures=["a", "b"])
+        assert report.periods == (2,)
+        assert report.excluded == ((1, "degenerate fit for a"),)
+        assert report.winner == "a" and report.aggregated_aic.tolist() == [2.0, 3.0]
 
     def test_default_structure_order_sorted(self):
         fits = {(1, "z"): make_fit(1.0), (1, "a"): make_fit(2.0)}

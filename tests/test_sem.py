@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -39,6 +40,7 @@ from netdisturb.sem import (
     fit_from_dict,
     log_det_path,
     residuals,
+    write_coefficients_csv,
     write_fit_json,
 )
 
@@ -217,15 +219,16 @@ class TestFit:
         rng = np.random.default_rng(17)
         problem = random_problem(rng, n=40, rho=0.5)
         fitted = fit(problem)
+        u_hat, eps_hat = residuals(problem, fitted.beta_hat, fitted.rho_hat)
         n = problem.n
         A = np.eye(n) - fitted.rho_hat * problem.W
-        np.testing.assert_allclose(fitted.eps_hat, A @ fitted.u_hat, atol=1e-12)
+        np.testing.assert_allclose(eps_hat, A @ u_hat, atol=1e-12)
         # Round-trip: u = (I - rho W)^{-1} eps
         np.testing.assert_allclose(
-            fitted.u_hat, np.linalg.solve(A, fitted.eps_hat), atol=1e-8
+            u_hat, np.linalg.solve(A, eps_hat), atol=1e-8
         )
         np.testing.assert_allclose(
-            fitted.u_hat, problem.y - problem.X @ fitted.beta_hat, atol=1e-12
+            u_hat, problem.y - problem.X @ fitted.beta_hat, atol=1e-12
         )
 
     def test_nests_ols(self):
@@ -280,10 +283,12 @@ class TestFit:
         assert fitted.converged
         assert math.isnan(fitted.se_rho)
 
-    def test_non_convergence_still_returns_fit(self):
+    def test_non_convergence_still_returns_fit(self, monkeypatch):
         rng = np.random.default_rng(27)
         problem = random_problem(rng, n=40, rho=0.5)
-        starved = fit(problem, max_iter=1, xtol=1e-14)
+        monkeypatch.setattr(sem, "BRENT_MAXFUN", 1)
+        monkeypatch.setattr(sem, "BRENT_XATOL", 1e-14)
+        starved = fit(problem)
         assert not starved.converged
         assert np.isfinite(starved.loglik)
 
@@ -406,7 +411,36 @@ def test_p_values_match_the_normal_tail():
     np.testing.assert_allclose(_two_sided_p(-3.0 * z, 3.0), expected, rtol=1e-12, atol=0.0)
     undefined, certain = _two_sided_p(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     assert math.isnan(undefined) and certain == 0.0
-    assert math.isnan(_two_sided_p(1.0, None))
+    # Without a finite standard error every estimate gets its own NaN.
+    np.testing.assert_array_equal(_two_sided_p(1.0, None), np.full(1, math.nan), strict=True)
+    unknown = _two_sided_p(np.ones(3), np.array([1.0, math.nan, 1.0]))
+    np.testing.assert_array_equal(unknown, np.full(3, math.nan), strict=True)
+
+
+def test_degenerate_fits_keep_one_p_value_per_estimate(tmp_path):
+    # A perfect fit has no standard errors, so each of its p + 1 p-values is
+    # NaN, and coefficients.csv keeps each fit's rows with its own values.
+    rng = np.random.default_rng(66)
+    n, p = 20, 3
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    perfect = SemProblem(y=X @ np.array([2.0, 3.0, -1.0]), X=X, W=random_row_normalized_w(rng, n))
+    noisy = random_problem(rng, n=30, p=p)
+    path = tmp_path / "coefficients.csv"
+    for fitter in (fit, fit_ols):
+        degenerate, fitted = fitter(perfect), fitter(noisy)
+        assert degenerate.degenerate and not fitted.degenerate
+        assert degenerate.p_values.shape == fitted.p_values.shape == (p + 1,)
+        assert np.isnan(degenerate.p_values).all()
+        write_coefficients_csv(path, [(1, "s", degenerate), (2, "s", fitted)])
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * (p + 1)
+        assert [row["term"] for row in rows] == ["x0", "x1", "x2", "rho"] * 2
+        assert [row["period"] for row in rows] == ["1"] * (p + 1) + ["2"] * (p + 1)
+        np.testing.assert_array_equal(
+            [float(row["p_value"]) for row in rows],
+            np.concatenate([degenerate.p_values, fitted.p_values]),
+        )
 
 
 class TestFitOls:
@@ -441,11 +475,13 @@ class TestFitOls:
 
     def test_rho_fixed_at_zero(self):
         rng = np.random.default_rng(26)
-        fitted = fit_ols(random_problem(rng))
+        problem = random_problem(rng)
+        fitted = fit_ols(problem)
         assert fitted.rho_hat == 0.0
         assert fitted.se_rho is None
         assert math.isnan(fitted.p_values[-1])
-        np.testing.assert_array_equal(fitted.eps_hat, fitted.u_hat)
+        u_hat, eps_hat = residuals(problem, fitted.beta_hat)
+        np.testing.assert_array_equal(eps_hat, u_hat)
 
 
 class TestSemProblem:
@@ -530,19 +566,23 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 class TestFitFromDict:
-    """A fit is stored by its estimates; `residuals` forms its residuals again, bit for bit."""
+    """A fit is stored by its estimates; `residuals` forms the same residuals from it, bit for bit."""
 
     @staticmethod
     def round_trip(fitted, problem, tmp_path):
-        """``fitted`` written and read back, its residuals formed from ``problem``."""
+        """``fitted`` written and read back; its residuals from ``problem`` are the original's."""
         path = tmp_path / "fit.json"
         write_fit_json(path, fitted)
         written = json.loads(path.read_text(encoding="utf-8"))
         assert not {"u_hat", "eps_hat"} & set(written)
         read = fit_from_dict(written)
-        assert read.u_hat is None and read.eps_hat is None
+        assert not {"u_hat", "eps_hat"} & {field.name for field in dataclasses.fields(read)}
         rho = None if read.rho_bounds is None else read.rho_hat  # None: a fit_ols fit
-        read.u_hat, read.eps_hat = residuals(problem, read.beta_hat, rho)
+        original_rho = None if fitted.rho_bounds is None else fitted.rho_hat
+        for formed, original in zip(
+            residuals(problem, read.beta_hat, rho), residuals(problem, fitted.beta_hat, original_rho)
+        ):
+            assert formed.tobytes() == original.tobytes()
         return read
 
     @staticmethod
