@@ -38,7 +38,7 @@ edges, roster            input CSV paths
 nodal.<name>             nodal covariate CSV for series <name>
 dyadic.<name>            dyadic covariate CSV for series <name>
 dyadic.<name>.symmetric  true/false (default true)
-dyadic.<name>.default    value for absent dyads (default: absent = error)
+dyadic.<name>.default    value for absent dyads, not NaN (default: absent = error)
 recipe                   comma list of [log:]<series>:<role> terms, with
                          role one of sender, receiver, dyadic, abs_diff
 lag                      covariate lag in periods (default 2)
@@ -317,6 +317,8 @@ def load_run_config(path, out=None, seed=None, jobs=None) -> RunConfig:
                     ) from None
             elif attr == "default":
                 entry.default = _parse_typed({key: value}, key, float, None)
+                if math.isnan(entry.default):  # an absent pair would read as present
+                    raise ConfigError(f"config key {key!r}: a default must be a number, got {value!r}")
             else:
                 raise ConfigError(f"unknown dyadic attribute in key {key!r}")
     for name, entry in dyadic.items():
@@ -665,9 +667,11 @@ def cmd_diagnose(config: RunConfig) -> int:
         if weight is None:  # a stored fit comes without its W
             weight = build_weight_matrix(structure, data.index, data.dyadic.get(structure.dyadic_series))
         problem = SemProblem(y=data.y, X=data.design, W=weight)
-        u_hat, eps_hat = residuals(problem, result.beta_hat, result.rho_hat)
-        pooled.append(standardized_residuals(result, eps_hat))
+        u_hat = residuals(problem, result.beta_hat)[0]
+        # One W u_hat per period: the spillover residuals rho W u_hat give eps_hat too.
         tradecorr_items.append(tradecorr_residuals(result, u_hat, weight, data.index))
+        eps_hat = residuals(problem, result.beta_hat, spill=tradecorr_items[-1].values)[1]
+        pooled.append(standardized_residuals(result, eps_hat))
 
     if not pooled:
         raise NetdisturbError("no period produced a usable fit to diagnose")

@@ -7,20 +7,23 @@ A declarative recipe maps series onto design columns via a role --
 ``sender``, ``receiver``, ``dyadic`` or ``abs_diff`` -- and an optional log
 transform, so the same machinery serves any covariate set.
 
-Missing nodal values are filled by :func:`impute_linear`: linear
-interpolation for internal gaps, nearest observed value for leading or
-trailing gaps.  Lookups beyond a series' observed span fall back to the
-nearest endpoint (constant extrapolation) and are reported with a warning;
-dyadic lookups at a period with no entry use the dyad's nearest recorded
-period, which carries e.g. a last-known alliance status forward.
+Missing nodal values are filled where a series is read, once
+:func:`impute_linear` has marked it: linear interpolation for internal
+gaps, nearest observed value for leading or trailing gaps.  Reads outside
+a node's span (its first to last record once imputed) take the nearest
+observation and are reported with a warning; dyadic lookups at a period
+with no entry use the dyad's nearest recorded period, which carries e.g. a
+last-known alliance status forward.
 
 Both kinds of series are held as sorted node names and, per record, node
 codes (positions in those names), a period and a value; ``from_arrays``
 takes codes into sorted names, as :meth:`FlowIndex.from_codes` does.  A
 nodal series is read through one node x period table over the periods it
-observes, and a dyadic one through one node x node table per period, which
-resolves the nearest-period rule for every dyad at once.  A design term
-gathers its column from that table by the flow index's node codes.
+observes, with each cell's nearest observed columns on either side, so no
+record is built for a period the data lack.  A dyadic one is read through
+one node x node table per period, which resolves the nearest-period rule
+for every dyad at once.  A design term gathers its column from that table
+by the flow index's node codes.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ class NodalSeries:
     input order, ``node`` (codes into ``nodes``), ``period`` and ``value``.
     ``NodalSeries(name, values)`` reads a dict ``{(node, period): value}``
     and :meth:`from_arrays` the arrays; a value of +-inf raises
-    CovariateError naming its node and period.
+    CovariateError naming its node and period.  :func:`impute_linear`
+    marks the same records as imputed, so that :meth:`at` fills gaps.
     """
 
     def __init__(self, name: str, values):
@@ -74,8 +78,8 @@ class NodalSeries:
         series._setup(name, nodes, node, period, value)
         return series
 
-    def _setup(self, name, nodes, node, period, value) -> None:
-        self.name, self.nodes = name, tuple(nodes)
+    def _setup(self, name, nodes, node, period, value, imputed=False) -> None:
+        self.name, self.nodes, self._imputed = name, tuple(nodes), imputed
         self._pos = {node: k for k, node in enumerate(self.nodes)}
         self.node, self.period = np.asarray(node, np.int32), np.asarray(period, np.int64)
         self.value = np.asarray(value, float)
@@ -87,38 +91,70 @@ class NodalSeries:
             )
         # A table of every node's value at each period with a finite one (one
         # more row, for a node the series does not hold, and column, both
-        # NaN), and each node's span: the ranks of its first and last.
+        # NaN), and per node and column the last observed column before it
+        # and the first at or after it (-1 and P, the NaN column, for none).
         finite = ~np.isnan(self.value)
-        self._periods, rank = np.unique(self.period[finite], return_inverse=True)
-        self._table = np.full((len(self.nodes) + 1, self._periods.size + 1), math.nan)
+        periods, rank = np.unique(self.period[finite], return_inverse=True)
+        P = periods.size
+        self._table = np.full((len(self.nodes) + 1, P + 1), math.nan)
         self._table[self.node[finite], rank] = self.value[finite]
-        seen = ~np.isnan(self._table)  # a row without observations reads NaN at any rank
-        self._first, self._last = seen.argmax(1), self._periods.size - seen[:, ::-1].argmax(1)
+        seen = ~np.isnan(self._table)
+        column = np.arange(P + 1)
+        self._next = np.minimum.accumulate(np.where(seen, column, P)[:, ::-1], 1)[:, ::-1]
+        self._prev = np.full_like(self._next, -1)
+        self._prev[:, 1:] = np.maximum.accumulate(np.where(seen, column, -1)[:, :-1], 1)
+        self._periods = np.append(periods, math.nan)  # as floats, NaN at -1 and P
+        # Each node's first and last observed period (recorded, if imputed).
+        spanned = slice(None) if imputed else finite
+        self._span = np.full((2, len(self._table)), [[np.iinfo(np.int64).max], [np.iinfo(np.int64).min]])
+        np.minimum.at(self._span[0], self.node[spanned], self.period[spanned])
+        np.maximum.at(self._span[1], self.node[spanned], self.period[spanned])
 
     @property
     def values(self) -> dict[tuple[str, int], float]:
-        """The records as ``{(node, period): value}``, in input order."""
-        names = map(self.nodes.__getitem__, self.node.tolist())
-        return dict(zip(zip(names, self.period.tolist()), self.value.tolist()))
+        """The records as ``{(node, period): value}``, in input order.
 
-    def at(self, period: int, names) -> tuple[np.ndarray, np.ndarray]:
+        Of an imputed series: every integer period of each node's span, by
+        node and then by period, as :meth:`at` reads it.  This grid is
+        built on each access; nothing else builds it.
+        """
+        node, period, value = self.node, self.period, self.value
+        if self._imputed:
+            first, last = self._span
+            held = np.flatnonzero(first <= last)
+            size = last[held] - first[held] + 1
+            node = np.repeat(held, size)
+            period = np.arange(size.sum()) + np.repeat(first[held] - (np.cumsum(size) - size), size)
+        names = list(map(self.nodes.__getitem__, node.tolist()))
+        value = self.at(period, names)[0] if self._imputed else value
+        return dict(zip(zip(names, period.tolist()), value.tolist()))
+
+    def at(self, period, names) -> tuple[np.ndarray, np.ndarray]:
         """The value at `period` of each node in `names`, and whether `period` is outside its span.
 
-        Outside its span a node reads the value at the nearest end.  A node
-        without observations, or without a finite value at `period` in it, reads NaN.
+        `period` is one period or one per name.  A node reads its
+        observation at `period`, or the nearest one before its first or
+        after its last.  Between two, an imputed series reads the linear
+        interpolation as ``np.interp`` computes it, and a raw series NaN.
+        The span runs from the first to the last observation (record, if
+        imputed).  A node without observations reads NaN.
         """
         codes = np.fromiter(map(self._pos.get, names, repeat(-1)), np.intp, len(names))
-        first, last, periods = self._first[codes], self._last[codes], self._periods
-        lo, hi = np.searchsorted(periods, period), np.searchsorted(periods, period, "right")
-        before, after = first >= hi, last < lo
-        column = np.where(before, first, np.where(after, last, lo if lo < hi else periods.size))
-        return self._table[codes, column], before | after
+        column = np.searchsorted(self._periods[:-1], period)
+        prev, next_ = self._prev[codes, column], self._next[codes, column]
+        (low, high), (p_l, p_r) = self._table[codes, [prev, next_]], self._periods[[prev, next_]]
+        # On an observation, or before the first, read it; after the last, the
+        # last; in a gap (p_r > period, False for p_r NaN) np.interp's expression.
+        value = np.where((prev < 0) | (p_r == period), high, low)
+        fill = (high - low) / (p_r - p_l) * (period - p_l) + low if self._imputed else math.nan
+        first, last = self._span[:, codes]
+        return np.where((prev >= 0) & (p_r > period), fill, value), (period < first) | (period > last)
 
     def lookup(self, node: str, period: int) -> tuple[float, bool]:
-        """Value at (node, period); second element flags span extrapolation.
+        """Value at (node, period); second element flags a period outside the node's span.
 
-        Inside the observed span every period must carry a finite value,
-        i.e. the series must have been through :func:`impute_linear`.
+        A raw series has no value between two observations: it must have
+        been through :func:`impute_linear` to be read there.
         """
         (value,), (out_of_span,) = self.at(period, [node])
         if not math.isnan(value):
@@ -131,36 +167,27 @@ class NodalSeries:
 
 
 def impute_linear(series: NodalSeries) -> NodalSeries:
-    """Fill gaps in every node's series.
+    """The same records, marked so that gaps read filled.
 
-    Internal gaps are linearly interpolated between the nearest observed
-    neighbours; periods before the first or after the last observation take
-    the nearest observed value.  Applying the function twice is a no-op.
+    A marked series reads an internal gap as the linear interpolation
+    between the nearest observed neighbours and a period before the first or
+    after the last observation as the nearest observed value; a node's span
+    reaches its first and last record.  Applying the function twice is a no-op.
 
     Raises
     ------
     CovariateError
-        If some node carries only missing values.
+        If some node carries only missing values (the first in sorted order).
     """
-    if not series.node.size:
-        return series
-    order = np.lexsort((series.period, series.node))
-    node, period, value = series.node[order], series.period[order], series.value[order]
-    bounds = np.flatnonzero(np.diff(node, prepend=-1, append=-1)).tolist()  # each node's records
-    spans, filled = [], []
-    for start, stop in zip(bounds, bounds[1:]):
-        seen = ~np.isnan(value[start:stop])
-        if not seen.any():
-            raise CovariateError(
-                f"series {series.name!r}: node {series.nodes[node[start]]!r} has no observed values"
-            )
-        # Cover every recorded period, observed or missing; np.interp clamps
-        # to the end values outside the observed range, which is exactly the
-        # nearest-value rule for leading/trailing gaps.
-        spans.append(np.arange(period[start], period[stop - 1] + 1))
-        filled.append(np.interp(spans[-1], period[start:stop][seen], value[start:stop][seen]))
-    codes = np.repeat(node[bounds[:-1]], [span.size for span in spans])
-    return NodalSeries.from_arrays(series.name, series.nodes, codes, np.concatenate(spans), np.concatenate(filled))
+    filled = NodalSeries.__new__(NodalSeries)
+    filled._setup(series.name, series.nodes, series.node, series.period, series.value, imputed=True)
+    first, last = filled._span  # over all records, so a node without observations has one
+    empty = np.flatnonzero((first <= last) & np.isnan(filled._table).all(1))
+    if empty.size:
+        raise CovariateError(
+            f"series {series.name!r}: node {series.nodes[empty[0]]!r} has no observed values"
+        )
+    return filled
 
 
 class DyadicSeries:
@@ -178,8 +205,9 @@ class DyadicSeries:
     cached.  A symmetric series reads (a, b) and (b, a) as one dyad and
     rejects two records of it that disagree in one period.  ``default``
     supplies a value for dyads absent from the data (natural for sparse
-    indicators such as alliances, where unlisted pairs mean 0); leaving it
-    ``None`` makes absent dyads an error.
+    indicators such as alliances, where unlisted pairs mean 0, or ``inf``
+    for a distance); leaving it ``None`` makes absent dyads an error, and a
+    NaN default raises CovariateError.
 
     ``DyadicSeries(name, symmetric, values)`` reads a dict
     ``{(node_a, node_b, period): value}`` once into the arrays;
@@ -191,9 +219,7 @@ class DyadicSeries:
         self._setup(name, symmetric, default, nodes, a, b, [t for *_, t in values], list(values.values()))
 
     @classmethod
-    def from_arrays(
-        cls, name, symmetric, nodes, node_a, node_b, period, value, default=None
-    ) -> DyadicSeries:
+    def from_arrays(cls, name, symmetric, nodes, node_a, node_b, period, value, default=None) -> DyadicSeries:
         """A series from the sorted names ``nodes`` and aligned record arrays.
 
         ``node_a`` and ``node_b`` hold codes into ``nodes``, as :meth:`FlowIndex.from_codes`
@@ -205,6 +231,8 @@ class DyadicSeries:
 
     def _setup(self, name, symmetric, default, nodes, a, b, period, value) -> None:
         """Store the records sorted by dyad, then period; reject conflicts."""
+        if default is not None and math.isnan(default):
+            raise CovariateError(f"series {name!r}: a default must be a number, not NaN")
         self.name, self.symmetric, self.default = name, symmetric, default
         a, b = np.asarray(a, np.int32), np.asarray(b, np.int32)
         period, value = np.asarray(period, np.int64), np.asarray(value, float)
@@ -328,14 +356,8 @@ class CovariateTerm:
 
     @property
     def column_name(self) -> str:
-        base = self.series
-        if self.role in ("sender", "receiver"):
-            base = f"{base}_{self.role}"
-        elif self.role == "abs_diff":
-            base = f"{base}_absdiff"
-        if self.transform == "log":
-            base = f"log_{base}"
-        return base
+        suffix = {"sender": "_sender", "receiver": "_receiver", "abs_diff": "_absdiff"}.get(self.role, "")
+        return ("log_" if self.transform == "log" else "") + self.series + suffix
 
 
 # The recipe of the shipped default application: economic size of both
@@ -358,7 +380,6 @@ class DesignMatrix:
     index: FlowIndex
     column_names: tuple[str, ...]
     rows: np.ndarray
-    intercept: bool
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -368,18 +389,8 @@ class DesignMatrix:
                 f"design shape {rows.shape} does not match index n={self.index.n}"
                 f" and {len(self.column_names)} columns"
             )
-        if rows.shape[1] < 1:
-            raise CovariateError("design matrix needs at least one column")
         if not np.all(np.isfinite(rows)):
             raise CovariateError("design matrix contains non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.rows.shape[1]
 
 
 def _series_map(series_list, kind):
@@ -398,16 +409,15 @@ def build_design(
     dyadic: list[DyadicSeries],
     recipe: tuple[CovariateTerm, ...] = DEFAULT_RECIPE,
     lag: int = DEFAULT_LAG,
-    intercept: bool = True,
 ) -> DesignMatrix:
     """Assemble the design matrix for one period.
 
-    Each recipe term produces one column, evaluated at ``period - lag``:
-    ``sender``/``receiver`` read a nodal series at the flow's endpoint,
+    The first column is the intercept.  Each recipe term produces one more
+    column, evaluated at ``period - lag``: ``sender``/``receiver`` read a
+    nodal series at the flow's endpoint (:meth:`NodalSeries.at`),
     ``dyadic`` reads a dyadic series at (sender, receiver), and
     ``abs_diff`` takes |value(sender) - value(receiver)| of a nodal series.
-    Lookups before a node's first or after its last observation reuse the
-    nearest endpoint value; one warning summarises such fallbacks.
+    One warning summarises the nodal reads outside a node's span.
 
     Raises
     ------
@@ -416,18 +426,14 @@ def build_design(
         to a nonpositive value.
     """
     if index.period != snapshot.period:
-        raise CovariateError(
-            f"index period {index.period} != snapshot period {snapshot.period}"
-        )
+        raise CovariateError(f"index period {index.period} != snapshot period {snapshot.period}")
     nodal_map = _series_map(nodal, "nodal")
     dyadic_map = _series_map(dyadic, "dyadic")
     t = snapshot.period - lag
     extrapolated: set[tuple[str, str]] = set()
 
     def log_error(term, value, who):
-        return CovariateError(
-            f"log of nonpositive {term.series!r} value {value} for {who} at period {t}"
-        )
+        return CovariateError(f"log of nonpositive {term.series!r} value {value} for {who} at period {t}")
 
     def log(col):
         return np.fromiter(map(math.log, col.tolist()), float, col.size)
@@ -466,15 +472,7 @@ def build_design(
             raise log_error(term, float(col[bad[0]]), "({}, {})".format(*index.dyads[bad[0]]))
         return log(col)
 
-    columns = []
-    names = []
-    if intercept:
-        columns.append(np.ones(index.n))
-        names.append("intercept")
-    for term in recipe:
-        columns.append(dyadic_column(term) if term.role == "dyadic" else nodal_column(term))
-        names.append(term.column_name)
-
+    columns = [dyadic_column(term) if term.role == "dyadic" else nodal_column(term) for term in recipe]
     if extrapolated:
         sample = ", ".join(f"{s}:{n}" for s, n in sorted(extrapolated)[:5])
         warnings.warn(
@@ -483,19 +481,13 @@ def build_design(
             f"({sample}{', ...' if len(extrapolated) > 5 else ''})",
             stacklevel=2,
         )
-    return DesignMatrix(
-        index=index,
-        column_names=tuple(names),
-        rows=np.column_stack(columns),
-        intercept=intercept,
-    )
+    names = ("intercept", *(term.column_name for term in recipe))
+    return DesignMatrix(index=index, column_names=names, rows=np.column_stack([np.ones(index.n), *columns]))
 
 
 def _value(text: str) -> float:
     """A value cell: empty, ``NA`` or ``NaN`` (any case) mark a missing value."""
-    if text == "" or text.upper() in ("NA", "NAN"):
-        return math.nan
-    return float(text)
+    return math.nan if text == "" or text.upper() in ("NA", "NAN") else float(text)
 
 
 def _finite_value(text: str) -> float:
@@ -561,7 +553,7 @@ def load_dyadic_csv(
 
 
 def write_nodal_csv(path, series: NodalSeries) -> None:
-    """Write the records sorted by (node, period), NaN ones included."""
+    """Write the records sorted by (node, period), NaN ones included (an imputed series' too)."""
     order = np.lexsort((series.period, series.node))
     write_csv(path, NODAL_HEADER, (
         Coded(series.nodes, series.node[order]), series.period[order], series.value[order],

@@ -542,13 +542,16 @@ def fit_ols(problem: SemProblem) -> SemFit:
     )
 
 
-def residuals(problem: SemProblem, beta, rho: float | None = None):
+def residuals(problem: SemProblem, beta, rho: float | None = None, *, spill=None):
     """``(u_hat, eps_hat)`` of estimates ``beta`` and ``rho``: y - X beta and (I - rho W) u_hat.
 
-    With ``rho`` None (a :func:`fit_ols` fit, whose problem needs no W) eps_hat is u_hat.
+    With ``rho`` None (a :func:`fit_ols` fit, whose problem needs no W) eps_hat is u_hat.  A
+    ``spill`` rho W u_hat formed already (a tradecorr item's values) gives u_hat - spill.
     """
     u_hat = problem.y - problem.X @ beta
-    return u_hat, (u_hat if rho is None else u_hat - rho * (problem.W @ u_hat))
+    if spill is None and rho is not None:
+        spill = rho * (problem.W @ u_hat)
+    return u_hat, (u_hat if spill is None else u_hat - spill)
 
 
 def fit_to_dict(result: SemFit) -> dict:

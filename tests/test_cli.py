@@ -272,6 +272,28 @@ class TestConfigParsing:
         assert capsys.readouterr().err == "config error: lag must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("default", ["nan", "-NaN"])
+    def test_nan_dyadic_default_exits_2_before_input(self, workspace, capsys, monkeypatch, default):
+        # A NaN default would read every unlisted pair as allied (NaN != 0).
+        tmp_path, config_file = workspace
+        text = config_file.read_text().replace("alliance.default = 0", f"alliance.default = {default}")
+        config_file.write_text(text)
+        monkeypatch.setattr("netdisturb.cli.load_panel", refuse_to_load)
+        monkeypatch.setattr("netdisturb.cli.load_dyadic_csv", refuse_to_load)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(config_file), "--out", str(out)]) == 2
+        message = f"config key 'dyadic.alliance.default': a default must be a number, got {default!r}"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("default", ["inf", "-inf"])
+    def test_infinite_dyadic_default_is_valid(self, workspace, default):
+        # An absent distance pair may be infinitely far.
+        _, config_file = workspace
+        text = config_file.read_text().replace("alliance.default = 0", f"alliance.default = {default}")
+        config_file.write_text(text)
+        assert load_run_config(config_file).dyadic["alliance"].default == float(default)
+
     def test_sim_spec_validation(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_text("n_nodes = 5\n", encoding="utf-8")
@@ -691,37 +713,27 @@ def test_diagnose_builds_each_period_w_once(tmp_path, monkeypatch, structure, re
     for key in ("candidates", "diagnose_structure"):
         text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {structure}", text)
     config_file.write_text(text, encoding="utf-8")
-    periods = []
+    periods, products = [], []
     original = netdisturb.cli.build_weight_matrix
     monkeypatch.setattr(
         "netdisturb.cli.build_weight_matrix",
         lambda spec, index, *a: periods.append(index.period) or original(spec, index, *a),
     )
+    matmul = WeightMatrix.__matmul__
+    monkeypatch.setattr(WeightMatrix, "__matmul__", lambda W, v: products.append(1) or matmul(W, v))
 
     def builds(out):
         periods.clear()
+        products.clear()
         status = main(["diagnose", "--config", str(config_file), "--out", str(out)])
         assert status == (0 if structure == "full_activity" else 1)
-        return periods.copy()
+        return periods.copy(), len(products)
 
-    assert builds(tmp_path / "fresh") == list(range(1, 13))
+    # One W u_hat per diagnosed period, for both the spillover and the
+    # whitened residuals; each of the 12 fits computed here adds one W [y X].
+    assert builds(tmp_path / "fresh") == (list(range(1, 13)), 12 + reused_builds)
     assert main(["fit", "--config", str(config_file), "--out", str(tmp_path / "reused")]) == 0
-    assert builds(tmp_path / "reused") == list(range(1, 13))[:reused_builds]
-
-
-def test_diagnose_takes_two_w_products_per_period_beside_the_fit(workspace, monkeypatch):
-    # W u_hat for the whitened residuals and once more for tradecorr.csv;
-    # a fit computed here adds its one W [y X].
-    tmp_path, config_file = workspace
-    products = []
-    original = WeightMatrix.__matmul__
-    monkeypatch.setattr(WeightMatrix, "__matmul__", lambda W, v: products.append(1) or original(W, v))
-    assert main(["diagnose", "--config", str(config_file), "--out", str(tmp_path / "fresh")]) == 0
-    assert len(products) == 3 * 4
-    assert main(["fit", "--config", str(config_file), "--out", str(tmp_path / "reused")]) == 0
-    products.clear()
-    assert main(["diagnose", "--config", str(config_file), "--out", str(tmp_path / "reused")]) == 0
-    assert len(products) == 2 * 4
+    assert builds(tmp_path / "reused") == (list(range(1, 13))[:reused_builds], reused_builds)
 
 
 def test_diagnose_names_a_degenerate_fit(workspace, monkeypatch):

@@ -115,6 +115,19 @@ class TestDyadicSeries:
         series = DyadicSeries("alliance", True, {("A", "B", 1): 1.0}, default=0.0)
         assert series.lookup("A", "C", 1) == 0.0
 
+    def test_nan_default_rejected(self, tmp_path):
+        with pytest.raises(CovariateError) as info:
+            DyadicSeries("alliance", True, {("A", "B", 1): 1.0}, default=math.nan)
+        assert str(info.value) == "series 'alliance': a default must be a number, not NaN"
+        path = tmp_path / "alliance.csv"
+        path.write_text("node_a,node_b,period,value\nA,B,1,1\n", encoding="utf-8")
+        with pytest.raises(CovariateError, match="not NaN"):
+            load_dyadic_csv(path, "alliance", True, math.nan)
+
+    def test_infinite_default_for_absent_dyad(self):
+        series = DyadicSeries("distance", True, {("A", "B", 1): 100.0}, default=math.inf)
+        assert series.lookup("A", "C", 1) == math.inf
+
     def test_absent_dyad_without_default(self):
         series = DyadicSeries("distance", True, {("A", "B", 1): 100.0})
         with pytest.raises(CovariateError, match=r"no data for pair \(A, C\)"):
@@ -249,17 +262,6 @@ class TestBuildDesign:
         message = error_text(build_design, snapshot, index_flows(snapshot), nodal, [], recipe, lag=0)
         assert message == "series 'g' has no observations for node 'A'"
 
-    def test_no_intercept(self):
-        snapshot = snapshot_of(1, [("A", "B", 5.0)])
-        index = index_flows(snapshot)
-        nodal = [NodalSeries("gdp", {("A", 1): 3.0, ("B", 1): 1.0})]
-        design = build_design(
-            snapshot, index, nodal, [], (CovariateTerm("gdp", "sender"),),
-            lag=0, intercept=False,
-        )
-        assert design.column_names == ("gdp_sender",)
-        assert design.p == 1
-
 
 def test_covariate_term_validation():
     with pytest.raises(CovariateError, match="unknown covariate role"):
@@ -275,6 +277,12 @@ class TestCsvIO:
         write_nodal_csv(path, series)
         loaded = load_nodal_csv(path, "gdp")
         assert loaded.values == series.values
+
+    def test_imputed_series_writes_its_records(self, tmp_path):
+        series = NodalSeries("gdp", {("A", 3): 3.0, ("A", 1): 1.0, ("B", 2): 2.0})
+        path = tmp_path / "gdp.csv"
+        write_nodal_csv(path, impute_linear(series))
+        assert path.read_text() == "node,period,value\nA,1,1\nA,3,3\nB,2,2\n"
 
     def test_dyadic_round_trip(self, tmp_path):
         series = DyadicSeries("alliance", True, {("A", "B", 1): 1.0, ("A", "C", 1): 0.0})
@@ -633,13 +641,14 @@ def test_build_design_matches_flow_loop(case):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            design = build_design(snapshot, index, nodal, [], recipe, lag=0, intercept=False)
+            design = build_design(snapshot, index, nodal, [], recipe, lag=0)
         except CovariateError as exc:
             assert str(exc) == expected
             return
     assert not isinstance(expected, str), expected
     columns, warning = expected
-    np.testing.assert_array_equal(design.rows, np.column_stack(columns))
+    np.testing.assert_array_equal(design.rows[:, 0], 1.0)
+    np.testing.assert_array_equal(design.rows[:, 1:], np.column_stack(columns))
     assert [str(w.message) for w in caught] == ([warning] if warning else [])
 
 
@@ -726,6 +735,78 @@ def test_nodal_table_is_bounded_by_distinct_periods(tmp_path):
     assert series.values == {("A", 0): 1.5, ("B", 10**8): 2.5}
     np.testing.assert_array_equal(design.rows, [[1.0, 1.5, 1.0], [1.0, 2.5, 1.0]])
     assert lookups == [(1.5, False), (1.5, True), (2.5, True), (2.5, False)]
+
+
+def dated(year):
+    """A period coded as a date, as yearly data often are: 19900101, 19910101, ..."""
+    return 19900101 + 10000 * year
+
+
+DATED_RECORDS = st.dictionaries(
+    st.tuples(st.sampled_from(["A", "B", "C"]), st.integers(0, 40).map(dated)),
+    st.one_of(st.just(math.nan), st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300)),
+    max_size=21,
+)
+
+
+def bits(values):
+    return np.asarray(values, float).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(DATED_RECORDS)
+def test_nodal_reads_match_np_interp(values):
+    # A node without observations fails impute_linear; drop its records.
+    observed = {node for (node, _), v in values.items() if not math.isnan(v)}
+    values = {key: v for key, v in values.items() if key[0] in observed}
+    raw = NodalSeries("g", values)
+    filled = impute_linear(raw)
+    names = sorted(observed) + ["Z"]
+    # On each record, one period either side, mid-year, and far outside.
+    reads = sorted({t + d for _, t in values for d in (-1, 0, 1, 5000)} | {dated(-3), dated(45)})
+    for t in reads:
+        value, out_of_span = filled.at(t, names)
+        raw_value, raw_out_of_span = raw.at(t, names)
+        for k, node in enumerate(names[:-1]):
+            recorded = [p for n, p in values if n == node]
+            xp, fp = np.array(sorted((p, v) for (n, p), v in values.items() if n == node and v == v)).T
+            expected = np.interp(t, xp, fp)
+            assert bits([value[k], filled.lookup(node, t)[0]]) == bits([expected] * 2)
+            assert out_of_span[k] == filled.lookup(node, t)[1] == (not min(recorded) <= t <= max(recorded))
+            # A raw series reads NaN between two observations, and its span is its observations.
+            if xp[0] < t < xp[-1] and t not in xp:
+                assert math.isnan(raw_value[k])
+            else:
+                assert bits([raw_value[k]]) == bits([expected])
+            assert raw_out_of_span[k] == (not xp[0] <= t <= xp[-1])
+        assert math.isnan(value[-1]) and math.isnan(raw_value[-1])
+
+
+def test_dated_series_memory_is_bounded_by_records(tmp_path):
+    # 5 nodes x 30 years coded as dates, 10 % missing.  A record per integer
+    # period between a node's first and last year would be 1.45 M records.
+    missing = {(k, y) for k in range(5) for y in range(30) if (k + 3 * y) % 10 == 0}
+    rows = [
+        f"N{k},{dated(y)},{'NA' if (k, y) in missing else 100.0 + 7 * k + y}\n"
+        for k in range(5) for y in range(30)
+    ]
+    path = nodal_file(tmp_path, "".join(rows))
+    snapshot = snapshot_of(dated(29), [(f"N{a}", f"N{b}", 1.0) for a in range(5) for b in range(5) if a != b])
+    index = index_flows(snapshot)
+    recipe = (CovariateTerm("g", "sender"), CovariateTerm("g", "abs_diff"))
+    tracemalloc.start()
+    try:
+        series = impute_linear(load_nodal_csv(path, "g"))
+        # An on-record lag (five years) and an off-record one (five and a half).
+        designs = [build_design(snapshot, index, [series], [], recipe, lag=lag) for lag in (50000, 55000)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    for design, t in zip(designs, (dated(24), dated(24) - 5000)):
+        years = [[y for y in range(30) if (k, y) not in missing] for k in range(5)]
+        expected = [np.interp(t, dated(np.array(y)), 100.0 + 7 * k + np.array(y)) for k, y in enumerate(years)]
+        np.testing.assert_array_equal(design.rows[:, 1], np.take(expected, index.sender))
 
 
 def test_header_only_nodal_csv_has_no_observations(tmp_path):
