@@ -713,27 +713,38 @@ def test_diagnose_builds_each_period_w_once(tmp_path, monkeypatch, structure, re
     for key in ("candidates", "diagnose_structure"):
         text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {structure}", text)
     config_file.write_text(text, encoding="utf-8")
-    periods, products = [], []
+    periods = []
     original = netdisturb.cli.build_weight_matrix
     monkeypatch.setattr(
         "netdisturb.cli.build_weight_matrix",
         lambda spec, index, *a: periods.append(index.period) or original(spec, index, *a),
     )
-    matmul = WeightMatrix.__matmul__
-    monkeypatch.setattr(WeightMatrix, "__matmul__", lambda W, v: products.append(1) or matmul(W, v))
 
     def builds(out):
         periods.clear()
-        products.clear()
         status = main(["diagnose", "--config", str(config_file), "--out", str(out)])
         assert status == (0 if structure == "full_activity" else 1)
-        return periods.copy(), len(products)
+        return periods.copy()
 
-    # One W u_hat per diagnosed period, for both the spillover and the
-    # whitened residuals; each of the 12 fits computed here adds one W [y X].
-    assert builds(tmp_path / "fresh") == (list(range(1, 13)), 12 + reused_builds)
+    assert builds(tmp_path / "fresh") == list(range(1, 13))
     assert main(["fit", "--config", str(config_file), "--out", str(tmp_path / "reused")]) == 0
-    assert builds(tmp_path / "reused") == (list(range(1, 13))[:reused_builds], reused_builds)
+    assert builds(tmp_path / "reused") == list(range(1, 13))[:reused_builds]
+
+
+def test_diagnose_takes_two_w_products_per_period_beside_the_fit(workspace, monkeypatch):
+    # A fresh diagnose takes two W products per period: the fit's one
+    # W [y X], and one W u_hat that serves both the whitened residuals and
+    # tradecorr.csv.  On stored fits only the W u_hat is left.
+    tmp_path, config_file = workspace
+    products = []
+    original = WeightMatrix.__matmul__
+    monkeypatch.setattr(WeightMatrix, "__matmul__", lambda W, v: products.append(1) or original(W, v))
+    assert main(["diagnose", "--config", str(config_file), "--out", str(tmp_path / "fresh")]) == 0
+    assert len(products) == 2 * 4
+    assert main(["fit", "--config", str(config_file), "--out", str(tmp_path / "reused")]) == 0
+    products.clear()
+    assert main(["diagnose", "--config", str(config_file), "--out", str(tmp_path / "reused")]) == 0
+    assert len(products) == 1 * 4
 
 
 def test_diagnose_names_a_degenerate_fit(workspace, monkeypatch):
