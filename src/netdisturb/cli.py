@@ -668,10 +668,9 @@ def cmd_diagnose(config: RunConfig) -> int:
             weight = build_weight_matrix(structure, data.index, data.dyadic.get(structure.dyadic_series))
         problem = SemProblem(y=data.y, X=data.design, W=weight)
         u_hat = residuals(problem, result.beta_hat)[0]
-        # One W u_hat per period: the spillover residuals rho W u_hat give eps_hat too.
+        # One W u_hat per period: eps_hat = u_hat - rho W u_hat, the spillover residuals.
         tradecorr_items.append(tradecorr_residuals(result, u_hat, weight, data.index))
-        eps_hat = residuals(problem, result.beta_hat, spill=tradecorr_items[-1].values)[1]
-        pooled.append(standardized_residuals(result, eps_hat))
+        pooled.append(standardized_residuals(result, u_hat - tradecorr_items[-1].values))
 
     if not pooled:
         raise NetdisturbError("no period produced a usable fit to diagnose")

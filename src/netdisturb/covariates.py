@@ -219,7 +219,9 @@ class DyadicSeries:
         self._setup(name, symmetric, default, nodes, a, b, [t for *_, t in values], list(values.values()))
 
     @classmethod
-    def from_arrays(cls, name, symmetric, nodes, node_a, node_b, period, value, default=None) -> DyadicSeries:
+    def from_arrays(
+        cls, name, symmetric, nodes, node_a, node_b, period, value, default=None
+    ) -> DyadicSeries:
         """A series from the sorted names ``nodes`` and aligned record arrays.
 
         ``node_a`` and ``node_b`` hold codes into ``nodes``, as :meth:`FlowIndex.from_codes`
@@ -356,8 +358,14 @@ class CovariateTerm:
 
     @property
     def column_name(self) -> str:
-        suffix = {"sender": "_sender", "receiver": "_receiver", "abs_diff": "_absdiff"}.get(self.role, "")
-        return ("log_" if self.transform == "log" else "") + self.series + suffix
+        base = self.series
+        if self.role in ("sender", "receiver"):
+            base = f"{base}_{self.role}"
+        elif self.role == "abs_diff":
+            base = f"{base}_absdiff"
+        if self.transform == "log":
+            base = f"log_{base}"
+        return base
 
 
 # The recipe of the shipped default application: economic size of both
@@ -426,14 +434,18 @@ def build_design(
         to a nonpositive value.
     """
     if index.period != snapshot.period:
-        raise CovariateError(f"index period {index.period} != snapshot period {snapshot.period}")
+        raise CovariateError(
+            f"index period {index.period} != snapshot period {snapshot.period}"
+        )
     nodal_map = _series_map(nodal, "nodal")
     dyadic_map = _series_map(dyadic, "dyadic")
     t = snapshot.period - lag
     extrapolated: set[tuple[str, str]] = set()
 
     def log_error(term, value, who):
-        return CovariateError(f"log of nonpositive {term.series!r} value {value} for {who} at period {t}")
+        return CovariateError(
+            f"log of nonpositive {term.series!r} value {value} for {who} at period {t}"
+        )
 
     def log(col):
         return np.fromiter(map(math.log, col.tolist()), float, col.size)
@@ -487,7 +499,9 @@ def build_design(
 
 def _value(text: str) -> float:
     """A value cell: empty, ``NA`` or ``NaN`` (any case) mark a missing value."""
-    return math.nan if text == "" or text.upper() in ("NA", "NAN") else float(text)
+    if text == "" or text.upper() in ("NA", "NAN"):
+        return math.nan
+    return float(text)
 
 
 def _finite_value(text: str) -> float:

@@ -542,16 +542,13 @@ def fit_ols(problem: SemProblem) -> SemFit:
     )
 
 
-def residuals(problem: SemProblem, beta, rho: float | None = None, *, spill=None):
+def residuals(problem: SemProblem, beta, rho: float | None = None):
     """``(u_hat, eps_hat)`` of estimates ``beta`` and ``rho``: y - X beta and (I - rho W) u_hat.
 
-    With ``rho`` None (a :func:`fit_ols` fit, whose problem needs no W) eps_hat is u_hat.  A
-    ``spill`` rho W u_hat formed already (a tradecorr item's values) gives u_hat - spill.
+    With ``rho`` None (a :func:`fit_ols` fit, whose problem needs no W) eps_hat is u_hat.
     """
     u_hat = problem.y - problem.X @ beta
-    if spill is None and rho is not None:
-        spill = rho * (problem.W @ u_hat)
-    return u_hat, (u_hat if spill is None else u_hat - spill)
+    return u_hat, (u_hat if rho is None else u_hat - rho * (problem.W @ u_hat))
 
 
 def fit_to_dict(result: SemFit) -> dict:

@@ -230,11 +230,6 @@ class TestFit:
         np.testing.assert_allclose(
             u_hat, problem.y - problem.X @ fitted.beta_hat, atol=1e-12
         )
-        # A spillover formed beforehand gives the same bits without W u_hat.
-        spill = fitted.rho_hat * (problem.W @ u_hat)
-        given = residuals(problem, fitted.beta_hat, spill=spill)
-        np.testing.assert_array_equal(given[0], u_hat)
-        np.testing.assert_array_equal(given[1], eps_hat)
 
     def test_nests_ols(self):
         rng = np.random.default_rng(18)
