@@ -40,6 +40,18 @@ least squares on A y and A X (the normal equations square the condition
 number).  W y and W X, and the W u_hat of :func:`residuals`, are taken as
 ``W @ v``, from the factors of a built W, so a fit never forms its n x n
 entries.
+
+Where the core is factored at each rho (the activity kinds), the grid
+takes the log-det only where the search needs it.  There E != 0, so C is
+the identity, A = U U' + E is symmetric and W = D+ A.  With P = (D+)^(1/2),
+Sylvester's identity gives det(I - rho W) = det(I - rho P A P), and the
+eigenvalues mu of the symmetric P A P are W's: real, and in [-1, 1].  So
+log|det(I - rho W)| = sum log(1 - rho mu) is concave on (-1, 1): the line
+through two of its points bounds it from above outside the span between
+them, and a grid point whose bound falls below the best profile value
+taken is left out (:meth:`_ProfileCache.profile_grid`).  The eigenvalue
+path keeps the whole grid: an asymmetric C can give complex eigenvalues,
+and its log-det costs no factorization per rho.
 """
 
 from __future__ import annotations
@@ -71,6 +83,10 @@ BRENT_XATOL = 1e-8
 BRENT_MAXFUN = 500
 # sigma^2 below this is treated as a degenerate (perfect) fit.
 DEGENERATE_SIGMA2 = 1e-12
+# A grid point is left out of the rho search only when its concavity bound
+# falls below the best value by this much, relative to the size of the
+# terms compared: far more than the rounding of a log-det or its chords.
+_BOUND_ROUNDING = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +243,10 @@ def _require_full_rank(problem: SemProblem) -> None:
 class _ProfileCache:
     """W y, W X and the cross-products of [y X] and W [y X], so profile evaluations stay cheap.
 
-    ``evaluations`` counts the rho values the profile was evaluated at.
+    Construction checks that there is a W and that X has full rank; the
+    products are formed on the first evaluation, so a fit that stops at its
+    own checks takes none.  ``evaluations`` counts the rho values the
+    profile was evaluated at.
     """
 
     def __init__(self, problem: SemProblem):
@@ -235,32 +254,73 @@ class _ProfileCache:
             raise EstimationError(
                 "the problem has no weight matrix W; give one, or fit rho = 0 with fit_ols"
             )
+        _require_full_rank(problem)
         self.problem = problem
+        self.gram = None
+        self.evaluations = 0
+
+    def _form(self) -> None:
+        """W y, W X and the cross-products, formed by the first evaluation."""
+        problem = self.problem
         Z = np.column_stack([problem.y, problem.X])
         WZ = problem.W @ Z
         self.Wy, self.WX = WZ[:, 0], WZ[:, 1:]
-        _require_full_rank(problem)
         cross = Z.T @ WZ
         self.gram = (Z.T @ Z, cross + cross.T, WZ.T @ WZ)
-        self.evaluations = 0
 
-    def profile(self, rho, spec: Spectrum):
-        """The profiled log-likelihood at a float or an array of rho, from the cross-products.
+    def _sigma2(self, rhos: np.ndarray) -> np.ndarray:
+        """sigma^2(rho) at each rho of an array, from the cross-products.
 
         (AZ)'(AZ) = G0 - rho G1 + rho^2 G2 over Z = [y X]; beta(rho) solves
         its X block against its X'y column, and e'e = y'y - y'X beta(rho).
         """
-        rhos = np.asarray(rho, dtype=float)
+        if self.gram is None:
+            self._form()
         r = rhos.reshape(-1, 1, 1)
         G0, G1, G2 = self.gram
         G = G0 - r * G1 + (r * r) * G2
         beta = np.linalg.solve(G[:, 1:, 1:], G[:, 1:, :1])
         sigma2 = (G[:, 0, 0] - (G[:, :1, 1:] @ beta)[:, 0, 0]) / self.problem.n
+        return sigma2.reshape(rhos.shape)
+
+    def profile(self, rho, spec: Spectrum):
+        """The profiled log-likelihood at a float or an array of rho, from the cross-products."""
+        rhos = np.asarray(rho, dtype=float)
+        sigma2 = self._sigma2(rhos)
         self.evaluations += sigma2.size
-        return self._loglik(rhos, sigma2.reshape(rhos.shape), spec)
+        return self._loglik(rhos, sigma2, spec)
+
+    def profile_grid(self, grid: np.ndarray, spec: Spectrum) -> np.ndarray:
+        """The profile over ``grid``; -inf where a concavity bound shows a point below the best.
+
+        sigma^2 is taken at every point in one call.  On the "cholesky" and
+        "lu" paths the log-det is taken at the ends and the middle, then at
+        the open point of highest ``part + bound`` (the module docstring),
+        until every bound is more than ``_BOUND_ROUNDING`` (relative) below
+        the best value; each value taken is :meth:`profile`'s, to the bit.
+        Any other path, or a non-finite part (sigma^2 <= 0), takes the whole
+        grid in one call.
+        """
+        sigma2 = self._sigma2(grid)
+        part = self._part(sigma2)
+        if log_det_path(spec) == "eigenvalues" or not np.isfinite(part).all():
+            self.evaluations += grid.size
+            return self._loglik(grid, sigma2, spec)
+        # Python floats: on 21 points they cost less than numpy's calls.
+        x, part = grid.tolist(), part.tolist()
+        dets = [None] * len(x)
+        taking = [0, (len(x) - 1) // 2, len(x) - 1]
+        while taking:
+            for k, value in zip(taking, log_det(grid[taking], spec).tolist()):
+                dets[k] = value
+            self.evaluations += len(taking)
+            taking = _next_grid_point(x, part, dets)
+        return np.array([-math.inf if d is None else p + d for p, d in zip(part, dets)])
 
     def point(self, rho: float, spec: Spectrum) -> ProfilePoint:
         """The profile at one rho by least squares on A y and A X, with beta and sigma^2."""
+        if self.gram is None:
+            self._form()
         prob = self.problem
         Ay = prob.y - rho * self.Wy
         AX = prob.X - rho * self.WX
@@ -270,13 +330,39 @@ class _ProfileCache:
         self.evaluations += 1
         return ProfilePoint(loglik=self._loglik(rho, sigma2, spec), beta=beta, sigma2=sigma2)
 
-    def _loglik(self, rho, sigma2, spec: Spectrum):
-        """-(n/2)(log 2 pi + 1 + log sigma^2) + log|det(I - rho W)|; +inf where sigma^2 <= 0."""
+    def _part(self, sigma2):
+        """-(n/2)(log 2 pi + 1 + log sigma^2): the profile but for its log-det."""
         n = self.problem.n
         with np.errstate(divide="ignore", invalid="ignore"):
-            fitted = -0.5 * n * (LOG_2PI + 1.0) - 0.5 * n * np.log(sigma2) + log_det(rho, spec)
-        loglik = np.where(sigma2 > 0.0, fitted, math.inf)
+            return -0.5 * n * (LOG_2PI + 1.0) - 0.5 * n * np.log(sigma2)
+
+    def _loglik(self, rho, sigma2, spec: Spectrum):
+        """:meth:`_part` + log|det(I - rho W)|; +inf where sigma^2 <= 0."""
+        loglik = np.where(sigma2 > 0.0, self._part(sigma2) + log_det(rho, spec), math.inf)
         return float(loglik) if loglik.ndim == 0 else loglik
+
+
+def _next_grid_point(x, part, dets) -> list[int]:
+    """``[k]``, the open grid point of highest ``part + bound``; [] once every bound is below the best.
+
+    The log-det is known where ``dets`` is not None.  An open point's bound
+    is the smaller of the lines through the two known points just below it
+    and the two just above it, where there are two.
+    """
+    known = [k for k, d in enumerate(dets) if d is not None]
+    best = max(part[k] + dets[k] for k in known)
+    floor = best - _BOUND_ROUNDING * (max(map(abs, part)) + max(abs(dets[k]) for k in known))
+    slopes = [(dets[b] - dets[a]) / (x[b] - x[a]) for a, b in zip(known, known[1:])]
+    taking, top = [], -math.inf
+    for i, (a, b) in enumerate(zip(known, known[1:])):
+        for k in range(a + 1, b):
+            bound = dets[a] + slopes[i - 1] * (x[k] - x[a]) if i > 0 else math.inf
+            if i + 1 < len(slopes):
+                bound = min(bound, dets[b] + slopes[i + 1] * (x[k] - x[b]))
+            value = part[k] + bound
+            if value >= floor and value > top:
+                taking, top = [k], value
+    return taking
 
 
 def profile_loglik(rho: float, problem: SemProblem, spec: Spectrum) -> ProfilePoint:
@@ -408,8 +494,10 @@ def fit(problem: SemProblem) -> SemFit:
 
     The profile is evaluated at ``GRID_POINTS`` evenly spaced points over
     the rho interval of :func:`spectrum` kept ``BOUNDARY_MARGIN`` inside
-    its ends, (-1, 1) for a built W, in one call of the cross-product
-    profile (and so of :func:`log_det`); Brent's bounded method
+    its ends, (-1, 1) for a built W (:meth:`_ProfileCache.profile_grid`:
+    on a W factored per rho, only where the concavity bound of the module
+    docstring leaves a point; one left out reads -inf, and the search goes
+    on as over the whole grid, to the bit).  Brent's bounded method
     (:func:`_bounded_brent`, to ``BRENT_XATOL`` in at most ``BRENT_MAXFUN``
     evaluations) then refines the best of them between its two neighbours,
     one rho per call, and the grid point is kept unless Brent beats it (so
@@ -444,7 +532,7 @@ def fit(problem: SemProblem) -> SemFit:
         )
 
     grid = np.linspace(lo, hi, GRID_POINTS)
-    values = cache.profile(grid, spec)
+    values = cache.profile_grid(grid, spec)
     best = int(np.argmax(values))
     brent_rho, brent_min, converged = _bounded_brent(
         lambda rho: -cache.profile(rho, spec),

@@ -218,6 +218,7 @@ class WeightMatrix:
         self.counts = self._spread(np.ones((index.n, 1)))[:, 0]
         self._own = np.divide(1.0, self.counts, out=np.zeros_like(self.counts), where=self.counts > 0)
         self._border = None
+        self._log_dets = {}
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -346,7 +347,9 @@ class WeightMatrix:
         they are W's nonzero ones, so log|det(I - rho W)| = sum log|1 - rho
         lambda| (:func:`eigenvalue_log_det`).  A core that moves with rho is
         factored one rho at a time: by Cholesky ("cholesky") when no flow
-        sits in it, else by LU (``slogdet``, "lu").
+        sits in it, else by LU (``slogdet``, "lu").  Each distinct rho is
+        factored once; its value is kept, so a search that comes back to a
+        rho (the optimum, the middle point of the curvature) reads it back.
 
         The Cholesky case holds because, with K = D - rho E and no flow in
         the core, the core is M(rho) = I - rho U' K^-1 U, symmetric positive
@@ -366,7 +369,11 @@ class WeightMatrix:
         rhos = np.asarray(rho, dtype=float)
         values = np.empty(rhos.shape)
         for at, value in np.ndenumerate(rhos):
-            outer, _, _, matrix = self._blocks(float(value))
+            rho = float(value)
+            if rho in self._log_dets:
+                values[at] = self._log_dets[rho]
+                continue
+            outer, _, _, matrix = self._blocks(rho)
             if path == "lu":
                 inner = np.linalg.slogdet(matrix)[1]
             else:
@@ -374,7 +381,7 @@ class WeightMatrix:
                     inner = 2.0 * np.log(np.diagonal(np.linalg.cholesky(matrix))).sum()
                 except np.linalg.LinAlgError:  # numerically singular
                     inner = -np.inf
-            values[at] = outer + inner
+            values[at] = self._log_dets[rho] = outer + inner
         return values
 
     def solve(self, rho: float, v) -> np.ndarray:

@@ -702,10 +702,8 @@ def test_a_command_loads_only_the_dyadic_series_it_reads(
     assert {"dyadic.alliance", "dyadic.distance"} <= set(manifest["input_sha256"])
 
 
-@pytest.mark.parametrize("structure, reused_builds", [("full_activity", 12), ("distance_import:1", 0)])
-def test_diagnose_builds_each_period_w_once(tmp_path, monkeypatch, structure, reused_builds):
-    # The demos/pipeline panel has 12 periods.  Under distance_import:1 no
-    # flow has a neighbour, so every fit fails; a stored failure needs no W.
+def demo_pipeline_config(tmp_path, structure):
+    """The demos/pipeline panel simulated into tmp_path, and its run config with one structure."""
     demo = Path(__file__).parents[1] / "demos" / "pipeline"
     assert main(["simulate", "--spec", str(demo / "sim.cfg"), "--out", str(tmp_path / "data")]) == 0
     config_file = tmp_path / "run.cfg"
@@ -713,6 +711,14 @@ def test_diagnose_builds_each_period_w_once(tmp_path, monkeypatch, structure, re
     for key in ("candidates", "diagnose_structure"):
         text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {structure}", text)
     config_file.write_text(text, encoding="utf-8")
+    return config_file
+
+
+@pytest.mark.parametrize("structure, reused_builds", [("full_activity", 12), ("distance_import:1", 0)])
+def test_diagnose_builds_each_period_w_once(tmp_path, monkeypatch, structure, reused_builds):
+    # The demos/pipeline panel has 12 periods.  Under distance_import:1 no
+    # flow has a neighbour, so every fit fails; a stored failure needs no W.
+    config_file = demo_pipeline_config(tmp_path, structure)
     periods = []
     original = netdisturb.cli.build_weight_matrix
     monkeypatch.setattr(
@@ -745,6 +751,18 @@ def test_diagnose_takes_two_w_products_per_period_beside_the_fit(workspace, monk
     products.clear()
     assert main(["diagnose", "--config", str(config_file), "--out", str(tmp_path / "reused")]) == 0
     assert len(products) == 1 * 4
+
+
+def test_unidentified_fits_take_no_w_product(tmp_path, monkeypatch):
+    # Under distance_import:1 no flow of the demos/pipeline panel has a
+    # neighbour, so each of the 12 periods' fits stops at its check that rho
+    # is identified, before the fit's W [y X] is formed.
+    config_file = demo_pipeline_config(tmp_path, "distance_import:1")
+    products = []
+    original = WeightMatrix.__matmul__
+    monkeypatch.setattr(WeightMatrix, "__matmul__", lambda W, v: products.append(1) or original(W, v))
+    assert main(["diagnose", "--config", str(config_file), "--out", str(tmp_path / "fresh")]) == 1
+    assert products == []
 
 
 def test_diagnose_names_a_degenerate_fit(workspace, monkeypatch):

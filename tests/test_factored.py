@@ -9,11 +9,14 @@ kinds and symmetric and asymmetric dyadic series.  The log-det tests take
 arrays of rho, up to the search's margin from -1 and 1, and check which
 factorization each core took: eigenvalues, Cholesky or LU (the bordered
 core).  The rho search's cross-product profile is checked against least
-squares.  Two more tests check that fitting, scanning and diagnosing a
-built W, and simulating from one, never form its n x n entries.
+squares, and its concavity-bounded grid against the full grid, bit for
+bit, on the activity kinds (Cholesky and LU).  Two more tests check that
+fitting, scanning and diagnosing a built W, and simulating from one, never
+form its n x n entries.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ from netdisturb import (
     tradecorr_residuals,
 )
 from netdisturb import sem
-from netdisturb.sem import BOUNDARY_MARGIN, residuals
+from netdisturb.sem import BOUNDARY_MARGIN, GRID_POINTS, residuals
 from netdisturb.weights import DISTANCE_KINDS, KINDS
 
 from conftest import (
@@ -263,23 +266,27 @@ def test_simulate_never_forms_entries():
 
 
 @st.composite
-def bordered_weight_matrices(draw):
-    """An attached or full_activity W over random flows, a lone reciprocal pair and two stars.
+def activity_weight_matrices(draw, bordered=None):
+    """An activity-kind W over random flows, plus a lone reciprocal pair and two stars if ``bordered``.
 
     The pair's flows have one neighbour each, so their blocks are singular
-    inside (-1, 1) and border the core.  The flows out of Z0, and those
+    inside (-1, 1) and border the core (LU).  The flows out of Z0, and those
     into Z5, have three neighbours or none, so E keeps flows outside it.
+    Unbordered, the core takes Cholesky where no flow has one or two
+    neighbours, else LU.  ``bordered=None`` draws which.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(sorted(ACTIVITY_E)))
     index = random_flow_index(rng, max_nodes=draw(st.integers(3, 8)), max_flows=40)
-    stars = tuple(("Z0", f"Z{k}") for k in range(1, 5)) + tuple((f"Z{k}", "Z5") for k in range(6, 10))
-    dyads = index.dyads + (("Y0", "Y1"), ("Y1", "Y0")) + stars
+    dyads = index.dyads
+    if draw(st.booleans()) if bordered is None else bordered:
+        stars = tuple(("Z0", f"Z{k}") for k in range(1, 5)) + tuple((f"Z{k}", "Z5") for k in range(6, 10))
+        dyads += (("Y0", "Y1"), ("Y1", "Y0")) + stars
     return build_weight_matrix(NeighborhoodSpec(kind), FlowIndex(period=1, dyads=dyads))
 
 
 @PROPERTY
-@given(bordered_weight_matrices(), RHO_ARRAYS)
+@given(activity_weight_matrices(bordered=True), RHO_ARRAYS)
 def test_bordered_core_log_det_matches_dense_slogdet(W, rhos):
     assert expected_path(W) == "lu"
     assert_log_dets_match(W, rhos)
@@ -317,3 +324,39 @@ def test_cross_product_profile_matches_least_squares(W, seed):
     rhos = np.append(rng.uniform(-0.999, 0.999, 6), [0.0, -0.999, 0.999])
     expected = np.array([cache.point(rho, spec).loglik for rho in rhos.tolist()])
     np.testing.assert_allclose(cache.profile(rhos, spec), expected, rtol=1e-10, atol=0.0)
+
+
+def full_grid_fit(problem):
+    """fit with the log-det taken at every grid point, as before the concavity bound."""
+    with mock.patch.object(sem._ProfileCache, "profile_grid", sem._ProfileCache.profile):
+        return fit(problem)
+
+
+@PROPERTY
+@given(activity_weight_matrices(), st.integers(0, 2**32 - 1))
+def test_bounded_grid_matches_the_full_grid(W, seed):
+    # Every grid value taken is the full grid's to the bit, every point
+    # left out is below the best, and the fit is the full grid's fit.  Each
+    # side gets its own W, so neither reads a log-det the other kept.
+    if W.n < 6 or not W.counts.any():
+        return
+    problem = problem_on(W, False, seed)
+
+    def fresh():
+        return SemProblem(y=problem.y, X=problem.X, W=build_weight_matrix(W.spec, W.index))
+
+    spec = spectrum(W)
+    grid = np.linspace(spec.rho_lower + BOUNDARY_MARGIN, spec.rho_upper - BOUNDARY_MARGIN, GRID_POINTS)
+    bounded = sem._ProfileCache(problem).profile_grid(grid, spec)
+    other = fresh()
+    full = sem._ProfileCache(other).profile(grid, spectrum(other.W))
+    taken = np.isfinite(bounded)
+    assert taken[[0, GRID_POINTS // 2, -1]].all()
+    if sem.log_det_path(spec) == "eigenvalues":
+        assert taken.all()
+    np.testing.assert_array_equal(bounded[taken], full[taken])
+    assert (full[~taken] < bounded.max()).all()
+    fitted, expected = fit(fresh()), full_grid_fit(fresh())
+    for name in ("rho_hat", "beta_hat", "sigma2_hat", "loglik", "se_beta", "se_rho"):
+        np.testing.assert_array_equal(getattr(fitted, name), getattr(expected, name), strict=True)
+    assert fitted.evaluations == expected.evaluations - (~taken).sum()

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,8 @@ from netdisturb.sem import (
     write_coefficients_csv,
     write_fit_json,
 )
+
+from netdisturb.weights import WeightMatrix
 
 from conftest import RECOVERY_TRUTH, complete_alliance, random_flow_index, random_row_normalized_w
 
@@ -542,6 +546,75 @@ def test_fit_calls_log_det_once_for_the_grid_then_once_per_brent_step(monkeypatc
     assert fitted.evaluations == GRID_POINTS + len(steps) + 1 + 3
 
 
+def recovery_problem(seed):
+    """One replicate of the recovery study's shape: about 500 flows over 150 nodes, full_activity."""
+    spec = SimSpec(
+        n_nodes=150,
+        n_periods=1,
+        density=500.0 / (150 * 149),
+        structure=NeighborhoodSpec("full_activity"),
+        rho=RECOVERY_TRUTH["rho"],
+        beta=RECOVERY_TRUTH["beta"],
+        sigma=RECOVERY_TRUTH["sigma"],
+        seed=seed,
+    )
+    result = simulate(spec)
+    index = result.indices[1]
+    return SemProblem(y=log_flow_vector(result.panel[0], index), X=result.designs[1], W=result.weights[1])
+
+
+def test_factored_fit_calls_log_det_for_the_grid_points_the_bound_leaves(monkeypatch):
+    # On a W factored per rho the grid's ends and middle take one call, and
+    # each grid point that the concavity bound does not exclude one more;
+    # Brent's steps, rho_hat and the curvature's three follow as above.
+    calls, steps = [], []
+    log_det_of, brent_of = sem.log_det, sem._bounded_brent
+
+    def recording_log_det(rho, spec):
+        calls.append(np.array(rho, dtype=float))
+        return log_det_of(rho, spec)
+
+    def counting_brent(func, a, b, xatol, maxfun):
+        return brent_of(lambda rho: steps.append(rho) or func(rho), a, b, xatol, maxfun)
+
+    problem = recovery_problem(20_000)
+    monkeypatch.setattr(sem, "log_det", recording_log_det)
+    monkeypatch.setattr(sem, "_bounded_brent", counting_brent)
+    fitted = fit(problem)
+    assert fitted.log_det == "cholesky"
+    grid = np.linspace(-1.0 + BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, GRID_POINTS)
+    np.testing.assert_array_equal(calls[0], grid[[0, GRID_POINTS // 2, -1]])
+    points = list(itertools.takewhile(lambda c: c.shape == (1,), calls[1:]))
+    assert 0 < len(points) < GRID_POINTS - 3
+    taken = np.concatenate([calls[0], *points]).tolist()
+    assert len(set(taken)) == len(taken) and set(taken) <= set(grid.tolist())
+    brent = calls[1 + len(points) : 1 + len(points) + len(steps)]
+    assert steps and all(c.ndim == 0 for c in brent) and [float(c) for c in brent] == steps
+    at_optimum, curvature = calls[1 + len(points) + len(steps) :]
+    assert at_optimum.ndim == 0 and float(at_optimum) == fitted.rho_hat
+    assert curvature.shape == (3,) and curvature[1] == fitted.rho_hat
+    assert fitted.evaluations == len(taken) + len(steps) + 1 + 3
+
+
+def test_factored_fit_takes_each_rho_once_and_warns_nothing(monkeypatch):
+    # Ten replicates of the recovery study's shape, with each factorization
+    # of I - rho core counted: no rho twice in one fit, and at most 24 a
+    # fit on average, where the whole grid and the repeated rho_hat took 36.
+    factored = []
+    blocks_of = WeightMatrix._blocks
+    monkeypatch.setattr(WeightMatrix, "_blocks", lambda W, rho: factored.append(rho) or blocks_of(W, rho))
+    counts = []
+    for rep in range(10):
+        problem = recovery_problem(20_000 + rep)
+        factored.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit(problem)
+        assert len(set(factored)) == len(factored)
+        counts.append(len(factored))
+    assert np.mean(counts) <= 24
+
+
 def test_rank_deficient_fit_loads_no_scipy():
     code = """
 import sys
@@ -660,8 +733,10 @@ class TestFitFromDict:
         ):
             fitted = fitter(problem)
             assert fitted.log_det == method
-            # The grid, Brent's first two steps, rho_hat and the curvature's three.
-            assert (fitted.evaluations == 0) if method is None else (fitted.evaluations > GRID_POINTS + 5)
+            # The grid (on a factored W at least its ends and middle), Brent's
+            # first two steps, rho_hat and the curvature's three.
+            grid = GRID_POINTS if method == "eigenvalues" else 3
+            assert (fitted.evaluations == 0) if method is None else (fitted.evaluations > grid + 5)
             read = self.round_trip(fitted, problem, tmp_path)
             self.assert_same_fit(read, fitted)
             written = json.loads((tmp_path / "fit.json").read_text(encoding="utf-8"))
