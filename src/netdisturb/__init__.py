@@ -57,7 +57,6 @@ from .selection import (
 from .sem import (
     SemFit,
     SemProblem,
-    Spectrum,
     fit,
     fit_ols,
     log_det,
@@ -67,6 +66,7 @@ from .sem import (
 from .simulate import SimResult, SimSpec, draw_disturbances, simulate, write_sim_csvs
 from .weights import (
     KINDS,
+    DenseWeight,
     NeighborhoodSpec,
     WeightMatrix,
     build_weight_matrix,
@@ -118,7 +118,6 @@ __all__ = [
     "smooth_weights",
     "SemFit",
     "SemProblem",
-    "Spectrum",
     "fit",
     "fit_ols",
     "log_det",
@@ -130,6 +129,7 @@ __all__ = [
     "simulate",
     "write_sim_csvs",
     "KINDS",
+    "DenseWeight",
     "NeighborhoodSpec",
     "WeightMatrix",
     "build_weight_matrix",

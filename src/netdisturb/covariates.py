@@ -112,22 +112,9 @@ class NodalSeries:
 
     @property
     def values(self) -> dict[tuple[str, int], float]:
-        """The records as ``{(node, period): value}``, in input order.
-
-        Of an imputed series: every integer period of each node's span, by
-        node and then by period, as :meth:`at` reads it.  This grid is
-        built on each access; nothing else builds it.
-        """
-        node, period, value = self.node, self.period, self.value
-        if self._imputed:
-            first, last = self._span
-            held = np.flatnonzero(first <= last)
-            size = last[held] - first[held] + 1
-            node = np.repeat(held, size)
-            period = np.arange(size.sum()) + np.repeat(first[held] - (np.cumsum(size) - size), size)
-        names = list(map(self.nodes.__getitem__, node.tolist()))
-        value = self.at(period, names)[0] if self._imputed else value
-        return dict(zip(zip(names, period.tolist()), value.tolist()))
+        """The records as ``{(node, period): value}``, in input order; :meth:`at` reads a filled gap."""
+        names = map(self.nodes.__getitem__, self.node.tolist())
+        return dict(zip(zip(names, self.period.tolist()), self.value.tolist()))
 
     def at(self, period, names) -> tuple[np.ndarray, np.ndarray]:
         """The value at `period` of each node in `names`, and whether `period` is outside its span.

@@ -55,10 +55,6 @@ class NodeRoster:
             spans[entry.node_id] = (entry.active_from, entry.active_to)
         object.__setattr__(self, "_spans", spans)
 
-    def active(self, node_id: str, period: int) -> bool:
-        span = self._spans.get(node_id)
-        return span is not None and span[0] <= period <= span[1]
-
 
 class FlowIndex:
     """The flows of one period in a fixed order: the coordinates of its vectors.
@@ -106,12 +102,6 @@ class FlowIndex:
         k = np.searchsorted(self._keys, query).clip(0, max(self.n - 1, 0))
         found = self._keys[k] == query if self.n else np.zeros(query.shape, bool)
         return np.where(found, k if self._order is None else self._order[k], -1)
-
-    def position(self, dyad: tuple[str, str]) -> int:
-        a = int(self.locate(*map(self.nodes.index, dyad))) if set(dyad) <= set(self.nodes) else -1
-        if a < 0:
-            raise PanelError(f"dyad {dyad[0]} -> {dyad[1]} not in index for period {self.period}")
-        return a
 
 
 @dataclass(frozen=True, eq=False)

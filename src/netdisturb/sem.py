@@ -22,11 +22,9 @@ give log|det(I - rho W)| = sum log|1 - rho lambda_k| (Ord 1975); an
 activity kind's core is factored at each rho, by Cholesky where it is
 positive definite and by LU where flows border it.  Such a W is row
 normalized and non-negative, so every eigenvalue has modulus at most 1 and
-rho is searched over (-1, 1) (LeSage & Pace 2009, section 4).  A W given as
-a plain array uses its own eigenvalues by the same formula (complex
-eigenvalues of an asymmetric W pair up, so the sum is real), and (-1, 1) is
-narrowed to the reciprocals of W's extreme real eigenvalues where they fall
-inside it.
+rho is searched over (-1, 1) (LeSage & Pace 2009, section 4).  The dense
+oracle, :class:`~netdisturb.weights.DenseWeight`, answers the same calls
+from its entries and its own eigenvalues, over its own rho interval.
 
 rho is searched in two steps: the profile on a coarse grid over the
 interval, then Brent's bounded method (:func:`_bounded_brent`, a port of
@@ -69,7 +67,7 @@ import numpy as np
 from ._serialize import write_csv, write_json
 from .covariates import DesignMatrix
 from .errors import EstimationError
-from .weights import WeightMatrix, eigenvalue_log_det
+from .weights import DenseWeight, WeightMatrix
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -94,15 +92,15 @@ class SemProblem:
     """One period's estimation problem: y = X beta + u with weights W.
 
     ``X`` may be a :class:`~netdisturb.covariates.DesignMatrix` (its column
-    names are kept) or a plain array.  ``W`` may be a built
-    :class:`~netdisturb.weights.WeightMatrix`, kept as given so that
-    :func:`fit` uses its factors; a plain array, the dense oracle, checked
-    for finiteness; or None for a problem that only :func:`fit_ols` solves.
+    names are kept) or a plain array.  ``W`` is a built
+    :class:`~netdisturb.weights.WeightMatrix`, the dense oracle
+    :class:`~netdisturb.weights.DenseWeight`, or None for a problem that
+    only :func:`fit_ols` solves.
     """
 
     y: np.ndarray
     X: np.ndarray
-    W: WeightMatrix | np.ndarray | None = None
+    W: WeightMatrix | DenseWeight | None = None
     column_names: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -117,23 +115,22 @@ class SemProblem:
         if X.ndim != 2 or X.shape[0] != n:
             raise EstimationError(f"X shape {X.shape} does not match y length {n}")
         W = self.W
-        if W is not None and not isinstance(W, WeightMatrix):
-            W = np.asarray(W, dtype=float)
-        shape = None if W is None else (W.n, W.n) if isinstance(W, WeightMatrix) else W.shape
-        if shape is not None and shape != (n, n):
-            raise EstimationError(f"W shape {shape} does not match y length {n}")
+        if W is not None and not isinstance(W, (WeightMatrix, DenseWeight)):
+            raise EstimationError(
+                f"W must be a WeightMatrix, a DenseWeight or None, not {type(W).__name__}"
+            )
+        if W is not None and W.n != n:
+            raise EstimationError(f"W shape {(W.n, W.n)} does not match y length {n}")
         if not n > X.shape[1]:
             raise EstimationError(
                 f"need more observations than parameters (n={n}, p={X.shape[1]})"
             )
-        finite_w = not isinstance(W, np.ndarray) or np.all(np.isfinite(W))
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X)) and finite_w):
-            raise EstimationError("y, X and W must be finite")
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
+            raise EstimationError("y and X must be finite")
         if not names:
             names = tuple(f"x{k}" for k in range(X.shape[1]))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "W", W)
         object.__setattr__(self, "column_names", names)
 
     @property
@@ -145,75 +142,23 @@ class SemProblem:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """The open search interval for rho and what :func:`log_det` reads.
-
-    That is a built weight matrix as ``factors`` (``eigenvalues`` is then
-    None), or the ``eigenvalues`` of a W given as a plain array.
-    """
-
-    eigenvalues: np.ndarray | None
-    rho_lower: float
-    rho_upper: float
-    factors: WeightMatrix | None = None
+def spectrum(W) -> tuple[float, float]:
+    """W's open rho interval, ``W.rho_bounds``; a function, so that perfbench can time it."""
+    return W.rho_bounds
 
 
-def spectrum(W) -> Spectrum:
-    """The admissible rho interval of W and the means to evaluate log_det.
+def log_det(rho, W):
+    """log|det(I - rho W)| at a float or an array of rho, by W's own :meth:`log_det`.
 
-    For a built WeightMatrix (row normalized and non-negative, so every
-    |lambda| <= 1) the interval is exactly (-1, 1), and nothing is computed
-    here: the factors prepare their core, and the eigenvalues of a fixed
-    one, on the first :func:`log_det`.  For a plain array W it is (-1, 1)
-    intersected with (1/lambda_min, 1/lambda_max) over W's nonzero real
-    eigenvalues, which are computed here.
-    """
-    if isinstance(W, WeightMatrix):
-        return Spectrum(eigenvalues=None, rho_lower=-1.0, rho_upper=1.0, factors=W)
-    try:
-        eigenvalues = np.linalg.eigvals(np.asarray(W, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(f"eigenvalue computation failed: {exc}") from None
-
-    scale = max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
-    real_mask = np.abs(eigenvalues.imag) <= 1e-9 * scale
-    real_parts = eigenvalues.real[real_mask]
-    tiny = 1e-12 * scale
-    positive = real_parts[real_parts > tiny]
-    negative = real_parts[real_parts < -tiny]
-    upper = min(1.0 / positive.max(), 1.0) if positive.size else 1.0
-    lower = max(1.0 / negative.min(), -1.0) if negative.size else -1.0
-    return Spectrum(eigenvalues=eigenvalues, rho_lower=lower, rho_upper=upper)
-
-
-def log_det(rho, spec: Spectrum):
-    """log|det(I - rho W)| from W's factors or from its eigenvalues, at a float or an array of rho.
-
-    From eigenvalues it is ``sum(log|1 - rho * lambda_i|)``
-    (:func:`~netdisturb.weights.eigenvalue_log_det`); the factors choose
-    their own factorization (:meth:`~netdisturb.weights.WeightMatrix.log_det`)
-    and hold for -1 < rho < 1.  A float gives a float, an array an array.
+    A float gives a float, an array an array.  Raises EstimationError
+    where rho sits on a pole.
     """
     rhos = np.asarray(rho, dtype=float)
-    if spec.eigenvalues is None:
-        outside = rhos[~((-1.0 < rhos) & (rhos < 1.0))]
-        if outside.size:
-            raise EstimationError(
-                f"rho={outside.flat[0]} outside (-1, 1), where the factored log-det holds"
-            )
-        values = spec.factors.log_det(rhos)
-    else:
-        values = eigenvalue_log_det(rhos, spec.eigenvalues)
+    values = W.log_det(rhos)
     poles = rhos[~np.isfinite(values)]
     if poles.size:
         raise EstimationError(f"rho={poles.flat[0]} sits on a pole of the log-determinant")
     return float(values) if values.ndim == 0 else values
-
-
-def log_det_path(spec: Spectrum) -> str:
-    """The factorization :func:`log_det` uses: "eigenvalues", "cholesky" or "lu"."""
-    return "eigenvalues" if spec.eigenvalues is not None else spec.factors.log_det_path
 
 
 class ProfilePoint(NamedTuple):
@@ -283,14 +228,14 @@ class _ProfileCache:
         sigma2 = (G[:, 0, 0] - (G[:, :1, 1:] @ beta)[:, 0, 0]) / self.problem.n
         return sigma2.reshape(rhos.shape)
 
-    def profile(self, rho, spec: Spectrum):
+    def profile(self, rho):
         """The profiled log-likelihood at a float or an array of rho, from the cross-products."""
         rhos = np.asarray(rho, dtype=float)
         sigma2 = self._sigma2(rhos)
         self.evaluations += sigma2.size
-        return self._loglik(rhos, sigma2, spec)
+        return self._loglik(rhos, sigma2)
 
-    def profile_grid(self, grid: np.ndarray, spec: Spectrum) -> np.ndarray:
+    def profile_grid(self, grid: np.ndarray) -> np.ndarray:
         """The profile over ``grid``; -inf where a concavity bound shows a point below the best.
 
         sigma^2 is taken at every point in one call.  On the "cholesky" and
@@ -303,21 +248,21 @@ class _ProfileCache:
         """
         sigma2 = self._sigma2(grid)
         part = self._part(sigma2)
-        if log_det_path(spec) == "eigenvalues" or not np.isfinite(part).all():
+        if self.problem.W.log_det_path == "eigenvalues" or not np.isfinite(part).all():
             self.evaluations += grid.size
-            return self._loglik(grid, sigma2, spec)
+            return self._loglik(grid, sigma2)
         # Python floats: on 21 points they cost less than numpy's calls.
         x, part = grid.tolist(), part.tolist()
         dets = [None] * len(x)
         taking = [0, (len(x) - 1) // 2, len(x) - 1]
         while taking:
-            for k, value in zip(taking, log_det(grid[taking], spec).tolist()):
+            for k, value in zip(taking, log_det(grid[taking], self.problem.W).tolist()):
                 dets[k] = value
             self.evaluations += len(taking)
             taking = _next_grid_point(x, part, dets)
         return np.array([-math.inf if d is None else p + d for p, d in zip(part, dets)])
 
-    def point(self, rho: float, spec: Spectrum) -> ProfilePoint:
+    def point(self, rho: float) -> ProfilePoint:
         """The profile at one rho by least squares on A y and A X, with beta and sigma^2."""
         if self.gram is None:
             self._form()
@@ -328,7 +273,7 @@ class _ProfileCache:
         e = Ay - AX @ beta
         sigma2 = float(e @ e) / prob.n
         self.evaluations += 1
-        return ProfilePoint(loglik=self._loglik(rho, sigma2, spec), beta=beta, sigma2=sigma2)
+        return ProfilePoint(loglik=self._loglik(rho, sigma2), beta=beta, sigma2=sigma2)
 
     def _part(self, sigma2):
         """-(n/2)(log 2 pi + 1 + log sigma^2): the profile but for its log-det."""
@@ -336,9 +281,9 @@ class _ProfileCache:
         with np.errstate(divide="ignore", invalid="ignore"):
             return -0.5 * n * (LOG_2PI + 1.0) - 0.5 * n * np.log(sigma2)
 
-    def _loglik(self, rho, sigma2, spec: Spectrum):
+    def _loglik(self, rho, sigma2):
         """:meth:`_part` + log|det(I - rho W)|; +inf where sigma^2 <= 0."""
-        loglik = np.where(sigma2 > 0.0, self._part(sigma2) + log_det(rho, spec), math.inf)
+        loglik = np.where(sigma2 > 0.0, self._part(sigma2) + log_det(rho, self.problem.W), math.inf)
         return float(loglik) if loglik.ndim == 0 else loglik
 
 
@@ -365,17 +310,17 @@ def _next_grid_point(x, part, dets) -> list[int]:
     return taking
 
 
-def profile_loglik(rho: float, problem: SemProblem, spec: Spectrum) -> ProfilePoint:
+def profile_loglik(rho: float, problem: SemProblem) -> ProfilePoint:
     """Concentrated log-likelihood at ``rho`` with the implied beta, sigma^2.
 
     At rho = 0 this reduces exactly to the OLS solution and its Gaussian
     log-likelihood.
     """
-    if not spec.rho_lower < rho < spec.rho_upper:
-        raise EstimationError(
-            f"rho={rho} outside open interval ({spec.rho_lower}, {spec.rho_upper})"
-        )
-    return _ProfileCache(problem).point(rho, spec)
+    cache = _ProfileCache(problem)
+    lower, upper = spectrum(problem.W)
+    if not lower < rho < upper:
+        raise EstimationError(f"rho={rho} outside open interval ({lower}, {upper})")
+    return cache.point(rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,7 +331,7 @@ class SemFit:
     rho (NaN where no standard error is available).  ``evaluations`` counts
     the rho values at which :func:`fit` evaluated the profile (0 for
     :func:`fit_ols`), and ``log_det`` names the factorization of its
-    log-determinant (:func:`log_det_path`; None for ``fit_ols``).
+    log-determinant (W's ``log_det_path``; None for ``fit_ols``).
     """
 
     rho_hat: float
@@ -521,21 +466,19 @@ def fit(problem: SemProblem) -> SemFit:
         and rho is not identified.
     """
     cache = _ProfileCache(problem)
-    spec = spectrum(problem.W)
-    if not (spec.factors.counts if spec.eigenvalues is None else problem.W).any():
+    bounds = spectrum(problem.W)
+    if not problem.W.counts.any():
         raise EstimationError("rho is not identified: W gives no flow a neighbour")
-    lo = spec.rho_lower + BOUNDARY_MARGIN
-    hi = spec.rho_upper - BOUNDARY_MARGIN
+    lo = bounds[0] + BOUNDARY_MARGIN
+    hi = bounds[1] - BOUNDARY_MARGIN
     if not lo < hi:
-        raise EstimationError(
-            f"empty rho search interval ({spec.rho_lower}, {spec.rho_upper})"
-        )
+        raise EstimationError(f"empty rho search interval ({bounds[0]}, {bounds[1]})")
 
     grid = np.linspace(lo, hi, GRID_POINTS)
-    values = cache.profile_grid(grid, spec)
+    values = cache.profile_grid(grid)
     best = int(np.argmax(values))
     brent_rho, brent_min, converged = _bounded_brent(
-        lambda rho: -cache.profile(rho, spec),
+        lambda rho: -cache.profile(rho),
         float(grid[max(best - 1, 0)]),
         float(grid[min(best + 1, GRID_POINTS - 1)]),
         BRENT_XATOL,
@@ -543,7 +486,7 @@ def fit(problem: SemProblem) -> SemFit:
     )
     rho_hat = brent_rho if -brent_min > values[best] else float(grid[best])
 
-    at_optimum = cache.point(rho_hat, spec)
+    at_optimum = cache.point(rho_hat)
     beta = at_optimum.beta
     sigma2 = at_optimum.sigma2
     p = problem.p
@@ -557,7 +500,7 @@ def fit(problem: SemProblem) -> SemFit:
         AX = problem.X - rho_hat * cache.WX
         xtx_inv = np.linalg.inv(AX.T @ AX)
         se_beta = np.sqrt(np.maximum(sigma2 * np.diag(xtx_inv), 0.0))
-        se_rho = _profile_curvature_se(cache, rho_hat, lo, hi, spec)
+        se_rho = _profile_curvature_se(cache, rho_hat, lo, hi, bounds)
     p_values = np.append(_two_sided_p(beta, se_beta), _two_sided_p(rho_hat, se_rho))
 
     return SemFit(
@@ -572,20 +515,20 @@ def fit(problem: SemProblem) -> SemFit:
         converged=converged,
         degenerate=degenerate,
         column_names=problem.column_names,
-        rho_bounds=(spec.rho_lower, spec.rho_upper),
+        rho_bounds=bounds,
         evaluations=cache.evaluations,
-        log_det=log_det_path(spec),
+        log_det=problem.W.log_det_path,
     )
 
 
-def _profile_curvature_se(cache, rho_hat, lo, hi, spec) -> float:
-    h = 1e-4 * (spec.rho_upper - spec.rho_lower)
+def _profile_curvature_se(cache, rho_hat, lo, hi, bounds) -> float:
+    h = 1e-4 * (bounds[1] - bounds[0])
     # Shrink the step if the optimum sits close to an interval end.
     room = min(hi - rho_hat, rho_hat - lo)
     if room <= 0:
         return math.nan
     h = min(h, 0.5 * room)
-    above, at, below = cache.profile(np.array([rho_hat + h, rho_hat, rho_hat - h]), spec)
+    above, at, below = cache.profile(np.array([rho_hat + h, rho_hat, rho_hat - h]))
     d2 = (above - 2.0 * at + below) / (h * h)
     if d2 >= 0:
         return math.nan

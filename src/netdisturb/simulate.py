@@ -45,7 +45,7 @@ from .panel import (
     write_roster_csv,
 )
 from .sem import spectrum
-from .weights import NeighborhoodSpec, WeightMatrix, build_weight_matrix
+from .weights import DenseWeight, NeighborhoodSpec, WeightMatrix, build_weight_matrix
 
 # Re-draw a period's graph at most this many times when it comes out too
 # sparse to fit (fewer flows than parameters plus two).
@@ -111,21 +111,17 @@ class SimResult:
 
 
 def draw_disturbances(
-    W: WeightMatrix | np.ndarray, rho: float, sigma: float, rng: np.random.Generator, size: int = 1
+    W: WeightMatrix | DenseWeight, rho: float, sigma: float, rng: np.random.Generator, size: int = 1
 ) -> np.ndarray:
     """Draw `size` disturbance vectors u = (I - rho W)^{-1} eps.
 
     Returns a (size, n) array; this is the exact law the estimator assumes,
-    with covariance sigma^2 (I - rho W)^{-1} (I - rho W')^{-1}.  A
-    WeightMatrix solves for all draws at once through its factors, with no
-    n x n array; a plain-array W, the dense oracle, is solved densely.  eps
-    is drawn first, so the random stream does not depend on which.
+    with covariance sigma^2 (I - rho W)^{-1} (I - rho W')^{-1}.  W solves
+    for all draws at once (:meth:`WeightMatrix.solve` through its factors,
+    with no n x n array).
     """
-    n = W.n if isinstance(W, WeightMatrix) else np.shape(W)[0]
-    eps = rng.normal(0.0, sigma, size=(size, n))
-    if isinstance(W, WeightMatrix):
-        return W.solve(rho, eps.T).T
-    return np.linalg.solve(np.eye(n) - rho * np.asarray(W, dtype=float), eps.T).T
+    eps = rng.normal(0.0, sigma, size=(size, W.n))
+    return W.solve(rho, eps.T).T
 
 
 def simulate(spec: SimSpec) -> SimResult:
@@ -206,11 +202,11 @@ def simulate(spec: SimSpec) -> SimResult:
         flows = NetworkSnapshot(index, np.ones(index.n))  # the flows, before their values
         design = build_design(flows, index, nodal, dyadic, recipe=recipe, lag=spec.lag)
         W = build_weight_matrix(spec.structure, index, context)
-        spect = spectrum(W)
-        if not spect.rho_lower < spec.rho < spect.rho_upper:
+        lower, upper = spectrum(W)
+        if not lower < spec.rho < upper:
             raise NetdisturbError(
                 f"period {period}: rho={spec.rho} outside the spectral interval "
-                f"({spect.rho_lower:.6g}, {spect.rho_upper:.6g}) of the realized "
+                f"({lower:.6g}, {upper:.6g}) of the realized "
                 f"weight matrix; choose a smaller |rho|"
             )
         u = draw_disturbances(W, spec.rho, spec.sigma, rng, size=1)[0]
@@ -228,7 +224,7 @@ def simulate(spec: SimSpec) -> SimResult:
         weight_mats[period] = W
         truth_periods[period] = {
             "n_flows": index.n,
-            "rho_bounds": [spect.rho_lower, spect.rho_upper],
+            "rho_bounds": [lower, upper],
         }
 
     truth = {

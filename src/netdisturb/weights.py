@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariates import DyadicSeries
-from .errors import CovariateError, WeightError
+from .errors import CovariateError, EstimationError, WeightError
 from .panel import FlowIndex
 
 # kind -> (anchor roles, node relation, E = self * I + reverse * R)
@@ -176,8 +176,10 @@ class WeightMatrix:
     (n, k), is D+ (U (C (U' v)) + E v) in O(n k + N^2 k), as U' sums v over
     each anchor node's flows.  ``entries`` is W times the identity, formed
     64 columns at a time on first access and then cached, for tests and
-    inspection.  A W given as a plain array is the dense oracle, and is
-    never wrapped in this class.
+    inspection.  :class:`DenseWeight` answers the same calls from a W's
+    dense entries, as the oracle of tests.  Row normalized and
+    non-negative, such a W has every eigenvalue of modulus at most 1, so
+    its ``rho_bounds`` are (-1, 1).
 
     B(rho) = I - rho D+ E is block diagonal: a 1 x 1 block per flow, or a
     2 x 2 block per pair of reverse flows.  By the matrix determinant lemma
@@ -206,6 +208,8 @@ class WeightMatrix:
     matrix.  All this is prepared on the first :meth:`log_det` or
     :meth:`solve` call: a W only multiplied never pays for it.
     """
+
+    rho_bounds = (-1.0, 1.0)
 
     def __init__(self, spec: NeighborhoodSpec, index: FlowIndex, dyadic: DyadicSeries | None = None):
         self.index, self.spec = index, spec
@@ -363,10 +367,15 @@ class WeightMatrix:
         + |rho| U' K^-1 U.  Flows with D = 0 carry zero weight and drop out.
         Then log det M = 2 sum log diag(chol M).
         """
+        rhos = np.asarray(rho, dtype=float)
+        outside = rhos[~((-1.0 < rhos) & (rhos < 1.0))]
+        if outside.size:
+            raise EstimationError(
+                f"rho={outside.flat[0]} outside (-1, 1), where the factored log-det holds"
+            )
         path = self.log_det_path
         if path == "eigenvalues":
-            return eigenvalue_log_det(rho, self._eigenvalues)
-        rhos = np.asarray(rho, dtype=float)
+            return eigenvalue_log_det(rhos, self._eigenvalues)
         values = np.empty(rhos.shape)
         for at, value in np.ndenumerate(rhos):
             rho = float(value)
@@ -405,6 +414,60 @@ class WeightMatrix:
         spread[core] += inner[size:]
         return (columns + rho * scaled(corrected + spread)).reshape(np.shape(v))
 
+
+class DenseWeight:
+    """The dense oracle of a :class:`WeightMatrix`: a W given by its n x n ``entries``.
+
+    It answers a built W's calls from the entries: ``W @ v``, ``counts``
+    (nonzeros per row), :meth:`log_det`, :meth:`solve` (a dense solve) and
+    ``rho_bounds``.  The log-det takes W's eigenvalues once
+    (:func:`eigenvalue_log_det`; complex ones of an asymmetric W pair up, so
+    the sum is real), and ``rho_bounds`` narrows (-1, 1) to the reciprocals
+    of W's extreme nonzero real eigenvalues where they fall inside it.  The
+    entries must be square and finite; they need not be row normalized.
+    """
+
+    log_det_path = "eigenvalues"
+
+    def __init__(self, entries):
+        self.entries = np.asarray(entries, dtype=float)
+        if self.entries.ndim != 2 or len(self.entries) != self.entries.shape[1]:
+            raise EstimationError(f"W shape {self.entries.shape} is not square")
+        if not np.isfinite(self.entries).all():
+            raise EstimationError("W must be finite")
+        self.n = len(self.entries)
+        self.counts = np.count_nonzero(self.entries, axis=1)
+
+    def __matmul__(self, v) -> np.ndarray:
+        return self.entries @ np.asarray(v, dtype=float)
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        try:
+            return np.linalg.eigvals(self.entries)
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError(f"eigenvalue computation failed: {exc}") from None
+
+    @functools.cached_property
+    def rho_bounds(self) -> tuple[float, float]:
+        eigenvalues = self.eigenvalues
+        scale = max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
+        real_mask = np.abs(eigenvalues.imag) <= 1e-9 * scale
+        real_parts = eigenvalues.real[real_mask]
+        tiny = 1e-12 * scale
+        positive = real_parts[real_parts > tiny]
+        negative = real_parts[real_parts < -tiny]
+        upper = min(1.0 / positive.max(), 1.0) if positive.size else 1.0
+        lower = max(1.0 / negative.min(), -1.0) if negative.size else -1.0
+        return lower, upper
+
+    def log_det(self, rho) -> np.ndarray:
+        """log|det(I - rho W)| at each rho of an array; -inf on a pole."""
+        return eigenvalue_log_det(rho, self.eigenvalues)
+
+    def solve(self, rho: float, v) -> np.ndarray:
+        """(I - rho W)^-1 v for v of shape (n,) or (n, k)."""
+        return np.linalg.solve(np.eye(self.n) - rho * self.entries, v)
 
 
 def neighborhood(

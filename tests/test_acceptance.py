@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from netdisturb import (
+    DenseWeight,
     DyadicSeries,
     FlowIndex,
     NeighborhoodSpec,
@@ -63,13 +64,12 @@ def test_criterion_01_log_det_oracle():
         for _ in range(50):
             n = int(rng.integers(2, 9))
             W = random_row_normalized_w(rng, n)
-            spec = spectrum(W)
-            lo = spec.rho_lower + 1e-3
-            hi = spec.rho_upper - 1e-3
-            for rho in rng.uniform(lo, hi, size=20):
+            dense = DenseWeight(W)
+            lower, upper = spectrum(dense)
+            for rho in rng.uniform(lower + 1e-3, upper - 1e-3, size=20):
                 sign, direct = np.linalg.slogdet(np.eye(n) - rho * W)
                 assert sign > 0
-                assert abs(log_det(rho, spec) - direct) < 1e-10
+                assert abs(log_det(rho, dense) - direct) < 1e-10
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"log-det oracle took {elapsed:.2f}s"
 
@@ -82,9 +82,8 @@ def test_criterion_02_ols_nesting():
             p = int(rng.integers(2, 5))
             X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
             y = X @ rng.standard_normal(p) + rng.standard_normal(n)
-            W = random_row_normalized_w(rng, n)
-            problem = SemProblem(y=y, X=X, W=W)
-            point = profile_loglik(0.0, problem, spectrum(W))
+            problem = SemProblem(y=y, X=X, W=DenseWeight(random_row_normalized_w(rng, n)))
+            point = profile_loglik(0.0, problem)
             beta = np.linalg.solve(X.T @ X, X.T @ y)
             resid = y - X @ beta
             sigma2 = float(resid @ resid) / n
@@ -103,11 +102,11 @@ def test_criterion_03_grid_search_oracle():
             X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
             rho_true = float(rng.uniform(-0.4, 0.7))
             u = np.linalg.solve(np.eye(n) - rho_true * W, rng.standard_normal(n))
-            problem = SemProblem(y=X @ rng.standard_normal(3) + u, X=X, W=W)
-            spec = spectrum(W)
+            problem = SemProblem(y=X @ rng.standard_normal(3) + u, X=X, W=DenseWeight(W))
+            lower, upper = spectrum(problem.W)
             fitted = fit(problem)
-            grid = np.arange(spec.rho_lower + 1e-6, spec.rho_upper - 1e-6, 1e-4)
-            values = [profile_loglik(r, problem, spec).loglik for r in grid]
+            grid = np.arange(lower + 1e-6, upper - 1e-6, 1e-4)
+            values = [profile_loglik(r, problem).loglik for r in grid]
             best = grid[int(np.argmax(values))]
             assert abs(fitted.rho_hat - best) < 1e-3, f"instance {seed}"
 
@@ -168,10 +167,7 @@ def test_criterion_05_structure_recovery():
                     fits[(period, cand.structure_id)] = fit(
                         SemProblem(y=y, X=design, W=weight)
                     )
-                n = index.n
-                fits[(period, "rho0")] = fit_ols(
-                    SemProblem(y=y, X=design, W=np.zeros((n, n)))
-                )
+                fits[(period, "rho0")] = fit_ols(SemProblem(y=y, X=design))
             report = select(fits, structures=structures)
             wins += report.winner == "full_activity"
             ols_wins += report.winner == "rho0"
@@ -278,10 +274,10 @@ def _planted_radius_panel(seed, radius_km=800.0, n_regions=10, periods=6):
             period=period, dyads=tuple(sorted(p for p, k in zip(pairs, keep) if k))
         )
         weight = build_weight_matrix(structure, index, distances)
-        u = draw_disturbances(weight.entries, 0.7, 1.0, rng)[0]
+        u = draw_disturbances(DenseWeight(weight.entries), 0.7, 1.0, rng)[0]
         X = np.column_stack([np.ones(index.n), rng.standard_normal(index.n)])
         y = X @ np.array([1.0, 1.0]) + u
-        problem = SemProblem(y=y, X=X, W=np.zeros((index.n, index.n)))
+        problem = SemProblem(y=y, X=X)
         residuals[period] = problem.y - problem.X @ fit_ols(problem).beta_hat
         indices[period] = index
     return residuals, indices, distances
@@ -316,10 +312,10 @@ def test_criterion_10_covariance_law():
         mc_se = np.sqrt(
             (np.outer(np.diag(expected), np.diag(expected)) + expected**2) / draws
         )
-        # The dense entries are solved densely; the built matrix is solved
+        # The dense oracle is solved densely; the built matrix is solved
         # through its factors, where the reciprocal pair (A, C), (C, A)
         # joins the core.
-        for drawn_from in (W, built):
+        for drawn_from in (DenseWeight(W), built):
             rng = np.random.default_rng(110)
             sample = draw_disturbances(drawn_from, rho, sigma, rng, size=draws)
             sample_cov = np.cov(sample, rowvar=False)

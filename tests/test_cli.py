@@ -840,6 +840,15 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
+def test_every_exported_name_resolves_once():
+    # The package's public names: each one importable, none listed twice.
+    exported = netdisturb.__all__
+    assert len(set(exported)) == len(exported)
+    missing = [name for name in exported if not hasattr(netdisturb, name)]
+    assert missing == []
+    assert "DenseWeight" in exported and "Spectrum" not in exported
+
+
 def test_library_runs_without_scipy():
     # scipy is a test-only dependency: building every kind's W, its
     # inspection views, the fits, simulation and the diagnostics load none of it.

@@ -33,17 +33,18 @@ class TestImputeLinear:
             "gdp", {("A", 1): 2.0, ("A", 2): math.nan, ("A", 3): 4.0}
         )
         filled = impute_linear(series)
-        assert filled.values[("A", 2)] == 3.0
+        assert filled.at(2, ["A"])[0].tolist() == [3.0]
 
     def test_leading_gap_nearest_value(self):
         series = NodalSeries("gdp", {("A", 1): math.nan, ("A", 2): 5.0})
         filled = impute_linear(series)
-        assert filled.values[("A", 1)] == 5.0
+        assert filled.at(1, ["A"])[0].tolist() == [5.0]
 
     def test_complete_series_unchanged(self):
         values = {("A", 1): 1.0, ("A", 2): 2.5, ("A", 3): -4.0}
         filled = impute_linear(NodalSeries("gdp", values))
         assert filled.values == values
+        assert filled.at(np.arange(1, 4), ["A"] * 3)[0].tolist() == [1.0, 2.5, -4.0]
 
     def test_idempotent(self):
         series = NodalSeries(
@@ -52,7 +53,9 @@ class TestImputeLinear:
         )
         once = impute_linear(series)
         twice = impute_linear(once)
-        assert once.values == twice.values
+        for period in range(6):
+            reads = once.at(period, ["A", "B"]), twice.at(period, ["A", "B"])
+            assert [r.tolist() for r in reads[0]] == [r.tolist() for r in reads[1]]
 
     def test_node_without_observations(self):
         series = NodalSeries("gdp", {("A", 1): math.nan})
@@ -60,10 +63,11 @@ class TestImputeLinear:
             impute_linear(series)
 
     def test_contiguous_after_imputation(self):
+        # The records stay as they are; every period between them reads filled.
         series = NodalSeries("gdp", {("A", 1): 1.0, ("A", 5): 9.0})
         filled = impute_linear(series)
-        assert sorted(t for _, t in filled.values) == [1, 2, 3, 4, 5]
-        assert filled.values[("A", 3)] == 5.0
+        assert filled.values == series.values
+        assert filled.at(np.arange(1, 6), ["A"] * 5)[0].tolist() == [1.0, 3.0, 5.0, 7.0, 9.0]
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf])
@@ -672,7 +676,7 @@ def test_nodal_lookup_matches_span_rule(case):
 
 
 def impute_loop(series):
-    """`impute_linear`'s values as its former loop over the dict built them, or its error text."""
+    """The filled value at each period of each node's span, as a loop over the dict built them, or the error text."""
     by_node: dict[str, list[tuple[int, float]]] = {}
     for (node, period), value in series.values.items():
         by_node.setdefault(node, []).append((period, value))
@@ -711,9 +715,13 @@ def test_impute_linear_matches_dict_loop(values):
     except CovariateError as exc:
         assert str(exc) == expected
         return
-    # The same records in the same order (by node, then period), bit for bit.
-    assert list(filled.values.items()) == list(expected.items())
-    assert impute_linear(filled).values == filled.values
+    # The loop's value at every period of each node's span, bit for bit, from
+    # the series and from the series imputed twice; the records stay as given.
+    names, periods = [node for node, _ in expected], np.array([t for _, t in expected], np.int64)
+    expected_bits = np.array(list(expected.values()), float).tobytes()
+    for series_read in (filled, impute_linear(filled)):
+        assert series_read.at(periods, names)[0].tobytes() == expected_bits
+    assert list(filled.values) == list(series.values)
 
 
 def test_nodal_table_is_bounded_by_distinct_periods(tmp_path):

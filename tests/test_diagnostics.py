@@ -5,6 +5,7 @@ from scipy import stats
 from scipy.special import ndtr, ndtri
 
 from netdisturb import (
+    DenseWeight,
     EstimationError,
     FlowIndex,
     NeighborhoodSpec,
@@ -70,7 +71,7 @@ class TestStandardizedResiduals:
         W = random_row_normalized_w(rng, n, density=0.01)
         X = np.column_stack([np.ones(n), rng.standard_normal(n)])
         u = np.linalg.solve(np.eye(n) - 0.4 * W, rng.standard_normal(n))
-        problem = SemProblem(y=X @ [1.0, 2.0] + u, X=X, W=W)
+        problem = SemProblem(y=X @ [1.0, 2.0] + u, X=X, W=DenseWeight(W))
         fitted = fit(problem)
         eps_hat = residuals(problem, fitted.beta_hat, fitted.rho_hat)[1]
         standardized = standardized_residuals(fitted, eps_hat)

@@ -3,8 +3,9 @@
 A weight matrix from build_weight_matrix carries its factors W = D+ (U C U'
 + E); W @ v and sem's log|det(I - rho W)| come from them.  These property
 tests compare those paths, and the factored solve of (I - rho W) u = v,
-with the dense entries, a dense slogdet and solve of I - rho W and a fit on
-the plain entries (the eigenvalue path), over random flow sets, all seven
+with the dense oracle DenseWeight(W.entries) (its product, its dense solve
+of I - rho W and a fit on it, the eigenvalue path) and a dense slogdet of
+I - rho W, over random flow sets, all seven
 kinds and symmetric and asymmetric dyadic series.  The log-det tests take
 arrays of rho, up to the search's margin from -1 and 1, and check which
 factorization each core took: eigenvalues, Cholesky or LU (the bordered
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netdisturb import (
+    DenseWeight,
     EstimationError,
     FlowIndex,
     NeighborhoodSpec,
@@ -70,7 +72,7 @@ def problem_on(W, entries, seed):
     n = W.n
     X = np.column_stack([np.ones(n), rng.standard_normal(n)])
     u = np.linalg.solve(np.eye(n) - 0.5 * W.entries, rng.standard_normal(n))
-    return SemProblem(y=X @ (1.0, 2.0) + u, X=X, W=W.entries if entries else W)
+    return SemProblem(y=X @ (1.0, 2.0) + u, X=X, W=DenseWeight(W.entries) if entries else W)
 
 
 # E's (self, reverse) coefficients of the activity kinds, as the module
@@ -123,9 +125,8 @@ RHO_ARRAYS = st.lists(
 
 
 def assert_log_dets_match(W, rhos):
-    spec = spectrum(W)
-    assert sem.log_det_path(spec) == expected_path(W)
-    values = log_det(rhos, spec)
+    assert W.log_det_path == expected_path(W)
+    values = log_det(rhos, W)
     assert values.shape == rhos.shape
     # Near rho = +-1 the determinant is nearly singular, and both sides
     # lose digits in proportion to 1 / (1 - |rho|).
@@ -133,14 +134,13 @@ def assert_log_dets_match(W, rhos):
     dense = np.array([dense_log_det(W, rho) for rho in rhos])
     np.testing.assert_array_less(np.abs(values - dense), tolerance)
     for rho, value in zip(rhos.tolist(), values.tolist()):
-        assert log_det(rho, spec) == value
+        assert log_det(rho, W) == value
 
 
 @PROPERTY
 @given(weight_matrices(), RHO_ARRAYS)
 def test_factored_log_det_matches_dense_slogdet(W, rhos):
-    spec = spectrum(W)
-    assert spec.eigenvalues is None and (spec.rho_lower, spec.rho_upper) == (-1.0, 1.0)
+    assert spectrum(W) == (-1.0, 1.0)
     assert_log_dets_match(W, rhos)
 
 
@@ -183,7 +183,7 @@ def test_hand_built_degenerate_structures(kind):
             if cutoff == 0.5:
                 assert not W.entries.any()
             for rho in (-0.99, -2.0 / 3.0, -0.5, -1.0 / 3.0, 0.0, 0.5, 0.99):
-                assert abs(log_det(rho, spectrum(W)) - dense_log_det(W, rho)) < 1e-10
+                assert abs(log_det(rho, W) - dense_log_det(W, rho)) < 1e-10
 
 
 def test_factored_log_det_rejects_rho_outside_unit_interval():
@@ -191,15 +191,16 @@ def test_factored_log_det_rejects_rho_outside_unit_interval():
         NeighborhoodSpec("full_activity"), FlowIndex(period=1, dyads=(("A", "B"), ("B", "A")))
     )
     with pytest.raises(EstimationError, match="outside"):
-        log_det(1.0, spectrum(W))
+        log_det(1.0, W)
 
 
 @PROPERTY
 @given(weight_matrices(), st.integers(0, 2**32 - 1))
 def test_product_matches_entries(W, seed):
     rng = np.random.default_rng(seed)
+    dense = DenseWeight(W.entries)
     for v in (rng.standard_normal(W.n), rng.standard_normal((W.n, 3))):
-        np.testing.assert_allclose(W @ v, W.entries @ v, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(W @ v, dense @ v, rtol=0.0, atol=1e-12)
 
 
 @PROPERTY
@@ -209,11 +210,9 @@ def test_solve_matches_dense_solve(W, rho, seed):
     # (a lone reciprocal pair under the attached kinds) are singular and
     # those flows are solved in the core.
     rng = np.random.default_rng(seed)
-    dense = np.eye(W.n) - rho * W.entries
+    dense = DenseWeight(W.entries)
     for v in (rng.standard_normal(W.n), rng.standard_normal((W.n, 3))):
-        np.testing.assert_allclose(
-            W.solve(rho, v), np.linalg.solve(dense, v), rtol=0.0, atol=1e-10
-        )
+        np.testing.assert_allclose(W.solve(rho, v), dense.solve(rho, v), rtol=0.0, atol=1e-10)
 
 
 def test_fit_scan_and_diagnostics_never_form_entries():
@@ -320,10 +319,10 @@ def test_cross_product_profile_matches_least_squares(W, seed):
         return
     rng = np.random.default_rng(seed)
     problem = problem_on(W, False, seed)
-    cache, spec = sem._ProfileCache(problem), spectrum(W)
+    cache = sem._ProfileCache(problem)
     rhos = np.append(rng.uniform(-0.999, 0.999, 6), [0.0, -0.999, 0.999])
-    expected = np.array([cache.point(rho, spec).loglik for rho in rhos.tolist()])
-    np.testing.assert_allclose(cache.profile(rhos, spec), expected, rtol=1e-10, atol=0.0)
+    expected = np.array([cache.point(rho).loglik for rho in rhos.tolist()])
+    np.testing.assert_allclose(cache.profile(rhos), expected, rtol=1e-10, atol=0.0)
 
 
 def full_grid_fit(problem):
@@ -345,14 +344,13 @@ def test_bounded_grid_matches_the_full_grid(W, seed):
     def fresh():
         return SemProblem(y=problem.y, X=problem.X, W=build_weight_matrix(W.spec, W.index))
 
-    spec = spectrum(W)
-    grid = np.linspace(spec.rho_lower + BOUNDARY_MARGIN, spec.rho_upper - BOUNDARY_MARGIN, GRID_POINTS)
-    bounded = sem._ProfileCache(problem).profile_grid(grid, spec)
-    other = fresh()
-    full = sem._ProfileCache(other).profile(grid, spectrum(other.W))
+    lower, upper = spectrum(W)
+    grid = np.linspace(lower + BOUNDARY_MARGIN, upper - BOUNDARY_MARGIN, GRID_POINTS)
+    bounded = sem._ProfileCache(problem).profile_grid(grid)
+    full = sem._ProfileCache(fresh()).profile(grid)
     taken = np.isfinite(bounded)
     assert taken[[0, GRID_POINTS // 2, -1]].all()
-    if sem.log_det_path(spec) == "eigenvalues":
+    if W.log_det_path == "eigenvalues":
         assert taken.all()
     np.testing.assert_array_equal(bounded[taken], full[taken])
     assert (full[~taken] < bounded.max()).all()

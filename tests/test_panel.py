@@ -118,12 +118,6 @@ class TestRoster:
         with pytest.raises(PanelError, match="active_from"):
             RosterEntry("USA", 2016, 1950)
 
-    def test_active(self, tmp_path, roster_file):
-        roster = load_roster(roster_file)
-        assert roster.active("SUN", 1991)
-        assert not roster.active("SUN", 1992)
-        assert not roster.active("XXX", 1960)
-
 
 class TestIndexFlows:
     def test_lexicographic_order(self):
@@ -159,13 +153,6 @@ class TestIndexFlows:
             snapshot = snapshot_of(1, [(a, b, 1.0) for a, b in take])
             assert index_flows(snapshot).n == snapshot.n_flows
 
-    def test_position_lookup(self):
-        snapshot = snapshot_of(1, [("A", "B", 1.0), ("B", "A", 2.0)])
-        index = index_flows(snapshot)
-        assert index.position(("B", "A")) == 1
-        with pytest.raises(PanelError, match="not in index"):
-            index.position(("A", "C"))
-
 
 class TestCodes:
     def test_from_codes(self):
@@ -181,9 +168,6 @@ class TestCodes:
         assert index.nodes == ("A", "B", "C")
         assert index.dyads == (("B", "A"), ("A", "C"), ("A", "B"))
         assert index.locate([0, 1, 2, 0], [1, 0, 0, 2]).tolist() == [2, 0, -1, 1]
-        assert [index.position(dyad) for dyad in index.dyads] == [0, 1, 2]
-        with pytest.raises(PanelError, match="not in index"):
-            index.position(("C", "A"))
 
     def test_empty_index_locates_nothing(self):
         index = FlowIndex(period=1, dyads=())

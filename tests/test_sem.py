@@ -17,6 +17,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
 from netdisturb import (
+    DenseWeight,
     EstimationError,
     FlowIndex,
     SemProblem,
@@ -40,7 +41,6 @@ from netdisturb.sem import (
     _ProfileCache,
     _two_sided_p,
     fit_from_dict,
-    log_det_path,
     residuals,
     write_coefficients_csv,
     write_fit_json,
@@ -59,7 +59,7 @@ def random_problem(rng, n=30, p=3, rho=0.4):
     beta = rng.standard_normal(p)
     eps = rng.standard_normal(n)
     u = np.linalg.solve(np.eye(n) - rho * W, eps)
-    return SemProblem(y=X @ beta + u, X=X, W=W)
+    return SemProblem(y=X @ beta + u, X=X, W=DenseWeight(W))
 
 
 def ols_closed_form(problem):
@@ -73,15 +73,14 @@ def ols_closed_form(problem):
 
 class TestSpectrum:
     def test_swap_matrix(self):
-        spec = spectrum(SWAP)
-        assert sorted(np.round(spec.eigenvalues.real, 12)) == [-1.0, 1.0]
-        assert spec.rho_lower == -1.0
-        assert spec.rho_upper == 1.0
+        W = DenseWeight(SWAP)
+        assert sorted(np.round(W.eigenvalues.real, 12)) == [-1.0, 1.0]
+        assert spectrum(W) == (-1.0, 1.0)
 
     def test_zero_matrix(self):
-        spec = spectrum(np.zeros((3, 3)))
-        np.testing.assert_array_equal(spec.eigenvalues, np.zeros(3))
-        assert (spec.rho_lower, spec.rho_upper) == (-1.0, 1.0)
+        W = DenseWeight(np.zeros((3, 3)))
+        np.testing.assert_array_equal(W.eigenvalues, np.zeros(3))
+        assert spectrum(W) == (-1.0, 1.0)
 
     def test_row_stochastic_upper_bound_is_one(self):
         # Every row sums to one, so 1 is an eigenvalue and the spectral
@@ -92,47 +91,44 @@ class TestSpectrum:
             W = rng.uniform(size=(n, n))
             np.fill_diagonal(W, 0.0)
             W /= W.sum(axis=1, keepdims=True)
-            spec = spectrum(W)
-            assert abs(spec.rho_upper - 1.0) < 1e-9
-            assert np.abs(spec.eigenvalues).max() <= 1.0 + 1e-9
-            for lam in spec.eigenvalues:
+            dense = DenseWeight(W)
+            assert abs(spectrum(dense)[1] - 1.0) < 1e-9
+            assert np.abs(dense.eigenvalues).max() <= 1.0 + 1e-9
+            for lam in dense.eigenvalues:
                 shifted = W - lam * np.eye(n)
                 assert abs(np.linalg.det(shifted)) < 1e-8
 
     def test_conjugate_pairs(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            W = random_row_normalized_w(rng, 7)
-            eigenvalues = spectrum(W).eigenvalues
+            eigenvalues = DenseWeight(random_row_normalized_w(rng, 7)).eigenvalues
             assert abs(eigenvalues.imag.sum()) < 1e-10
 
 
 class TestLogDet:
     def test_zero_rho(self):
-        assert log_det(0.0, spectrum(SWAP)) == 0.0
+        assert log_det(0.0, DenseWeight(SWAP)) == 0.0
 
     def test_two_by_two_closed_form(self):
         # det(I - rho*SWAP) = 1 - rho^2
-        value = log_det(0.5, spectrum(SWAP))
+        value = log_det(0.5, DenseWeight(SWAP))
         assert abs(value - math.log(0.75)) < 1e-14
 
     def test_matches_dense_determinant(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             W = random_row_normalized_w(rng, 6)
-            spec = spectrum(W)
+            dense = DenseWeight(W)
+            lower, upper = spectrum(dense)
             for _ in range(5):
-                rho = float(
-                    rng.uniform(spec.rho_lower + 1e-3, spec.rho_upper - 1e-3)
-                )
+                rho = float(rng.uniform(lower + 1e-3, upper - 1e-3))
                 sign, direct = np.linalg.slogdet(np.eye(6) - rho * W)
                 assert sign > 0
-                assert abs(log_det(rho, spec) - direct) < 1e-10
+                assert abs(log_det(rho, dense) - direct) < 1e-10
 
     def test_pole_rejected(self):
-        spec = spectrum(SWAP)
         with pytest.raises(EstimationError, match="pole"):
-            log_det(1.0, spec)
+            log_det(1.0, DenseWeight(SWAP))
 
 
 class TestProfileLoglik:
@@ -140,8 +136,7 @@ class TestProfileLoglik:
         rng = np.random.default_rng(11)
         for _ in range(20):
             problem = random_problem(rng, n=int(rng.integers(15, 40)))
-            spec = spectrum(problem.W)
-            point = profile_loglik(0.0, problem, spec)
+            point = profile_loglik(0.0, problem)
             loglik, beta, sigma2 = ols_closed_form(problem)
             assert abs(point.loglik - loglik) < 1e-8
             np.testing.assert_allclose(point.beta, beta, atol=1e-8)
@@ -152,9 +147,8 @@ class TestProfileLoglik:
         rng = np.random.default_rng(12)
         for rho in (-0.3, 0.0, 0.45):
             problem = random_problem(rng, n=4, p=2)
-            spec = spectrum(problem.W)
-            point = profile_loglik(rho, problem, spec)
-            A = np.eye(4) - rho * problem.W
+            point = profile_loglik(rho, problem)
+            A = np.eye(4) - rho * problem.W.entries
             cov = point.sigma2 * np.linalg.inv(A) @ np.linalg.inv(A).T
             cov = 0.5 * (cov + cov.T)
             direct = stats.multivariate_normal.logpdf(
@@ -167,18 +161,18 @@ class TestProfileLoglik:
         # shrinks when the grid is refined (as it must for a continuous map).
         rng = np.random.default_rng(13)
         problem = random_problem(rng, n=25)
-        spec = spectrum(problem.W)
-        edge = np.linspace(spec.rho_lower + 1e-3, spec.rho_upper - 1e-3, 400)
+        lower, upper = spectrum(problem.W)
+        edge = np.linspace(lower + 1e-3, upper - 1e-3, 400)
         assert np.all(
-            np.isfinite([profile_loglik(r, problem, spec).loglik for r in edge])
+            np.isfinite([profile_loglik(r, problem).loglik for r in edge])
         )
-        width = spec.rho_upper - spec.rho_lower
-        lo, hi = spec.rho_lower + 0.05 * width, spec.rho_upper - 0.05 * width
+        width = upper - lower
+        lo, hi = lower + 0.05 * width, upper - 0.05 * width
         jumps = {}
         for points in (200, 800):
             grid = np.linspace(lo, hi, points)
             values = np.array(
-                [profile_loglik(r, problem, spec).loglik for r in grid]
+                [profile_loglik(r, problem).loglik for r in grid]
             )
             jumps[points] = np.abs(np.diff(values)).max()
         assert jumps[800] < 0.5 * jumps[200]
@@ -186,9 +180,8 @@ class TestProfileLoglik:
     def test_outside_interval_rejected(self):
         rng = np.random.default_rng(14)
         problem = random_problem(rng)
-        spec = spectrum(problem.W)
         with pytest.raises(EstimationError, match="outside"):
-            profile_loglik(spec.rho_upper + 0.5, problem, spec)
+            profile_loglik(spectrum(problem.W)[1] + 0.5, problem)
 
     def test_collinear_design_named(self):
         rng = np.random.default_rng(15)
@@ -198,7 +191,7 @@ class TestProfileLoglik:
         problem = SemProblem(
             y=rng.standard_normal(n),
             X=X,
-            W=random_row_normalized_w(rng, n),
+            W=DenseWeight(random_row_normalized_w(rng, n)),
             column_names=("intercept", "a", "b"),
         )
         with pytest.raises(EstimationError, match="collinear columns: \\['(a|b)'\\]"):
@@ -212,10 +205,10 @@ class TestFit:
             problem = random_problem(
                 np.random.default_rng(100 + seed), n=50, rho=0.5
             )
-            spec = spectrum(problem.W)
+            lower, upper = spectrum(problem.W)
             fitted = fit(problem)
-            grid = np.arange(spec.rho_lower + 1e-6, spec.rho_upper - 1e-6, 1e-4)
-            values = [profile_loglik(r, problem, spec).loglik for r in grid]
+            grid = np.arange(lower + 1e-6, upper - 1e-6, 1e-4)
+            values = [profile_loglik(r, problem).loglik for r in grid]
             best = grid[int(np.argmax(values))]
             assert abs(fitted.rho_hat - best) < 1e-3
 
@@ -225,7 +218,7 @@ class TestFit:
         fitted = fit(problem)
         u_hat, eps_hat = residuals(problem, fitted.beta_hat, fitted.rho_hat)
         n = problem.n
-        A = np.eye(n) - fitted.rho_hat * problem.W
+        A = np.eye(n) - fitted.rho_hat * problem.W.entries
         np.testing.assert_allclose(eps_hat, A @ u_hat, atol=1e-12)
         # Round-trip: u = (I - rho W)^{-1} eps
         np.testing.assert_allclose(
@@ -240,7 +233,7 @@ class TestFit:
         for _ in range(10):
             problem = random_problem(rng, n=35, rho=float(rng.uniform(-0.5, 0.7)))
             fitted = fit(problem)
-            at_zero = profile_loglik(0.0, problem, spectrum(problem.W)).loglik
+            at_zero = profile_loglik(0.0, problem).loglik
             assert fitted.loglik >= at_zero - 1e-6
 
     def test_se_rho_positive_when_interior(self):
@@ -276,14 +269,14 @@ class TestFit:
         pairs = 20
         a = 100.0 * rng.standard_normal(pairs)
         y = np.column_stack([a, sign * a]).ravel()
-        W = np.kron(np.eye(pairs), SWAP)
+        W = DenseWeight(np.kron(np.eye(pairs), SWAP))
         problem = SemProblem(y=y, X=np.ones((2 * pairs, 1)), W=W)
-        spec = spectrum(W)
+        lower, upper = spectrum(W)
         fitted = fit(problem)
         if sign < 0:
-            assert fitted.rho_hat == spec.rho_lower + BOUNDARY_MARGIN
+            assert fitted.rho_hat == lower + BOUNDARY_MARGIN
         else:
-            assert fitted.rho_hat == spec.rho_upper - BOUNDARY_MARGIN
+            assert fitted.rho_hat == upper - BOUNDARY_MARGIN
         assert fitted.converged
         assert math.isnan(fitted.se_rho)
 
@@ -389,15 +382,14 @@ class TestBoundedBrent:
         # The Brent step of fit: the bracket around the best coarse grid
         # point, on the cross-product profile that fit searches.
         problem = random_problem(np.random.default_rng(seed), n=60, rho=0.6)
-        spec = spectrum(problem.W)
+        lower, upper = spectrum(problem.W)
         cache = _ProfileCache(problem)
-        grid = np.linspace(spec.rho_lower + BOUNDARY_MARGIN, spec.rho_upper - BOUNDARY_MARGIN,
-                           GRID_POINTS)
-        best = int(np.argmax(cache.profile(grid, spec)))
+        grid = np.linspace(lower + BOUNDARY_MARGIN, upper - BOUNDARY_MARGIN, GRID_POINTS)
+        best = int(np.argmax(cache.profile(grid)))
         a, b = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, GRID_POINTS - 1)])
 
         def negative(rho):
-            return -cache.profile(rho, spec)
+            return -cache.profile(rho)
 
         expected = minimize_scalar(
             negative, bounds=(a, b), method="bounded", options={"xatol": 1e-8, "maxiter": 500}
@@ -427,7 +419,7 @@ def test_degenerate_fits_keep_one_p_value_per_estimate(tmp_path):
     rng = np.random.default_rng(66)
     n, p = 20, 3
     X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
-    perfect = SemProblem(y=X @ np.array([2.0, 3.0, -1.0]), X=X, W=random_row_normalized_w(rng, n))
+    perfect = SemProblem(y=X @ np.array([2.0, 3.0, -1.0]), X=X, W=DenseWeight(random_row_normalized_w(rng, n)))
     noisy = random_problem(rng, n=30, p=p)
     path = tmp_path / "coefficients.csv"
     for fitter in (fit, fit_ols):
@@ -455,7 +447,7 @@ class TestFitOls:
         n = 30
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
         y = X @ np.array([1.0, -0.5, 2.0]) + rng.standard_normal(n)
-        problem = SemProblem(y=y, X=X, W=np.zeros((n, n)))
+        problem = SemProblem(y=y, X=X, W=DenseWeight(np.zeros((n, n))))
         with pytest.raises(EstimationError, match="rho is not identified"):
             fit(problem)
         assert fit_ols(problem).converged
@@ -465,7 +457,7 @@ class TestFitOls:
         n = 20
         X = np.column_stack([np.ones(n), rng.standard_normal(n)])
         beta = np.array([2.0, 3.0])
-        problem = SemProblem(y=X @ beta, X=X, W=np.zeros((n, n)))
+        problem = SemProblem(y=X @ beta, X=X, W=DenseWeight(np.zeros((n, n))))
         fitted = fit_ols(problem)
         assert fitted.degenerate
         np.testing.assert_allclose(fitted.beta_hat, beta, atol=1e-10)
@@ -491,15 +483,19 @@ class TestFitOls:
 class TestSemProblem:
     def test_dimension_checks(self):
         with pytest.raises(EstimationError, match="X shape"):
-            SemProblem(y=np.ones(3), X=np.ones((4, 1)), W=np.zeros((3, 3)))
-        with pytest.raises(EstimationError, match="W shape"):
-            SemProblem(y=np.ones(3), X=np.ones((3, 1)), W=np.zeros((2, 2)))
+            SemProblem(y=np.ones(3), X=np.ones((4, 1)), W=DenseWeight(np.zeros((3, 3))))
+        with pytest.raises(EstimationError, match=r"W shape \(2, 2\) does not match y length 3"):
+            SemProblem(y=np.ones(3), X=np.ones((3, 1)), W=DenseWeight(np.zeros((2, 2))))
         with pytest.raises(EstimationError, match="more observations"):
-            SemProblem(y=np.ones(2), X=np.ones((2, 2)), W=np.zeros((2, 2)))
+            SemProblem(y=np.ones(2), X=np.ones((2, 2)), W=DenseWeight(np.zeros((2, 2))))
+        with pytest.raises(EstimationError, match=r"W shape \(2, 3\) is not square"):
+            DenseWeight(np.zeros((2, 3)))
+        with pytest.raises(EstimationError, match="W must be finite"):
+            DenseWeight(np.array([[0.0, math.nan], [1.0, 0.0]]))
 
     def test_default_column_names(self):
         problem = SemProblem(
-            y=np.arange(3.0), X=np.eye(3)[:, :2], W=np.zeros((3, 3))
+            y=np.arange(3.0), X=np.eye(3)[:, :2], W=DenseWeight(np.zeros((3, 3)))
         )
         assert problem.column_names == ("x0", "x1")
 
@@ -509,23 +505,27 @@ class TestSemProblem:
         X = np.column_stack([np.ones(n), rng.standard_normal(n)])
         y = X @ np.array([1.0, 2.0]) + rng.standard_normal(n)
         problem = SemProblem(y=y, X=X)
-        with_zeros = SemProblem(y=y, X=X, W=np.zeros((n, n)))
+        with_zeros = SemProblem(y=y, X=X, W=DenseWeight(np.zeros((n, n))))
         np.testing.assert_array_equal(fit_ols(problem).beta_hat, fit_ols(with_zeros).beta_hat)
         with pytest.raises(EstimationError, match="no weight matrix W"):
             fit(problem)
         with pytest.raises(EstimationError, match="no weight matrix W"):
-            profile_loglik(0.0, problem, spectrum(np.zeros((n, n))))
+            profile_loglik(0.0, problem)
+        # A plain array is no W: the dense oracle is a DenseWeight.
+        with pytest.raises(EstimationError, match="W must be a WeightMatrix, a DenseWeight or None, not ndarray"):
+            SemProblem(y=y, X=X, W=np.zeros((n, n)))
 
 
 def test_fit_calls_log_det_once_for_the_grid_then_once_per_brent_step(monkeypatch):
     # perfbench's traced pass times netdisturb.sem.log_det by replacing that
     # module attribute, so fit must look it up there at each call.
-    calls, steps = [], []
+    calls, weights, steps = [], [], []
     log_det_of, brent_of = sem.log_det, sem._bounded_brent
 
-    def recording_log_det(rho, spec):
+    def recording_log_det(rho, W):
         calls.append(np.array(rho, dtype=float))
-        return log_det_of(rho, spec)
+        weights.append(W)
+        return log_det_of(rho, W)
 
     def counting_brent(func, a, b, xatol, maxfun):
         return brent_of(lambda rho: steps.append(rho) or func(rho), a, b, xatol, maxfun)
@@ -534,8 +534,9 @@ def test_fit_calls_log_det_once_for_the_grid_then_once_per_brent_step(monkeypatc
     monkeypatch.setattr(sem, "_bounded_brent", counting_brent)
     problem = random_problem(np.random.default_rng(21))
     fitted = fit(problem)
-    spec = spectrum(problem.W)
-    grid = np.linspace(spec.rho_lower + BOUNDARY_MARGIN, spec.rho_upper - BOUNDARY_MARGIN, GRID_POINTS)
+    assert weights and all(W is problem.W for W in weights)
+    lower, upper = spectrum(problem.W)
+    grid = np.linspace(lower + BOUNDARY_MARGIN, upper - BOUNDARY_MARGIN, GRID_POINTS)
     np.testing.assert_array_equal(calls[0], grid)
     brent = calls[1 : 1 + len(steps)]
     assert steps and all(c.ndim == 0 for c in brent) and [float(c) for c in brent] == steps
@@ -567,12 +568,13 @@ def test_factored_fit_calls_log_det_for_the_grid_points_the_bound_leaves(monkeyp
     # On a W factored per rho the grid's ends and middle take one call, and
     # each grid point that the concavity bound does not exclude one more;
     # Brent's steps, rho_hat and the curvature's three follow as above.
-    calls, steps = [], []
+    calls, weights, steps = [], [], []
     log_det_of, brent_of = sem.log_det, sem._bounded_brent
 
-    def recording_log_det(rho, spec):
+    def recording_log_det(rho, W):
         calls.append(np.array(rho, dtype=float))
-        return log_det_of(rho, spec)
+        weights.append(W)
+        return log_det_of(rho, W)
 
     def counting_brent(func, a, b, xatol, maxfun):
         return brent_of(lambda rho: steps.append(rho) or func(rho), a, b, xatol, maxfun)
@@ -582,6 +584,7 @@ def test_factored_fit_calls_log_det_for_the_grid_points_the_bound_leaves(monkeyp
     monkeypatch.setattr(sem, "_bounded_brent", counting_brent)
     fitted = fit(problem)
     assert fitted.log_det == "cholesky"
+    assert weights and all(W is problem.W for W in weights)
     grid = np.linspace(-1.0 + BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, GRID_POINTS)
     np.testing.assert_array_equal(calls[0], grid[[0, GRID_POINTS // 2, -1]])
     points = list(itertools.takewhile(lambda c: c.shape == (1,), calls[1:]))
@@ -619,11 +622,11 @@ def test_rank_deficient_fit_loads_no_scipy():
     code = """
 import sys
 import numpy as np
-from netdisturb import EstimationError, SemProblem, fit
+from netdisturb import DenseWeight, EstimationError, SemProblem, fit
 x = np.arange(8.0) ** 2
 X = np.column_stack([np.ones(8), x, 2.0 * x])
 try:
-    fit(SemProblem(y=np.arange(8.0), X=X, W=np.eye(8)[::-1], column_names=("c", "a", "b")))
+    fit(SemProblem(y=np.arange(8.0), X=X, W=DenseWeight(np.eye(8)[::-1]), column_names=("c", "a", "b")))
 except EstimationError as exc:
     print(exc)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
@@ -707,7 +710,7 @@ class TestFitFromDict:
         rng = np.random.default_rng(62)
         n = 20
         X = np.column_stack([np.ones(n), rng.standard_normal(n)])
-        problem = SemProblem(y=X @ np.array([2.0, 3.0]), X=X, W=random_row_normalized_w(rng, n))
+        problem = SemProblem(y=X @ np.array([2.0, 3.0]), X=X, W=DenseWeight(random_row_normalized_w(rng, n)))
         ols = fit_ols(problem)
         assert ols.degenerate and ols.aic == -math.inf
         spatial = fit(problem)
@@ -728,7 +731,7 @@ class TestFitFromDict:
         y = X @ (1.0, 2.0) + rng.standard_normal(index.n)
         for problem, method, fitter in (
             (random_problem(rng), "eigenvalues", fit),
-            (SemProblem(y=y, X=X, W=built), log_det_path(spectrum(built)), fit),
+            (SemProblem(y=y, X=X, W=built), built.log_det_path, fit),
             (random_problem(rng), None, fit_ols),
         ):
             fitted = fitter(problem)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from netdisturb import (
+    DenseWeight,
     NeighborhoodSpec,
     NetdisturbError,
     SimSpec,
@@ -157,7 +158,7 @@ class TestDrawDisturbances:
             ]
         )
         rho, sigma = 0.5, 1.3
-        draws = draw_disturbances(W, rho, sigma, rng, size=10_000)
+        draws = draw_disturbances(DenseWeight(W), rho, sigma, rng, size=10_000)
         sample_cov = np.cov(draws, rowvar=False)
         A_inv = np.linalg.inv(np.eye(5) - rho * W)
         expected = sigma**2 * A_inv @ A_inv.T
@@ -169,7 +170,7 @@ class TestDrawDisturbances:
 
     def test_zero_rho_iid(self):
         rng = np.random.default_rng(42)
-        draws = draw_disturbances(np.zeros((4, 4)), 0.0, 2.0, rng, size=20_000)
+        draws = draw_disturbances(DenseWeight(np.zeros((4, 4))), 0.0, 2.0, rng, size=20_000)
         assert abs(draws.std() - 2.0) < 0.05
         sample_cov = np.cov(draws, rowvar=False)
         off_diag = sample_cov - np.diag(np.diag(sample_cov))

@@ -96,10 +96,10 @@ class TestHandExamples:
             NeighborhoodSpec("sender_attached"), SPEC_EXAMPLE_INDEX
         )
         index = SPEC_EXAMPLE_INDEX
-        row = matrix.entries[index.position(("A", "B"))]
+        row = matrix.entries[index.dyads.index(("A", "B"))]
         expected = np.zeros(4)
-        expected[index.position(("A", "C"))] = 0.5
-        expected[index.position(("B", "A"))] = 0.5
+        expected[index.dyads.index(("A", "C"))] = 0.5
+        expected[index.dyads.index(("B", "A"))] = 0.5
         np.testing.assert_array_equal(row, expected)
 
     def test_empty_neighborhood_zero_row(self):
@@ -187,7 +187,7 @@ class TestColumnBlocks:
                     expected = np.zeros((index.n, index.n))
                     for a, dyad in enumerate(index.dyads):
                         for other in slow[dyad]:
-                            expected[a, index.position(other)] = 1.0 / len(slow[dyad])
+                            expected[a, index.dyads.index(other)] = 1.0 / len(slow[dyad])
                     entries = build_weight_matrix(spec, index, dyadic).entries
                     assert np.array_equal(entries, expected), spec.structure_id
 
