@@ -201,5 +201,4 @@ def write_json(path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(json_ready(obj), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(json_ready(obj), indent=2, allow_nan=False) + "\n")

@@ -445,7 +445,8 @@ def build_design(
         # Every node's value at t.  A node that fails reads NaN, and its
         # lookup raises the error at the first flow that needs it.
         value, out_of_span = series.at(t, index.nodes)
-        used = np.unique(np.concatenate(ends))
+        # The sorted codes that np.unique gives, which would import numpy.ma.
+        used = np.flatnonzero(np.bincount(np.concatenate(ends), minlength=len(index.nodes)))
         extrapolated.update((term.series, index.nodes[code]) for code in used[out_of_span[used]].tolist())
         col = np.abs(value[ends[0]] - value[ends[1]]) if len(ends) == 2 else value[ends[0]]
         bad = np.isnan(col) | ((col <= 0) & (term.transform == "log"))

@@ -17,7 +17,8 @@ factors W = D+ (U C U' + E) (see :class:`~netdisturb.weights.WeightMatrix`):
 a block-diagonal term plus one determinant over the N anchor nodes, with
 no n x n work.  That determinant is taken by the cheapest exact
 factorization its core allows: where E = 0 (the alliance and distance
-kinds) the core does not depend on rho, and its N eigenvalues, taken once,
+kinds) the core does not depend on rho, and its N eigenvalues, taken once
+(by ``eigvalsh`` where the node relation is symmetric, so they are real),
 give log|det(I - rho W)| = sum log|1 - rho lambda_k| (Ord 1975); an
 activity kind's core is factored at each rho, by Cholesky where it is
 positive definite and by LU where flows border it.  Such a W is row
@@ -29,15 +30,16 @@ from its entries and its own eigenvalues, over its own rho interval.
 rho is searched in two steps: the profile on a coarse grid over the
 interval, then Brent's bounded method (:func:`_bounded_brent`, a port of
 scipy's ``minimize_scalar(method="bounded")``) between the best grid
-point's two neighbours.  The search evaluates the profile in (p+1) x (p+1)
-algebra (LeSage & Pace 2009, ch. 4): with Z = [y X], the cross-products
-Z'Z, Z'WZ + (WZ)'Z and (WZ)'(WZ) are formed once, (AZ)'(AZ) is a quadratic
-in rho, and beta(rho) and e'e come from a p x p solve, so no evaluation
-touches the n flows.  The reported fit at the optimum is recomputed by
-least squares on A y and A X (the normal equations square the condition
-number).  W y and W X, and the W u_hat of :func:`residuals`, are taken as
-``W @ v``, from the factors of a built W, so a fit never forms its n x n
-entries.
+point's two neighbours, one float per step, which the profile and the
+log-det take with no array of rho and to the bits an array gives.  The
+search evaluates the profile in (p+1) x (p+1) algebra (LeSage & Pace
+2009, ch. 4): with Z = [y X], the cross-products Z'Z, Z'WZ + (WZ)'Z and
+(WZ)'(WZ) are formed once, (AZ)'(AZ) is a quadratic in rho, and beta(rho)
+and e'e come from a p x p solve, so no evaluation touches the n flows.
+The reported fit at the optimum is recomputed by least squares on A y and
+A X (the normal equations square the condition number).  W y and W X, and
+the W u_hat of :func:`residuals`, are taken as ``W @ v``, from the factors
+of a built W, so a fit never forms its n x n entries.
 
 Where the core is factored at each rho (the activity kinds), the grid
 takes the log-det only where the search needs it.  There E != 0, so C is
@@ -150,9 +152,14 @@ def spectrum(W) -> tuple[float, float]:
 def log_det(rho, W):
     """log|det(I - rho W)| at a float or an array of rho, by W's own :meth:`log_det`.
 
-    A float gives a float, an array an array.  Raises EstimationError
-    where rho sits on a pole.
+    A float (a Brent step) gives a float, with no array of rho formed, and
+    an array an array.  Raises EstimationError where rho sits on a pole.
     """
+    if isinstance(rho, float):
+        value = W.log_det(rho)
+        if not math.isfinite(value):
+            raise EstimationError(f"rho={rho} sits on a pole of the log-determinant")
+        return float(value)
     rhos = np.asarray(rho, dtype=float)
     values = W.log_det(rhos)
     poles = rhos[~np.isfinite(values)]
@@ -213,26 +220,27 @@ class _ProfileCache:
         cross = Z.T @ WZ
         self.gram = (Z.T @ Z, cross + cross.T, WZ.T @ WZ)
 
-    def _sigma2(self, rhos: np.ndarray) -> np.ndarray:
-        """sigma^2(rho) at each rho of an array, from the cross-products.
+    def _sigma2(self, rho):
+        """sigma^2(rho) at a float or at each rho of an array, from the cross-products.
 
         (AZ)'(AZ) = G0 - rho G1 + rho^2 G2 over Z = [y X]; beta(rho) solves
         its X block against its X'y column, and e'e = y'y - y'X beta(rho).
+        A float takes the one 2-D G through the same solve, to the same bits.
         """
         if self.gram is None:
             self._form()
-        r = rhos.reshape(-1, 1, 1)
         G0, G1, G2 = self.gram
+        r = rho if isinstance(rho, float) else rho.reshape(-1, 1, 1)
         G = G0 - r * G1 + (r * r) * G2
-        beta = np.linalg.solve(G[:, 1:, 1:], G[:, 1:, :1])
-        sigma2 = (G[:, 0, 0] - (G[:, :1, 1:] @ beta)[:, 0, 0]) / self.problem.n
-        return sigma2.reshape(rhos.shape)
+        beta = np.linalg.solve(G[..., 1:, 1:], G[..., 1:, :1])
+        sigma2 = (G[..., 0, 0] - (G[..., :1, 1:] @ beta)[..., 0, 0]) / self.problem.n
+        return float(sigma2) if isinstance(rho, float) else sigma2.reshape(rho.shape)
 
     def profile(self, rho):
         """The profiled log-likelihood at a float or an array of rho, from the cross-products."""
-        rhos = np.asarray(rho, dtype=float)
+        rhos = rho if isinstance(rho, float) else np.asarray(rho, dtype=float)
         sigma2 = self._sigma2(rhos)
-        self.evaluations += sigma2.size
+        self.evaluations += 1 if isinstance(rho, float) else sigma2.size
         return self._loglik(rhos, sigma2)
 
     def profile_grid(self, grid: np.ndarray) -> np.ndarray:
@@ -282,7 +290,10 @@ class _ProfileCache:
             return -0.5 * n * (LOG_2PI + 1.0) - 0.5 * n * np.log(sigma2)
 
     def _loglik(self, rho, sigma2):
-        """:meth:`_part` + log|det(I - rho W)|; +inf where sigma^2 <= 0."""
+        """:meth:`_part` + log|det(I - rho W)|; +inf where sigma^2 <= 0.  A float gives a float."""
+        if isinstance(rho, float):
+            value = log_det(rho, self.problem.W)
+            return float(self._part(sigma2)) + value if sigma2 > 0.0 else math.inf
         loglik = np.where(sigma2 > 0.0, self._part(sigma2) + log_det(rho, self.problem.W), math.inf)
         return float(loglik) if loglik.ndim == 0 else loglik
 
@@ -632,7 +643,7 @@ def write_coefficients_csv(path, entries) -> None:
 
     ``entries`` is an iterable of (period, structure_id, SemFit).
     """
-    periods, structures, terms, estimates, ses, p_values = columns = ([], [], [], [], [], [])
+    periods, structures, terms, estimates, ses, p_values = ([], [], [], [], [], [])
     for period, structure, result in entries:
         p = len(result.column_names)
         periods += [period] * (p + 1)
@@ -641,4 +652,6 @@ def write_coefficients_csv(path, entries) -> None:
         estimates += [*result.beta_hat, result.rho_hat]
         ses += [*result.se_beta, math.nan if result.se_rho is None else result.se_rho]
         p_values += [*result.p_values]
-    write_csv(path, ("period", "structure", "term", "estimate", "se", "p_value"), columns)
+    numbers = [np.array(column, float) for column in (estimates, ses, p_values)]  # %.17g, not quoted
+    header = ("period", "structure", "term", "estimate", "se", "p_value")
+    write_csv(path, header, (np.array(periods), structures, terms, *numbers))

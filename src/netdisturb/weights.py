@@ -44,10 +44,12 @@ where E corrects what U C U' counts wrongly:
 
 A :class:`WeightMatrix` holds these factors and is the one operator for a
 built W: it evaluates W v in O(n + N^2) per column, and log|det(I - rho W)|
-and (I - rho W)^-1 v in O(n + N^3), with no n x n work.  The inspection
-views read W off the same product: the dense ``entries`` are W times the
-identity, and the neighbour sets are the nonzeros of W's columns, taken
-64 at a time, in O(n^2) time and O(64 n + nnz) memory.
+and (I - rho W)^-1 v in O(n + N^3), with no n x n work.  With E = 0 the
+log-det's N x N core is fixed, and its eigenvalues are taken once, by
+``eigvalsh`` where C is symmetric.  The inspection views read W off the
+same product: the dense ``entries`` are W times the identity, and the
+neighbour sets are the nonzeros of W's columns, taken 64 at a time, in
+O(n^2) time and O(64 n + nnz) memory.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def anchor_table(kind: str, index: FlowIndex, dyadic: DyadicSeries | None = None
             dyadic.check(table, lambda xy: (nodes[xy[0]], nodes[xy[1]]))
         except CovariateError as exc:
             raise WeightError(str(exc)) from None
-    return np.split(anchors, len(roles)), table
+    return anchors.reshape(len(roles), -1), table
 
 
 # A flow block of B(rho) = I - rho D+ E whose determinant falls below this
@@ -152,13 +154,13 @@ _BLOCK_DET_FLOOR = -1e-9
 
 
 def eigenvalue_log_det(rho, eigenvalues) -> np.ndarray:
-    """log|det(I - rho W)| = sum_k log|1 - rho lambda_k| from W's eigenvalues, at each rho of an array.
+    """log|det(I - rho W)| = sum_k log|1 - rho lambda_k| from W's eigenvalues, at a float or an array of rho.
 
     The nonzero eigenvalues suffice.  Those of an asymmetric W may be
     complex; they come in conjugate pairs, so the sum is real.  It is -inf
     on a pole.
     """
-    factors = 1.0 - np.multiply.outer(np.asarray(rho, dtype=float), eigenvalues)
+    factors = 1.0 - np.multiply.outer(rho, eigenvalues)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(factors)).sum(axis=-1)
 
@@ -221,7 +223,7 @@ class WeightMatrix:
         self._C = (table != 0 if spec.cutoff_km is None else table < spec.cutoff_km).astype(float)
         self.counts = self._spread(np.ones((index.n, 1)))[:, 0]
         self._own = np.divide(1.0, self.counts, out=np.zeros_like(self.counts), where=self.counts > 0)
-        self._border = None
+        self._path = None
         self._log_dets = {}
 
     @functools.cached_property
@@ -260,10 +262,23 @@ class WeightMatrix:
             yield start, self @ np.eye(self.n, min(_COLUMN_BLOCK, self.n - start), -start)
 
     def _prepare(self) -> None:
-        """The per-flow block terms, anchor cells and border of the log-det."""
+        """The log-det's fixed core and eigenvalues (E = 0), or its block terms, anchor cells and border."""
         anchors, partner, own, paired = self.anchors, self.partner, self._own, self.paired
         self_term, reverse_term = self.correction
         n, size = own.size, self._C.shape[0]
+        if not (self_term or reverse_term):
+            # E = 0 (the one-role alliance and distance kinds): B = I, and the core C U' D+ U = C diag(s),
+            # s the anchors' sums of own, is fixed, with the spectrum of diag(sqrt s) C diag(sqrt s).
+            self._e_self = self._e_reverse = self._reverse = np.zeros(n)
+            self._core_flows = np.zeros(0, int)
+            sums = np.bincount(anchors[0], own, minlength=size)
+            self._fixed, self._path = self._C * sums, "eigenvalues"
+            if (self._C == self._C.T).all():
+                root = np.sqrt(sums)
+                self._eigenvalues = np.linalg.eigvalsh(root[:, None] * self._C * root)
+            else:
+                self._eigenvalues = np.linalg.eigvals(self._fixed)
+            return
         other = np.where(paired, own[partner], 0.0)
 
         # det B_a(rho) = 1 + b rho + c rho^2, the same for both flows of a pair.
@@ -284,36 +299,35 @@ class WeightMatrix:
         self._cells = np.concatenate(
             [np.concatenate([x * size + y, x * size + y[partner]]) for x in anchors for y in anchors]
         )
-        self._identity = np.array_equal(self._C, np.eye(size))
 
+        # E != 0 only for the activity kinds, where C is the identity.
         core = self._core_flows = np.flatnonzero(in_core)
-        slot = np.full(n, -1)
-        slot[core] = np.arange(core.size)
-        spread = np.zeros((size, core.size))
-        for x in anchors:
-            spread[x[core], slot[core]] += own[core]
-        e_core = self_term * np.eye(core.size)
-        mates = core[paired[core]]
-        e_core[slot[mates], slot[partner[mates]]] = reverse_term
-        self._border = np.zeros((size + core.size, size + core.size))
-        self._border[:size, size:] = self._C @ spread
-        self._border[size:, :size] = e_core @ spread.T
-        self._border[size:, size:] = e_core * own[core]
+        if core.size:
+            slot = np.full(n, -1)
+            slot[core] = np.arange(core.size)
+            spread = np.zeros((size, core.size))
+            for x in anchors:
+                spread[x[core], slot[core]] += own[core]
+            e_core = self_term * np.eye(core.size)
+            mates = core[paired[core]]
+            e_core[slot[mates], slot[partner[mates]]] = reverse_term
+            self._border = np.zeros((size + core.size, size + core.size))
+            self._border[:size, size:] = spread
+            self._border[size:, :size] = e_core @ spread.T
+            self._border[size:, size:] = e_core * own[core]
         self._fixed = None
         if not (e_self.any() or e_reverse.any()):
+            # Every flow with E != 0 sits in the core, which is then fixed.
             self._fixed = self._core(own, np.zeros(n))
             self._path, self._eigenvalues = "eigenvalues", np.linalg.eigvals(self._fixed)
         else:
-            # C is the identity wherever E != 0 (the activity kinds).
             self._path = "lu" if core.size else "cholesky"
 
     def _core(self, diag, off) -> np.ndarray:
-        """C~ U~' B^-1 D+ U~, from B^-1 D+'s per-flow diagonal and reverse entries."""
+        """C~ U~' B^-1 D+ U~, from B^-1 D+'s per-flow diagonal and reverse entries (C = I here)."""
         size = self._C.shape[0]
         weights = np.concatenate([diag, off] * len(self.anchors) ** 2)
         gram = np.bincount(self._cells, weights, minlength=size * size).reshape(size, size)
-        if not self._identity:
-            gram = self._C @ gram
         if not self._core_flows.size:
             return gram
         core = self._border.copy()
@@ -322,7 +336,7 @@ class WeightMatrix:
 
     def _blocks(self, rho: float):
         """log|det B(rho)|, B^-1 D+'s diagonal and reverse entries per flow, and I - rho core."""
-        if self._border is None:
+        if self._path is None:
             self._prepare()
         if self._fixed is None:
             first = 1.0 - rho * self._self_other
@@ -333,27 +347,30 @@ class WeightMatrix:
         else:
             # E = 0 outside the core: B = I, and self._reverse is all zero.
             diag, off, matrix, outer = self._own, self._reverse, -rho * self._fixed, 0.0
-        matrix.flat[:: len(matrix) + 1] += 1.0
+        matrix.reshape(-1)[:: len(matrix) + 1] += 1.0  # a view: matrix is C-contiguous
         return outer, diag, off, matrix
 
     @property
     def log_det_path(self) -> str:
         """How :meth:`log_det` factors the core: "eigenvalues", "cholesky" or "lu"."""
-        if self._border is None:
+        if self._path is None:
             self._prepare()
         return self._path
 
-    def log_det(self, rho) -> np.ndarray:
-        """log|det(I - rho W)| at each -1 < rho < 1 of an array; -inf where it is singular.
+    def log_det(self, rho):
+        """log|det(I - rho W)| at a float or at each -1 < rho < 1 of an array; -inf where it is singular.
 
-        :attr:`log_det_path` names the cheapest exact factorization the core
-        allows.  A fixed core ("eigenvalues") has its eigenvalues taken once;
-        they are W's nonzero ones, so log|det(I - rho W)| = sum log|1 - rho
-        lambda| (:func:`eigenvalue_log_det`).  A core that moves with rho is
-        factored one rho at a time: by Cholesky ("cholesky") when no flow
-        sits in it, else by LU (``slogdet``, "lu").  Each distinct rho is
-        factored once; its value is kept, so a search that comes back to a
-        rho (the optimum, the middle point of the curvature) reads it back.
+        A float gives a float, to the bit the value an array holding it
+        gives.  :attr:`log_det_path` names the cheapest exact factorization
+        the core allows.  A fixed core ("eigenvalues") has its eigenvalues
+        taken once, by ``eigvalsh`` where C is symmetric (they are then
+        real) and by ``eigvals`` otherwise; they are W's nonzero ones, so
+        log|det(I - rho W)| = sum log|1 - rho lambda| (:func:`eigenvalue_log_det`).
+        A core that moves with rho is factored one rho at a time: by
+        Cholesky ("cholesky") when no flow sits in it, else by LU
+        (``slogdet``, "lu").  Each distinct rho is factored once; its value
+        is kept, so a search that comes back to a rho (the optimum, the
+        middle point of the curvature) reads it back.
 
         The Cholesky case holds because, with K = D - rho E and no flow in
         the core, the core is M(rho) = I - rho U' K^-1 U, symmetric positive
@@ -367,31 +384,26 @@ class WeightMatrix:
         + |rho| U' K^-1 U.  Flows with D = 0 carry zero weight and drop out.
         Then log det M = 2 sum log diag(chol M).
         """
-        rhos = np.asarray(rho, dtype=float)
-        outside = rhos[~((-1.0 < rhos) & (rhos < 1.0))]
-        if outside.size:
-            raise EstimationError(
-                f"rho={outside.flat[0]} outside (-1, 1), where the factored log-det holds"
-            )
-        path = self.log_det_path
-        if path == "eigenvalues":
-            return eigenvalue_log_det(rhos, self._eigenvalues)
-        values = np.empty(rhos.shape)
-        for at, value in np.ndenumerate(rhos):
-            rho = float(value)
-            if rho in self._log_dets:
-                values[at] = self._log_dets[rho]
-                continue
+        if not isinstance(rho, float):  # one rho at a time, unless the eigenvalues take them all
+            rhos = np.asarray(rho, dtype=float)
+            if self.log_det_path == "eigenvalues" and ((-1.0 < rhos) & (rhos < 1.0)).all():
+                return eigenvalue_log_det(rhos, self._eigenvalues)
+            return np.array([self.log_det(r) for r in rhos.ravel().tolist()]).reshape(rhos.shape)
+        if not -1.0 < rho < 1.0:
+            raise EstimationError(f"rho={rho} outside (-1, 1), where the factored log-det holds")
+        if self.log_det_path == "eigenvalues":
+            return float(eigenvalue_log_det(rho, self._eigenvalues))
+        if rho not in self._log_dets:
             outer, _, _, matrix = self._blocks(rho)
-            if path == "lu":
+            if self._path == "lu":
                 inner = np.linalg.slogdet(matrix)[1]
             else:
                 try:
-                    inner = 2.0 * np.log(np.diagonal(np.linalg.cholesky(matrix))).sum()
+                    inner = 2.0 * np.log(np.linalg.cholesky(matrix).diagonal()).sum()
                 except np.linalg.LinAlgError:  # numerically singular
                     inner = -np.inf
-            values[at] = self._log_dets[rho] = outer + inner
-        return values
+            self._log_dets[rho] = float(outer + inner)
+        return self._log_dets[rho]
 
     def solve(self, rho: float, v) -> np.ndarray:
         """(I - rho W)^-1 v for -1 < rho < 1 and v of shape (n,) or (n, k)."""
@@ -462,7 +474,7 @@ class DenseWeight:
         return lower, upper
 
     def log_det(self, rho) -> np.ndarray:
-        """log|det(I - rho W)| at each rho of an array; -inf on a pole."""
+        """log|det(I - rho W)| at a float or at each rho of an array; -inf on a pole."""
         return eigenvalue_log_det(rho, self.eigenvalues)
 
     def solve(self, rho: float, v) -> np.ndarray:

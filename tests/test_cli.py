@@ -803,6 +803,33 @@ def test_cli_import_leaves_scipy_module_out(module):
     assert run_fresh_interpreter(code) == "False"
 
 
+SIMULATE_THEN_FIT = """
+import sys
+from netdisturb.cli import main
+spec, config, data, out = sys.argv[1:]
+assert main(["simulate", "--spec", spec, "--out", data]) == 0
+assert main(["fit", "--config", config, "--out", out]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_simulate_then_fit_import_neither_numpy_ma_nor_scipy(tmp_path):
+    # The package itself needs only numpy (README), and numpy.ma alone costs
+    # a command's interpreter 13-26 ms; np.unique without a return_* flag
+    # imports it.  Both commands run in one interpreter, and fit takes the
+    # activity kinds, an alliance and a distance kind, and rho0.
+    spec_file, config_file = tmp_path / "sim.cfg", tmp_path / "run.cfg"
+    spec_file.write_text(SIM_SPEC, encoding="utf-8")
+    config_file.write_text(
+        RUN_CONFIG.replace("full_activity, rho0", "full_activity, alliance_import, distance_export:1500, rho0"),
+        encoding="utf-8",
+    )
+    paths = (spec_file, config_file, tmp_path / "data", tmp_path / "out")
+    assert run_fresh_interpreter(SIMULATE_THEN_FIT, *map(str, paths)).splitlines()[-1] == "[]"
+    report = json.loads((tmp_path / "out" / "fit_report.json").read_text(encoding="utf-8"))
+    assert report["failures"] == [] and len(report["candidates"]) == 6
+
+
 LIBRARY_RUN = """
 import sys
 from netdisturb import (

@@ -11,9 +11,12 @@ arrays of rho, up to the search's margin from -1 and 1, and check which
 factorization each core took: eigenvalues, Cholesky or LU (the bordered
 core).  The rho search's cross-product profile is checked against least
 squares, and its concavity-bounded grid against the full grid, bit for
-bit, on the activity kinds (Cholesky and LU).  Two more tests check that
-fitting, scanning and diagnosing a built W, and simulating from one, never
-form its n x n entries.
+bit, on the activity kinds (Cholesky and LU).  A float rho, as a Brent
+step passes it, must give the log-det and profile values, and the pole
+messages, of an array holding it, bit for bit; a fixed core over a
+symmetric node relation takes eigvalsh, an asymmetric one eigvals.  Two
+more tests check that fitting, scanning and diagnosing a built W, and
+simulating from one, never form its n x n entries.
 """
 
 import tracemalloc
@@ -21,10 +24,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from netdisturb import (
     DenseWeight,
+    DyadicSeries,
     EstimationError,
     FlowIndex,
     NeighborhoodSpec,
@@ -52,6 +56,9 @@ from conftest import (
 
 # Derandomized, so every run of the suite draws the same examples.
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+# A W with poles at rho = 1 and -1.
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # Besides arbitrary values, the reciprocals where a 1 x 1 or 2 x 2 block of
 # I - rho D+ E is singular for flows with one or two neighbours.
@@ -309,6 +316,82 @@ def asymmetric_dyadic_weight_matrices(draw):
 @given(asymmetric_dyadic_weight_matrices(), RHO_ARRAYS)
 def test_asymmetric_dyadic_log_det_matches_dense_slogdet(W, rhos):
     assert_log_dets_match(W, rhos)
+
+
+def node_relation_is_symmetric(W):
+    """Whether a one-role W's node relation C, read off its entries, is symmetric."""
+    anchor = W.index.receiver if W.spec.kind.endswith("_import") else W.index.sender
+    U = (anchor[:, None] == np.unique(anchor)).astype(float)
+    C = U.T @ (W.entries != 0) @ U > 0
+    return bool((C == C.T).all())
+
+
+# Flows into A and B: A is within 1000 km of B, B not of A.
+ONE_WAY = build_weight_matrix(
+    NeighborhoodSpec("distance_import", cutoff_km=1000.0),
+    FlowIndex(period=1, dyads=(("A", "B"), ("B", "A"), ("C", "A"), ("C", "B"))),
+    DyadicSeries("distance", False, {("A", "B", 1): 500.0, ("B", "A", 1): 2000.0}),
+)
+
+
+@PROPERTY
+@given(
+    st.one_of(weight_matrices().filter(lambda W: W.spec.dyadic_series), asymmetric_dyadic_weight_matrices()),
+    RHO_ARRAYS,
+)
+@example(ONE_WAY, np.array([-0.5, 0.9]))
+def test_a_symmetric_node_relation_takes_eigvalsh_and_an_asymmetric_one_eigvals(W, rhos):
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals:
+            assert W.log_det_path == "eigenvalues"
+    symmetric = node_relation_is_symmetric(W)
+    assert (eigvalsh.call_count, eigvals.call_count) == ((1, 0) if symmetric else (0, 1))
+    assert_log_dets_match(W, rhos)
+
+
+def value_or_message(call):
+    """What ``call()`` gives (an array's one entry), or the message of the EstimationError it raises."""
+    try:
+        value = call()
+    except EstimationError as exc:
+        return str(exc)
+    return value[0] if isinstance(value, np.ndarray) else value
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        weight_matrices(),
+        activity_weight_matrices(bordered=True),
+        asymmetric_dyadic_weight_matrices(),
+        weight_matrices().map(lambda W: DenseWeight(W.entries)),
+    ),
+    RHO_ARRAYS,
+    st.integers(0, 2**32 - 1),
+)
+def test_a_float_rho_gives_what_an_array_holding_it_gives_to_the_bit(W, rhos, seed):
+    # A Brent step passes one float, which log_det and the profile take with
+    # no array of rho; a pole must raise the array's message.
+    cache = sem._ProfileCache(problem_on(W, False, seed)) if W.n > 2 else None
+    for rho in rhos.tolist():
+        value = value_or_message(lambda: log_det(rho, W))
+        assert type(value) in (float, str)
+        assert value == value_or_message(lambda: log_det(np.array([rho]), W))
+        if cache is not None:
+            profiled = value_or_message(lambda: cache.profile(rho))
+            assert type(profiled) in (float, str)
+            assert profiled == value_or_message(lambda: cache.profile(np.array([rho])))
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0, float("nan")])
+def test_a_pole_or_a_rho_outside_raises_one_message_for_a_float_and_an_array(rho):
+    index = FlowIndex(period=1, dyads=(("A", "B"), ("B", "A"), ("B", "C"), ("C", "A")))
+    alliance = complete_alliance(np.random.default_rng(0), {"A", "B", "C"}, prob=1.0)
+    weights = [build_weight_matrix(NeighborhoodSpec(kind), index) for kind in sorted(ACTIVITY_E)]
+    weights += [build_weight_matrix(NeighborhoodSpec("alliance_export"), index, alliance), DenseWeight(SWAP)]
+    for W in weights:
+        message = value_or_message(lambda: log_det(rho, W))
+        assert isinstance(message, str) and message == value_or_message(lambda: log_det(np.array([rho]), W))
 
 
 @PROPERTY

@@ -1,7 +1,10 @@
 """`write_csv` and `write_blocks` write the bytes of the per-row csv.writer they replaced,
-and `read_csv` reads what its per-row loop read."""
+`read_csv` reads what its per-row loop read, and `write_json` writes in one call the
+bytes `json.dump` wrote chunk by chunk."""
 
 import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -9,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdisturb import _serialize
-from netdisturb._serialize import CHUNK, Coded, fmt, read_csv, write_blocks, write_csv
+from netdisturb import SemFit, _serialize
+from netdisturb._serialize import CHUNK, Coded, fmt, json_ready, read_csv, write_blocks, write_csv, write_json
+from netdisturb.sem import fit_to_dict
 
 
 def row_writer(path, header, rows):
@@ -222,3 +226,28 @@ def test_read_across_full_chunks(tmp_path, bad_line):
     path.write_text("a,b,c\n" + "\n".join(lines) + "\n", encoding="utf-8")
     header = ("a", "b", "c")
     assert read_csv_outcome(path, header) == read_csv_row_loop(path, header, ValueError)
+
+
+def test_write_json_writes_the_bytes_of_json_dump_in_one_call(tmp_path, monkeypatch):
+    # A fit with NaN, +-inf and numpy scalars, as a degenerate fit can hold them.
+    fitted = SemFit(
+        rho_hat=np.float64(0.25), beta_hat=np.array([1.0, np.nan, -2.5]), sigma2_hat=np.float64(0.0),
+        se_beta=np.array([np.inf, -np.inf, 0.5]), se_rho=math.nan, p_values=np.full(4, np.nan),
+        loglik=math.inf, aic=-math.inf, converged=np.bool_(True), degenerate=True,
+        column_names=("intercept", "x1_sender", "x2_receiver"), rho_bounds=(-1.0, 1.0),
+        evaluations=np.int64(27), log_det="eigenvalues",
+    )
+    written = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        monkeypatch.setattr(fh, "write", lambda text: written.append(text) or type(fh).write(fh, text), raising=False)
+        return fh
+
+    monkeypatch.setattr(_serialize, "open", recording_open, raising=False)
+    path = tmp_path / "fits" / "period_1.json"
+    write_json(path, fit_to_dict(fitted))
+    dumped = io.StringIO()
+    json.dump(json_ready(fit_to_dict(fitted)), dumped, indent=2, allow_nan=False)
+    assert path.read_bytes() == (dumped.getvalue() + "\n").encode("utf-8")
+    assert len(written) == 1
